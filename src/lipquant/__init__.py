@@ -22,7 +22,7 @@ from .bounds import (
     level_lower,
     unknown_bound,
 )
-from .grid import BoxDomain, Cell, MultiIndex, rescale_problem
+from .grid import BoxDomain, MultiIndex, rescale_problem
 from .known import KnownRun, QuantileBracket, run_known, run_known_sweep
 from .measure import (
     Marginal,
@@ -56,7 +56,6 @@ __all__ = [
     "AdversaryD1",
     "AdversaryD2",
     "BoxDomain",
-    "Cell",
     "KnownRun",
     "Marginal",
     "MassPoint",
@@ -100,4 +99,4 @@ __all__ = [
     "weighted_quantile_sup",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

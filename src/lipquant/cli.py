@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import build_adversary_d1, build_adversary_d2, verify_separation
 from .bounds import ProblemConstants, known_bound, unknown_bound
-from .known import run_known
+from .known import run_known_sweep
 from .problems import (
     BUILTIN_PROBLEMS,
     TestProblem,
@@ -148,7 +148,7 @@ def _fmt(x: Optional[float]) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
-    """One CSV row per budget; each budget runs from scratch."""
+    """One CSV row per budget; known-constant budgets share one deep run."""
     p = build_problem(cfg)
     if cfg.algo not in ("known", "unknown", "monte_carlo"):
         raise ConfigError(f"unknown algorithm {cfg.algo!r}")
@@ -157,14 +157,15 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
     if cfg.level_set is not None:
         constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
 
+    if cfg.algo == "known":
+        brackets = run_known_sweep(p.f, p.lipschitz, p.measure, p.alpha, cfg.budgets)
     rows: list[dict] = []
     for n in cfg.budgets:
         lower = upper = level = evals = bound = None
         if cfg.algo == "known":
-            run = run_known(p.f, p.lipschitz, p.measure, p.alpha, n)
-            estimate = run.bracket.estimate
-            lower, upper = run.bracket.lower, run.bracket.upper
-            level, evals = run.bracket.level, run.bracket.evaluations
+            b = brackets[n]
+            estimate, lower, upper = b.estimate, b.lower, b.upper
+            level, evals = b.level, b.evaluations
             if constants is not None and (p.dim == 1 or n > 1):
                 bound = known_bound(constants, n)
         elif cfg.algo == "unknown":

@@ -125,33 +125,9 @@ def cell_box_fraction(idx: MultiIndex) -> tuple[tuple[Fraction, ...], tuple[Frac
     return lo, hi
 
 
-def cell_box(idx: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = cell_box_fraction(idx)
-    return np.array([float(v) for v in lo]), np.array([float(v) for v in hi])
-
-
 def cell_bounds(level: int, digits: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     den = 3 ** level
     return tuple(b / den for b in digits), tuple((b + 1) / den for b in digits)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A partition box together with its derived geometry."""
-
-    index: MultiIndex
-
-    @property
-    def center(self) -> np.ndarray:
-        return center(self.index)
-
-    @property
-    def half_width_inf(self) -> float:
-        return 0.5 * 3.0 ** (-self.index.level)
-
-    @property
-    def radius(self) -> float:
-        return half_radius(self.index.level, self.index.dim)
 
 
 def canonical_center_key(level: int, digits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -7,6 +7,12 @@ refines the survivors threefold per axis.  Pruned subtrees keep contributing
 their inherited value and probability mass ("frozen" points), so the table
 always represents the full partition.
 
+`Frontier` is the subdivision engine shared with the unknown-constant
+algorithm: one frontier of cells held as integer digit arrays and scanned
+under several Lipschitz constants ("bands") at once, as DIRECT scans one
+partition under every constant.  `run_known` is its single-band case, whose
+retirement (the budget running out) ends the run.
+
 The refinement path does not depend on the budget: the budget only decides
 how deep the run goes.  `run_known_sweep` exploits this to answer many
 budgets from a single deep run.
@@ -14,13 +20,19 @@ budgets from a single deep run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import center_point, child_digits, half_radius
+from .grid import center_point, half_radius
 from .measure import ProductMeasure
 from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
+
+#: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
+#: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
+#: cell edges b/3^k are correctly rounded and distinct centers stay distinct.
+K_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,7 @@ class KnownRun:
     history: list[LevelRecord]
     budget: int
     active_sets: list[list[tuple[int, ...]]] = field(default_factory=list)
+    stop_reason: str = "budget"  # budget | max_level | precision
 
     def bracket_for_budget(self, budget: int) -> QuantileBracket:
         """Deepest completed level affordable within `budget` calls."""
@@ -72,29 +85,158 @@ class KnownRun:
         )
 
 
-class _Evaluator:
-    """Memoized center evaluation; the center child inherits without a call."""
+def _last(mask: np.ndarray) -> int:
+    """Index of the last True entry, -1 if there is none."""
+    idx = np.flatnonzero(mask)
+    return int(idx[-1]) if len(idx) else -1
 
-    def __init__(self, f, dim: int):
-        self.f = f
-        self.dim = dim
-        self.cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    def __call__(self, level: int, cells: list[tuple[int, ...]]) -> np.ndarray:
-        from .grid import canonical_center_key
+class Frontier:
+    """The cells under refinement, scanned under J Lipschitz constants at once.
 
-        keys = [canonical_center_key(level, c) for c in cells]
-        missing = [k for k in keys if k not in self.cache]
-        if missing:
-            pts = np.array([center_point(lv, dg) for lv, dg in missing])
-            vals = np.asarray(self.f(pts), dtype=float)
-            for k, v in zip(missing, vals):
-                self.cache[k] = float(v)
-        return np.array([self.cache[k] for k in keys])
+    Row i of `digits` (n, d) addresses a cell of level `level`; `values[i]` is
+    f at its center and `masses[i]` its probability.  Band j has constant
+    `lipschitz[j]` (increasing in j) and budget slice `slices[j]`.  A live band
+    keeps the cells of its set whose value lies within 2*L_j*delta_k of the
+    pooled estimate; all 3^d children of a kept cell join the next level.  A
+    band whose ledger overruns its slice retires: it then advances through
+    center children only, which share their parent's center and so cost no
+    call.  Cells that leave the frontier are frozen: their value and mass stay
+    in every later table as ineligible points.
 
-    @property
-    def count(self) -> int:
-        return len(self.cache)
+    The sets of the live bands are nested, since a wider band keeps every
+    cell a narrower one keeps.  So the live bands holding row i are the live
+    j >= `lowest[i]`, and one flag, `held[i]`, says whether a retired band
+    holds it.
+
+    With `lexicographic`, every level is kept in lexicographic digit order;
+    otherwise children follow their parents in `itertools.product` order.
+    The order fixes how the quantile table merges tied values.
+    """
+
+    def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices,
+                 lexicographic: bool = False):
+        d = measure.dim
+        self.f, self.measure, self.alpha = f, measure, alpha
+        self.lipschitz = [float(c) for c in lipschitz]
+        self.slices = np.asarray(slices, dtype=np.int64)
+        self.lexicographic = lexicographic
+        self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
+        self.center = (3 ** d - 1) // 2  # row of the all-ones offset
+        self.level = 0
+        self.evaluations = 0
+        self.digits = np.zeros((1, d), dtype=np.int64)
+        self.lowest = np.zeros(1, dtype=np.int64)
+        self.held = np.zeros(1, dtype=bool)
+        self.live = np.ones(len(self.lipschitz), dtype=bool)
+        self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
+        self.retired: dict[int, int] = {}
+        self.frozen_values = np.zeros(0)
+        self.frozen_masses = np.zeros(0)
+        self.values = self._evaluate(0, self.digits)
+        self._estimate()
+
+    def _evaluate(self, level: int, digits: np.ndarray) -> np.ndarray:
+        points = (2 * digits + 1) / (2 * 3 ** level)
+        self.evaluations += len(points)
+        return np.asarray(self.f(points), dtype=float)
+
+    def _estimate(self) -> None:
+        self.masses = self.measure.cell_probabilities(self.level, self.digits)
+        # every frontier cell is a genuinely evaluated center (a center child
+        # shares its parent's), so the whole frontier is eligible; only
+        # frozen values are not
+        n = len(self.values)
+        table = ValueMassTable(
+            np.concatenate([self.values, self.frozen_values]),
+            np.concatenate([self.masses, self.frozen_masses]),
+            np.arange(n + len(self.frozen_values)) < n,
+        )
+        self.estimate = weighted_quantile_sup(table, self.alpha)
+        est_inf = weighted_quantile_inf(table, self.alpha)
+        # equal in exact arithmetic; cumulative-sum rounding can flip one
+        # index when the alpha boundary falls between two near-equal values
+        if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
+            raise AssertionError(
+                f"sup/inf estimator mismatch at level {self.level}: {self.estimate} vs {est_inf}"
+            )
+
+    def stop_reason(self, max_level: int | None) -> str | None:
+        """Why the run may not refine past this level, if it may not."""
+        if max_level is not None and self.level >= max_level:
+            return "max_level"
+        if self.level >= K_MAX:
+            return "precision"
+        return None
+
+    def prune(self) -> None:
+        """Band tests of the live bands, their ledgers, and retirements.
+
+        Sets `first` (row i is kept by the live bands j >= first[i]; J
+        means by none), `kept` (rows some live band keeps) and `hold` (rows
+        a retired or retiring band holds).
+        """
+        n_bands = len(self.lipschitz)
+        delta = half_radius(self.level, self.measure.dim)
+        bands = np.array([2.0 * c * delta for c in self.lipschitz])
+        # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j]
+        gap = np.abs(self.values - self.estimate)
+        self.first = np.maximum(self.lowest, np.searchsorted(bands, gap))
+        kept_by = np.cumsum(np.bincount(self.first, minlength=n_bands + 1))[:n_bands]
+        self.ledgers[self.live] += (len(self.offsets) - 1) * kept_by[self.live]
+        self.kept = self.first <= _last(self.live)
+        retiring = self.live & (self.ledgers > self.slices)
+        for j in np.flatnonzero(retiring):
+            self.retired[int(j)] = self.level
+        self.hold = self.held | (self.lowest <= _last(retiring))
+        self.live &= ~retiring
+
+    def refine(self) -> None:
+        """Replace the frontier by the next level's cells and freeze the rest."""
+        n_kids, d = self.offsets.shape
+        c = self.center
+        full = self.first <= _last(self.live)  # a band that goes on keeps the row
+        solo = self.hold & ~full                # only retired bands hold the row
+        gone = ~full & ~self.hold
+        level = self.level + 1
+
+        parents = np.flatnonzero(full)
+        kids = 3 * self.digits[parents, None, :] + self.offsets
+        values = np.empty((len(parents), n_kids))
+        values[:, c] = self.values[parents]
+        others = np.arange(n_kids) != c
+        if len(parents):
+            fresh = self._evaluate(level, kids[:, others].reshape(-1, d))
+            values[:, others] = fresh.reshape(len(parents), n_kids - 1)
+        held = np.zeros((len(parents), n_kids), dtype=bool)
+        held[:, c] = self.hold[parents]
+
+        # frozen entries in row order: a row outside every band leaves with
+        # its own mass, a row held only by retired bands leaves its
+        # non-center children with their masses
+        count = np.where(solo, n_kids - 1, gone)
+        start = np.cumsum(count) - count
+        frozen_masses = np.empty(int(count.sum()))
+        frozen_masses[start[gone]] = self.masses[gone]
+        if solo.any():
+            siblings = 3 * self.digits[solo, None, :] + self.offsets[others]
+            sub = self.measure.cell_probabilities(level, siblings.reshape(-1, d))
+            frozen_masses[start[solo][:, None] + np.arange(n_kids - 1)] = sub.reshape(-1, n_kids - 1)
+        self.frozen_values = np.concatenate([self.frozen_values, np.repeat(self.values, count)])
+        self.frozen_masses = np.concatenate([self.frozen_masses, frozen_masses])
+
+        n_solo = int(solo.sum())
+        self.digits = np.concatenate([kids.reshape(-1, d), 3 * self.digits[solo] + 1])
+        self.values = np.concatenate([values.ravel(), self.values[solo]])
+        self.lowest = np.concatenate([np.repeat(self.first[parents], n_kids),
+                                      np.full(n_solo, len(self.lipschitz))])
+        self.held = np.concatenate([held.ravel(), np.ones(n_solo, dtype=bool)])
+        if self.lexicographic:
+            order = np.lexsort(self.digits.T[::-1])
+            self.digits, self.values = self.digits[order], self.values[order]
+            self.lowest, self.held = self.lowest[order], self.held[order]
+        self.level = level
+        self._estimate()
 
 
 def run_known(
@@ -110,7 +252,7 @@ def run_known(
 
     f maps an (n, d) array of points to an (n,) array of values and must be
     pure.  Returns the bracket of the deepest fully affordable level together
-    with the per-level history.
+    with the per-level history.  Refinement stops at level K_MAX.
     """
     if lipschitz <= 0:
         raise ValueError(f"lipschitz must be positive, got {lipschitz}")
@@ -119,78 +261,43 @@ def run_known(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
-    d = measure.dim
-    n_children = 3 ** d
-    ev = _Evaluator(f, d)
-
-    active: list[tuple[int, ...]] = [(0,) * d]
-    values = ev(0, active)
-    frozen_values: list[float] = []
-    frozen_masses: list[float] = []
-    n_call = 1
-    k = 0
+    fr = Frontier(f, measure, alpha, [lipschitz], [budget])
     history: list[LevelRecord] = []
     active_sets: list[list[tuple[int, ...]]] = []
-
     while True:
-        masses = measure.cell_probabilities(k, active)
-        table = ValueMassTable(
-            np.concatenate([values, frozen_values]),
-            np.concatenate([masses, frozen_masses]),
-            np.concatenate([np.ones(len(active), dtype=bool), np.zeros(len(frozen_values), dtype=bool)]),
-        )
-        estimate = weighted_quantile_sup(table, alpha)
-        est_inf = weighted_quantile_inf(table, alpha)
-        # equal in exact arithmetic; cumulative-sum rounding can flip one
-        # index when the alpha boundary falls between two near-equal values
-        if abs(estimate - est_inf) > 1e-9 * (1.0 + abs(estimate)):
-            raise AssertionError(
-                f"sup/inf estimator mismatch at level {k}: {estimate} vs {est_inf}"
-            )
-        delta = half_radius(k, d)
+        delta = half_radius(fr.level, measure.dim)
         history.append(
             LevelRecord(
-                level=k,
-                estimate=estimate,
-                lower=estimate - lipschitz * delta,
-                upper=estimate + lipschitz * delta,
-                calls_used=n_call,
-                evaluations=ev.count,
-                active_cells=len(active),
-                active_mass=float(np.sum(masses)),
-                frozen_mass=float(np.sum(frozen_masses)),
+                level=fr.level,
+                estimate=fr.estimate,
+                lower=fr.estimate - lipschitz * delta,
+                upper=fr.estimate + lipschitz * delta,
+                calls_used=int(fr.ledgers[0]),
+                evaluations=fr.evaluations,
+                active_cells=len(fr.digits),
+                active_mass=float(np.sum(fr.masses)),
+                frozen_mass=float(np.sum(fr.frozen_masses)),
             )
         )
         if keep_active_sets:
-            active_sets.append(list(active))
-
-        band = 2.0 * lipschitz * delta
-        keep = np.abs(values - estimate) <= band
-        if not np.any(keep):
+            active_sets.append(list(map(tuple, fr.digits.tolist())))
+        stop = fr.stop_reason(max_level)
+        if stop:
+            break
+        fr.prune()
+        if not fr.kept.any():
             raise AssertionError("no survivor: the estimate must lie in its own band")
-        for i in np.flatnonzero(~keep):
-            frozen_values.append(float(values[i]))
-            frozen_masses.append(float(masses[i]))
-        survivors = [active[i] for i in np.flatnonzero(keep)]
-
-        n_call += (n_children - 1) * len(survivors)
-        if n_call > budget:
+        if not fr.live[0]:
+            stop = "budget"
             break
-        if max_level is not None and k >= max_level:
-            break
-
-        k += 1
-        active = []
-        for cell in survivors:
-            active.extend(child_digits(cell))
-        # the center child shares the parent's center, so the memo makes it free
-        values = ev(k, active)
+        fr.refine()
 
     last = history[-1]
     bracket = QuantileBracket(
         last.estimate, last.lower, last.upper, last.level, last.calls_used, last.evaluations
     )
-    return KnownRun(bracket=bracket, history=history, budget=budget, active_sets=active_sets)
+    return KnownRun(bracket=bracket, history=history, budget=budget,
+                    active_sets=active_sets, stop_reason=stop)
 
 
 def run_known_sweep(
@@ -215,29 +322,9 @@ def full_grid_estimate(f, measure: ProductMeasure, alpha: float, level: int) -> 
     n_cells = 3 ** (level * d)
     if n_cells > 10 ** 6:
         raise ValueError(f"refusing to enumerate {n_cells} cells")
-    import itertools
-
     cells = [tuple(c) for c in itertools.product(range(3 ** level), repeat=d)]
     pts = np.array([center_point(level, c) for c in cells])
     values = np.asarray(f(pts), dtype=float)
     masses = measure.cell_probabilities(level, cells)
     table = ValueMassTable(values, masses, np.ones(len(cells), dtype=bool))
     return weighted_quantile_sup(table, alpha)
-
-
-def prune(
-    active: list[tuple[int, ...]],
-    values: np.ndarray,
-    estimate: float,
-    lipschitz: float,
-    level: int,
-    dim: int,
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Survivors of the closed band [estimate +/- 2*L*delta_k] and their children."""
-    band = 2.0 * lipschitz * half_radius(level, dim)
-    keep = np.abs(np.asarray(values, dtype=float) - estimate) <= band
-    survivors = [active[i] for i in np.flatnonzero(keep)]
-    nxt: list[tuple[int, ...]] = []
-    for cell in survivors:
-        nxt.extend(child_digits(cell))
-    return nxt, keep

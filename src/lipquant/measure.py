@@ -71,17 +71,17 @@ class ProductMeasure:
             p *= float(m.cdf(np.array(b)) - m.cdf(np.array(a)))
         return p
 
-    def cell_probabilities(self, level: int, digits: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """Vectorized cell_probability over many same-level indices."""
-        n = len(digits)
-        if n == 0:
-            return np.zeros(0)
+    def cell_probabilities(self, level: int, digits: Sequence[Sequence[int]]) -> np.ndarray:
+        """Vectorized cell_probability over many same-level cells.
+
+        `digits` is an (n, d) integer array or a sequence of digit tuples.
+        Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).
+        """
+        digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.dim)
         den = 3 ** level
-        out = np.ones(n)
-        for axis, m in enumerate(self.marginals):
-            lo = np.array([d[axis] / den for d in digits])
-            hi = np.array([(d[axis] + 1) / den for d in digits])
-            out *= m.cdf(hi) - m.cdf(lo)
+        out = np.ones(len(digits))
+        for col, m in zip(digits.T, self.marginals):
+            out *= m.cdf((col + 1) / den) - m.cdf(col / den)
         return out
 
     def marginal_quantile(self, axis: int, u: np.ndarray, tol: float = 1e-12) -> np.ndarray:

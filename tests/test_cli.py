@@ -17,6 +17,7 @@ from lipquant.cli import (
     parse_budgets,
     run_experiment,
 )
+from lipquant.known import run_known
 
 
 class TestParseBudgets:
@@ -128,6 +129,21 @@ class TestRunExperiment:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header == "n,estimate,lower,upper,level,evals,true_q,abs_error,bound"
+
+    def test_known_sweep_rows_equal_per_budget_runs(self, tmp_path, capsys):
+        # the known-constant rows come from one deep run; each must equal the
+        # row a from-scratch run at that budget would give
+        out = tmp_path / "sweep.csv"
+        code = main(["run", "--problem", "paper_d2", "--budgets", "1000:20000:1000",
+                     "--out", str(out)])
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        p = build_problem(ExperimentConfig(problem="paper_d2"))
+        assert [int(r[0]) for r in rows] == list(range(1000, 20001, 1000))
+        for r in rows:
+            b = run_known(p.f, p.lipschitz, p.measure, p.alpha, int(r[0])).bracket
+            assert r[1:6] == [repr(b.estimate), repr(b.lower), repr(b.upper),
+                              str(b.level), str(b.evaluations)]
 
     def test_unknown_algo_rejected(self):
         with pytest.raises(ConfigError):

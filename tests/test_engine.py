@@ -1,0 +1,169 @@
+"""The array subdivision engine against per-cell oracles built from grid.py.
+
+The oracles redo each level with exact digit tuples: `grid.child_digits` for
+children, `grid.center_point` for centers and, for the unknown-constant
+algorithm, the per-cell loop with a center memo (`canonical_center_key`)
+that `known.Frontier` replaced.
+"""
+
+import numpy as np
+import pytest
+
+import lipquant as lq
+from lipquant.grid import (
+    canonical_center_key,
+    center_child_digits,
+    center_point,
+    child_digits,
+    half_radius,
+)
+from lipquant.known import K_MAX, run_known
+from lipquant.unknown import candidate_budget, j_max, run_unknown
+from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
+
+from conftest import random_lipschitz_problem
+
+CASES = [(1, 300), (2, 2000), (3, 5000)]
+
+
+def recorded(f):
+    """f, plus the list of the point arrays it was called with."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x, copy=True))
+        return f(x)
+
+    return g, calls
+
+
+def assert_distinct_points(calls):
+    points = np.concatenate(calls)
+    assert len(np.unique(points, axis=0)) == len(points)
+    return len(points)
+
+
+def measure_for(dim):
+    return lq.product_measure(
+        [lq.truncated_normal_marginal(0.3, 0.25)] + [lq.uniform_marginal()] * (dim - 1)
+    )
+
+
+def reference_unknown(f, measure, alpha, budget, max_level):
+    """run_unknown as a per-cell loop over tuple cells with a center memo."""
+    d = measure.dim
+    n_kids = 3 ** d
+    sets = {j: [(0,) * d] for j in range(j_max(budget) + 1)}
+    ledgers = dict.fromkeys(sets, 1)
+    live = list(sets)
+    retired: dict[int, int] = {}
+    cache: dict = {}
+    frozen_values: list[float] = []
+    frozen_masses: list[float] = []
+    levels = []  # (estimate, active mass, frozen mass), summed in table order
+    k = 0
+    while True:
+        union = sorted(set().union(*sets.values()))
+        keys = [canonical_center_key(k, c) for c in union]
+        missing = sorted(set(keys) - set(cache))
+        if missing:
+            cache.update(zip(missing, f(np.array([center_point(*key) for key in missing]))))
+        values = np.array([cache[key] for key in keys])
+        masses = measure.cell_probabilities(k, union)
+        table = ValueMassTable(
+            np.concatenate([values, frozen_values]),
+            np.concatenate([masses, frozen_masses]),
+            [True] * len(union) + [False] * len(frozen_values),
+        )
+        estimate = weighted_quantile_sup(table, alpha)
+        levels.append((estimate, float(np.sum(masses)), float(np.sum(frozen_masses))))
+        if k >= max_level:
+            break
+        value_of = dict(zip(union, values))
+        mass_of = dict(zip(union, masses))
+        delta = half_radius(k, d)
+        nxt = {}
+        for j in list(live):
+            kept = [c for c in sets[j] if abs(value_of[c] - estimate) <= 2.0 * 3.0 ** j * delta]
+            ledgers[j] += (n_kids - 1) * len(kept)
+            if ledgers[j] > candidate_budget(j, budget):
+                live.remove(j)
+                retired[j] = k
+            else:
+                nxt[j] = [kid for c in kept for kid in child_digits(c)]
+        for j in sets:
+            nxt.setdefault(j, [center_child_digits(c) for c in sets[j]])
+        if not live:
+            break
+        next_union = set().union(*nxt.values())
+        for c in union:
+            gone = [kid for kid in child_digits(c) if kid not in next_union]
+            if len(gone) == n_kids:
+                frozen_values.append(value_of[c])
+                frozen_masses.append(mass_of[c])
+            elif gone:
+                frozen_values.extend([value_of[c]] * len(gone))
+                frozen_masses.extend(measure.cell_probabilities(k + 1, gone))
+        sets = nxt
+        k += 1
+    return levels, ledgers, retired, len(cache)
+
+
+@pytest.mark.parametrize("dim,budget", CASES)
+def test_known_frontier_matches_oracle(dim, budget):
+    f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
+    g, calls = recorded(f)
+    m = measure_for(dim)
+    run = run_known(g, lip, m, 0.8, budget, keep_active_sets=True)
+    assert run.stop_reason == "budget"
+    assert len(run.history) >= 3
+    for rec, cells, nxt in zip(run.history, run.active_sets, run.active_sets[1:]):
+        values = f(np.array([center_point(rec.level, c) for c in cells]))
+        band = 2.0 * lip * half_radius(rec.level, dim)
+        survivors = [c for c, v in zip(cells, values) if abs(v - rec.estimate) <= band]
+        assert nxt == [kid for c in survivors for kid in child_digits(c)]
+    assert len(calls) == len(run.history)  # one call per level
+    assert assert_distinct_points(calls) == run.bracket.calls_used == run.bracket.evaluations
+
+
+@pytest.mark.parametrize("dim,budget", CASES)
+def test_unknown_frontier_matches_oracle(dim, budget):
+    f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
+    g, calls = recorded(f)
+    m = measure_for(dim)
+    max_level = 12 // dim
+    run = run_unknown(g, m, 0.8, budget, max_level=max_level)
+    levels, ledgers, retired, evaluations = reference_unknown(f, m, 0.8, budget, max_level)
+    # exact sums pin the frontier to lexicographic order, as in the loop
+    assert [(r.estimate, r.active_mass, r.frozen_mass) for r in run.history] == levels
+    assert run.ledgers == ledgers
+    assert run.retirement_level == retired
+    # candidates retire at different levels, so retired bands advance by
+    # center children while live ones still refine
+    assert len(set(retired.values())) > 1
+    assert assert_distinct_points(calls) == run.evaluations == evaluations
+
+
+def test_precision_floor():
+    # f(x) = x refines only the cells next to the median, so the budget alone
+    # would carry the run to level 339, far past float64 resolution
+    p = lq.linear_d1(0.5)
+    g, calls = recorded(p.f)
+    run = run_known(g, p.lipschitz, p.measure, p.alpha, 10 ** 5)
+    assert run.stop_reason == "precision"
+    assert run.bracket.level == K_MAX
+    assert run.bracket.lower <= 0.5 <= run.bracket.upper
+    assert assert_distinct_points(calls) == run.bracket.evaluations
+    g, calls = recorded(p.f)
+    run = run_unknown(g, p.measure, p.alpha, 10 ** 5)
+    assert run.stop_reason == "precision"
+    assert run.level == K_MAX
+    assert assert_distinct_points(calls) == run.evaluations
+
+
+def test_stop_reasons(paper_d2):
+    args = (paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha)
+    assert run_known(*args, 1000).stop_reason == "budget"
+    assert run_known(*args, 10 ** 9, max_level=3).stop_reason == "max_level"
+    assert run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000,
+                       max_level=2).stop_reason == "max_level"

@@ -5,7 +5,7 @@ import pytest
 
 import lipquant as lq
 from lipquant.grid import half_radius
-from lipquant.known import full_grid_estimate, prune, run_known, run_known_sweep
+from lipquant.known import full_grid_estimate, run_known, run_known_sweep
 
 from conftest import random_lipschitz_problem
 
@@ -150,21 +150,34 @@ class TestPruning:
         for s, b in zip(small.active_sets, big.active_sets):
             assert set(s) <= set(b)
 
+    @staticmethod
+    def _level1_run(edge_value: float):
+        # f takes edge_value, 0.5 and 0.83 on the three level-1 cells (centers
+        # 1/6, 1/2, 5/6); at alpha = 0.5 the level-1 estimate is 0.5, so the
+        # level-1 band is [0.5 -/+ 2*L*delta_1] with L = 1
+        def f(x):
+            t = np.asarray(x)[:, 0]
+            return np.where(t < 1 / 3, edge_value, np.where(t < 2 / 3, 0.5, 0.83))
+
+        run = run_known(f, 1.0, lq.uniform_cube(1), 0.5, 10 ** 9, max_level=2,
+                        keep_active_sets=True)
+        assert run.history[1].estimate == 0.5
+        return run
+
     def test_band_edge_survives(self):
-        # value exactly on the closed band edge must survive
-        active = [(0,), (1,), (2,)]
-        values = np.array([0.5 - 2.0 * 1.0 * half_radius(1, 1), 0.5, 0.83])
-        nxt, keep = prune(active, values, 0.5, 1.0, 1, 1)
-        assert keep[0]
-        assert len(nxt) == 9
+        # value exactly on the closed band edge must survive; the level-1 band
+        # test shows in the level-2 active set
+        band = 2.0 * 1.0 * half_radius(1, 1)
+        assert abs((0.5 - band) - 0.5) == band  # exactly on the edge in floats
+        run = self._level1_run(0.5 - band)
+        assert run.active_sets[1] == [(0,), (1,), (2,)]
+        assert run.active_sets[2][:3] == [(0,), (1,), (2,)]  # children of cell 0
+        assert len(run.active_sets[2]) == 9
 
     def test_hand_example_all_survive(self):
         # estimate 0.5, L=1, delta=1/6 -> band [1/6, 5/6] contains all three
-        active = [(0,), (1,), (2,)]
-        values = np.array([0.17, 0.5, 0.83])
-        nxt, keep = prune(active, values, 0.5, 1.0, 1, 1)
-        assert keep.all()
-        assert len(nxt) == 9
+        run = self._level1_run(0.17)
+        assert run.active_sets[2] == [(b,) for b in range(9)]
 
     def test_mass_conservation(self, paper_d1_deep_run, paper_d2_deep_run):
         for run in (paper_d1_deep_run, paper_d2_deep_run):

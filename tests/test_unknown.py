@@ -68,11 +68,23 @@ class TestRuns:
             run = run_unknown(p.f, p.measure, p.alpha, n)
             assert run.evaluations <= n
 
-    def test_all_candidates_retire(self, paper_d1):
-        run = run_unknown(paper_d1.f, paper_d1.measure, paper_d1.alpha, 200)
+    def test_all_candidates_retire(self, paper_d1, paper_d2):
+        run = run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 200)
+        assert run.stop_reason == "all_retired"
         assert set(run.retirement_level) == set(range(run.enumerated_j_max + 1))
         for j, level in run.retirement_level.items():
             assert run.ledgers[j] > candidate_budget(j, 200)
+        # on paper_d1, candidate 0 would retire only at level 39, past the
+        # precision floor K_MAX = 32, where the run stops with it still live
+        run = run_unknown(paper_d1.f, paper_d1.measure, paper_d1.alpha, 200)
+        assert run.stop_reason == "precision"
+        assert run.level == 32
+        assert run.enumerated_j_max == 10
+        assert set(run.retirement_level) == set(range(1, 11))
+        for j in range(1, 11):
+            assert run.ledgers[j] > candidate_budget(j, 200)
+        assert run.ledgers[0] <= candidate_budget(0, 200)
+        assert run.history[-1].live == (0,)
 
     def test_mass_conservation(self, paper_d1, paper_d2):
         for p, n in ((paper_d1, 300), (paper_d2, 800)):
