@@ -76,6 +76,17 @@ def parse_budgets(text: str) -> list[int]:
     return budgets
 
 
+def parse_query_counts(text: str) -> list[int]:
+    """The adversary's comma list of query counts ("3,9,27"), all positive."""
+    try:
+        counts = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse query counts {text!r}") from None
+    if not counts or any(n < 1 for n in counts):
+        raise ConfigError(f"--n needs positive integer query counts, got {text!r}")
+    return counts
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment."""
     out: dict[str, str] = {}
@@ -169,7 +180,10 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
             if constants is not None and (p.dim == 1 or n > 1):
                 bound = known_bound(constants, n)
         elif cfg.algo == "unknown":
-            run = run_unknown(p.f, p.measure, p.alpha, n)
+            try:
+                run = run_unknown(p.f, p.measure, p.alpha, n)
+            except ValueError as exc:  # a budget too small to fund any candidate
+                raise ConfigError(f"budget {n}: {exc}") from None
             estimate = run.estimate
             level, evals = run.level, run.evaluations
             if constants is not None and p.lipschitz >= 1.0:
@@ -343,8 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_experiment(_config_from_args(args))
             return 0
         if args.command == "adversary":
-            n_values = [int(p) for p in args.n.split(",") if p.strip()]
-            ok = adversary_report(args.dim, n_values, seed=args.seed)
+            ok = adversary_report(args.dim, parse_query_counts(args.n), seed=args.seed)
             return 0 if ok else 3
         if args.command == "oracle":
             cfg = ExperimentConfig(problem=args.problem, alpha=args.alpha,

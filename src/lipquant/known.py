@@ -139,7 +139,15 @@ class Frontier:
     def _evaluate(self, level: int, digits: np.ndarray) -> np.ndarray:
         points = (2 * digits + 1) / (2 * 3 ** level)
         self.evaluations += len(points)
-        return np.asarray(self.f(points), dtype=float)
+        values = np.asarray(self.f(points), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"f must map {len(points)} points to an array of shape "
+                             f"({len(points)},), got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"f must be finite, got {values[bad[0]]} at the point "
+                             f"{points[bad[0]].tolist()}")
+        return values
 
     def _estimate(self) -> None:
         self.masses = self.measure.cell_probabilities(self.level, self.digits)

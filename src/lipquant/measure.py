@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .grid import MultiIndex, cell_bounds
 
@@ -31,28 +30,53 @@ def uniform_marginal() -> Marginal:
     return Marginal(cdf=lambda x: np.asarray(x, dtype=float), kind="uniform")
 
 
-def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
-    # erfc formulation keeps relative accuracy in the lower tail
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / np.sqrt(2.0))
-
-
 def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
-    """Normal(mu, sigma^2) conditioned on [0,1]."""
+    """Normal(mu, sigma^2) conditioned on [0,1].
+
+    The only user of SciPy on the algorithms' path: it is imported here, so
+    that the package and every other marginal load NumPy alone.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lo = _std_normal_cdf(np.array((0.0 - mu) / sigma))
-    hi = _std_normal_cdf(np.array((1.0 - mu) / sigma))
+    from scipy.special import erfc
+
+    def std_normal_cdf(z: np.ndarray) -> np.ndarray:
+        # erfc formulation keeps relative accuracy in the lower tail
+        return 0.5 * erfc(-np.asarray(z, dtype=float) / np.sqrt(2.0))
+
+    lo = std_normal_cdf(np.array((0.0 - mu) / sigma))
+    hi = std_normal_cdf(np.array((1.0 - mu) / sigma))
     norm = float(hi - lo)
 
     def cdf(x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - mu) / sigma
-        return (_std_normal_cdf(z) - lo) / norm
+        return (std_normal_cdf(z) - lo) / norm
 
     return Marginal(cdf=cdf, kind="truncated_normal", params=(mu, sigma))
 
 
+#: Where `user_marginal` probes a CDF: the cell edges b/3^6 of level 6.
+_PROBE_GRID = np.arange(3 ** 6 + 1) / 3 ** 6
+
+
 def user_marginal(cdf: CdfFn) -> Marginal:
-    """Wrap an arbitrary CDF on [0,1]; caller guarantees cdf(0)=0, cdf(1)=1."""
+    """Wrap a vectorized CDF on [0,1].
+
+    Raises ValueError unless cdf(0) = 0, cdf(1) = 1 (within 1e-12) and the CDF
+    is non-decreasing on `_PROBE_GRID`, since cell masses must be nonnegative
+    and sum to one.
+    """
+    v = np.asarray(cdf(_PROBE_GRID), dtype=float)
+    if v.shape != _PROBE_GRID.shape:
+        raise ValueError(f"cdf must map an array of shape {_PROBE_GRID.shape} to one of "
+                         f"the same shape, got {v.shape}")
+    if not (abs(v[0]) <= 1e-12 and abs(v[-1] - 1.0) <= 1e-12):
+        raise ValueError(f"cdf must satisfy cdf(0) = 0 and cdf(1) = 1, got {v[0]} and {v[-1]}")
+    bad = np.flatnonzero(~(np.diff(v) >= 0))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"cdf must be non-decreasing, but cdf({_PROBE_GRID[i]}) = {v[i]} "
+                         f"and cdf({_PROBE_GRID[i + 1]}) = {v[i + 1]}")
     return Marginal(cdf=cdf, kind="user_cdf")
 
 

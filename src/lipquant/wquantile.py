@@ -42,12 +42,10 @@ class ValueMassTable:
         keep[0] = True
         keep[1:] = values[1:] != values[:-1]
         group = np.cumsum(keep) - 1
-        n = int(group[-1]) + 1
         self.values = values[keep]
-        self.masses = np.zeros(n)
-        np.add.at(self.masses, group, masses)
-        self.eligible = np.zeros(n, dtype=bool)
-        np.logical_or.at(self.eligible, group, eligible)
+        # bincount sums each group sequentially in index order
+        self.masses = np.bincount(group, weights=masses)
+        self.eligible = np.bincount(group, weights=eligible) > 0
 
     @classmethod
     def from_points(cls, points: list[MassPoint]) -> "ValueMassTable":

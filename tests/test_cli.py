@@ -193,3 +193,19 @@ class TestMain:
 
     def test_oracle_exit_zero(self, capsys):
         assert main(["oracle", "--problem", "linear_d1", "--resolution", "10000"]) == 0
+
+
+class TestExitCodes:
+    """Bad input exits 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["adversary", "--dim", "1", "--n", "abc"],  # used to raise from int()
+        ["adversary", "--dim", "1"],  # used to print an empty table and exit 0
+        ["run", "--algo", "unknown", "--problem", "paper_d2", "--budgets", "1"],  # used to exit 1
+    ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1"])
+    def test_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ")

@@ -6,6 +6,8 @@ algorithm, the per-cell loop with a center memo (`canonical_center_key`)
 that `known.Frontier` replaced.
 """
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,28 @@ def test_stop_reasons(paper_d2):
     assert run_known(*args, 10 ** 9, max_level=3).stop_reason == "max_level"
     assert run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000,
                        max_level=2).stop_reason == "max_level"
+
+
+def test_f_returning_nan_is_refused(paper_d2):
+    # NaN used to be frozen silently: a "certified" bracket at level 32 with
+    # stop reason "precision"
+    def f(x):
+        return np.where(x.max(axis=1) > 0.9, np.nan, paper_d2.f(x))
+
+    for run in (lambda: run_known(f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 10 ** 5),
+                lambda: run_unknown(f, paper_d2.measure, paper_d2.alpha, 10 ** 5)):
+        with pytest.raises(ValueError, match=r"finite, got nan at the point \[") as exc:
+            run()
+        point = ast.literal_eval(str(exc.value).split("at the point ")[1])
+        assert len(point) == 2 and max(point) > 0.9
+
+
+def test_f_returning_wrong_shape_is_refused(paper_d2):
+    # an (n, 1) column used to surface as numpy's concatenate dimension error
+    def f(x):
+        return paper_d2.f(x)[:, None]
+
+    with pytest.raises(ValueError, match=r"shape \(1,\), got shape \(1, 1\)"):
+        run_known(f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 1000)
+    with pytest.raises(ValueError, match=r"shape \(1,\), got shape \(1, 1\)"):
+        run_unknown(f, paper_d2.measure, paper_d2.alpha, 1000)

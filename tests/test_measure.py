@@ -146,3 +146,29 @@ class TestInverseAndSampling:
         assert m.kind == "user_cdf"
         pm = product_measure([m])
         assert pm.cell_probability(MultiIndex(1, (2,))) == pytest.approx(1 - 4 / 9, abs=1e-15)
+
+
+class TestUserMarginalContract:
+    # a CDF that is not one used to surface as "sup/inf estimator mismatch"
+    @pytest.mark.parametrize("cdf, message", [
+        (lambda x: 2 * np.asarray(x), r"cdf\(1\) = 1"),
+        (lambda x: np.asarray(x) + 0.5, r"cdf\(0\) = 0"),
+        (lambda x: np.where(np.asarray(x) < 0.5, np.asarray(x), 1.5 * np.asarray(x) - 0.5),
+         r"non-decreasing"),
+        (lambda x: 0.5, r"same shape"),
+    ])
+    def test_rejects_non_cdf(self, cdf, message):
+        with pytest.raises(ValueError, match=message):
+            user_marginal(cdf)
+
+    def test_reports_first_decrease(self):
+        # increasing except for a dip on (0.5, 0.6); 0.5 lies between the
+        # probe points 364/729 and 365/729
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.5) & (x < 0.6), x - 0.2, x)
+
+        with pytest.raises(ValueError, match=r"but cdf\(0\.49931\d*\) = 0\.49931\d* "
+                                             r"and cdf\(0\.50068\d*\) = 0\.30068"):
+            user_marginal(cdf)
+
