@@ -45,12 +45,7 @@ from .problems import (
     reference_quantile,
 )
 from .unknown import UnknownRun, best_candidate, candidate_budget, j_max, run_unknown
-from .wquantile import (
-    MassPoint,
-    ValueMassTable,
-    weighted_quantile_inf,
-    weighted_quantile_sup,
-)
+from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
 __all__ = [
     "AdversaryD1",
@@ -58,7 +53,6 @@ __all__ = [
     "BoxDomain",
     "KnownRun",
     "Marginal",
-    "MassPoint",
     "MultiIndex",
     "ProblemConstants",
     "ProductMeasure",

@@ -102,7 +102,12 @@ class Frontier:
     band whose ledger overruns its slice retires: it then advances through
     center children only, which share their parent's center and so cost no
     call.  Cells that leave the frontier are frozen: their value and mass stay
-    in every later table as ineligible points.
+    in every later table as ineligible points.  They are kept as one table,
+    `frozen`, sorted by value and merged on ties.  Each level merges its
+    frozen cells into it once, the frozen children of one row (which share
+    its value) as one point, and its quantile table is the active cells
+    merged into `frozen`.  `frozen_masses` keeps every frozen cell's own
+    mass, in freezing order, for the mass ledger.
 
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding row i are the live
@@ -131,7 +136,7 @@ class Frontier:
         self.live = np.ones(len(self.lipschitz), dtype=bool)
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
-        self.frozen_values = np.zeros(0)
+        self.frozen: ValueMassTable | None = None
         self.frozen_masses = np.zeros(0)
         self.values = self._evaluate(0, self.digits)
         self._estimate()
@@ -154,12 +159,9 @@ class Frontier:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible; only
         # frozen values are not
-        n = len(self.values)
-        table = ValueMassTable(
-            np.concatenate([self.values, self.frozen_values]),
-            np.concatenate([self.masses, self.frozen_masses]),
-            np.arange(n + len(self.frozen_values)) < n,
-        )
+        table = ValueMassTable(self.values, self.masses, np.ones(len(self.values), dtype=bool))
+        if self.frozen is not None:
+            table = self.frozen.merge(table)
         self.estimate = weighted_quantile_sup(table, self.alpha)
         est_inf = weighted_quantile_inf(table, self.alpha)
         # equal in exact arithmetic; cumulative-sum rounding can flip one
@@ -226,11 +228,17 @@ class Frontier:
         start = np.cumsum(count) - count
         frozen_masses = np.empty(int(count.sum()))
         frozen_masses[start[gone]] = self.masses[gone]
+        leaving = self.masses * gone  # the mass each row leaves, all at its value
         if solo.any():
             siblings = 3 * self.digits[solo, None, :] + self.offsets[others]
             sub = self.measure.cell_probabilities(level, siblings.reshape(-1, d))
-            frozen_masses[start[solo][:, None] + np.arange(n_kids - 1)] = sub.reshape(-1, n_kids - 1)
-        self.frozen_values = np.concatenate([self.frozen_values, np.repeat(self.values, count)])
+            sub = sub.reshape(-1, n_kids - 1)
+            frozen_masses[start[solo][:, None] + np.arange(n_kids - 1)] = sub
+            leaving[solo] = sub.sum(axis=1)
+        out = solo | gone
+        if out.any():
+            table = ValueMassTable(self.values[out], leaving[out], np.zeros(int(out.sum()), dtype=bool))
+            self.frozen = table if self.frozen is None else self.frozen.merge(table)
         self.frozen_masses = np.concatenate([self.frozen_masses, frozen_masses])
 
         n_solo = int(solo.sum())

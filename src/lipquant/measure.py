@@ -19,11 +19,17 @@ CdfFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Marginal:
-    """One-dimensional law on [0,1] described by its CDF."""
+    """One-dimensional law on [0,1] described by its CDF.
+
+    `sf`, if given, is the survival function 1 - cdf, computed without the
+    subtraction, so that it keeps its relative accuracy where the CDF is
+    near 1.
+    """
 
     cdf: CdfFn
     kind: str
     params: tuple[float, ...] = ()
+    sf: CdfFn | None = None
 
 
 def uniform_marginal() -> Marginal:
@@ -44,15 +50,24 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
         # erfc formulation keeps relative accuracy in the lower tail
         return 0.5 * erfc(-np.asarray(z, dtype=float) / np.sqrt(2.0))
 
+    def std_normal_sf(z: np.ndarray) -> np.ndarray:
+        # and this one in the upper tail
+        return 0.5 * erfc(np.asarray(z, dtype=float) / np.sqrt(2.0))
+
     lo = std_normal_cdf(np.array((0.0 - mu) / sigma))
     hi = std_normal_cdf(np.array((1.0 - mu) / sigma))
+    hi_sf = std_normal_sf(np.array((1.0 - mu) / sigma))
     norm = float(hi - lo)
 
     def cdf(x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - mu) / sigma
         return (std_normal_cdf(z) - lo) / norm
 
-    return Marginal(cdf=cdf, kind="truncated_normal", params=(mu, sigma))
+    def sf(x: np.ndarray) -> np.ndarray:
+        z = (np.asarray(x, dtype=float) - mu) / sigma
+        return (std_normal_sf(z) - hi_sf) / norm
+
+    return Marginal(cdf=cdf, kind="truncated_normal", params=(mu, sigma), sf=sf)
 
 
 #: Where `user_marginal` probes a CDF: the cell edges b/3^6 of level 6.
@@ -99,13 +114,24 @@ class ProductMeasure:
         """Vectorized cell_probability over many same-level cells.
 
         `digits` is an (n, d) integer array or a sequence of digit tuples.
-        Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).
+        Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).  Where
+        cdf(a) > 1/2 on an edge [a, b] and the marginal has a survival
+        function, the increment is sf(a) - sf(b): cdf(b) - cdf(a) would
+        cancel there, down to 0 or 1 ulp on deep cells.
         """
         digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.dim)
         den = 3 ** level
         out = np.ones(len(digits))
         for col, m in zip(digits.T, self.marginals):
-            out *= m.cdf((col + 1) / den) - m.cdf(col / den)
+            if m.sf is None:
+                out *= m.cdf((col + 1) / den) - m.cdf(col / den)
+                continue
+            a, b = col / den, (col + 1) / den
+            lo = m.cdf(a)
+            step = m.cdf(b) - lo
+            upper = lo > 0.5
+            step[upper] = m.sf(a[upper]) - m.sf(b[upper])
+            out *= step
         return out
 
     def marginal_quantile(self, axis: int, u: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -10,24 +10,11 @@ they coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MassPoint:
-    value: float
-    mass: float
-    eligible: bool = True
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
-
-
 class ValueMassTable:
-    """Immutable table of mass points, pre-merged on equal values."""
+    """Immutable table of mass points, sorted by value and merged on ties."""
 
     def __init__(self, values, masses, eligible):
         values = np.asarray(values, dtype=float)
@@ -35,6 +22,8 @@ class ValueMassTable:
         eligible = np.asarray(eligible, dtype=bool)
         if values.size == 0:
             raise ValueError("empty table")
+        if np.any(masses < 0):
+            raise ValueError(f"masses must be >= 0, got {masses[masses < 0][0]}")
         order = np.argsort(values, kind="stable")
         values, masses, eligible = values[order], masses[order], eligible[order]
         # merge ties: mass sums, eligibility is or-ed
@@ -47,13 +36,35 @@ class ValueMassTable:
         self.masses = np.bincount(group, weights=masses)
         self.eligible = np.bincount(group, weights=eligible) > 0
 
-    @classmethod
-    def from_points(cls, points: list[MassPoint]) -> "ValueMassTable":
-        return cls(
-            [p.value for p in points],
-            [p.mass for p in points],
-            [p.eligible for p in points],
-        )
+    def merge(self, other: "ValueMassTable") -> "ValueMassTable":
+        """The table of both tables' points, without sorting them again.
+
+        Each of `other`'s values is placed by one `searchsorted` into this
+        table: O(len(self) + len(other) * log len(self)).  A value in both
+        tables keeps one row, whose mass is the sum of the two rows' masses
+        and whose eligibility is or-ed.
+        """
+        pos = np.searchsorted(self.values, other.values)
+        tied = np.zeros(len(pos), dtype=bool)
+        inside = pos < len(self.values)
+        tied[inside] = self.values[pos[inside]] == other.values[inside]
+        new = ~tied
+        # other's row j lands after the self rows below it and the new other
+        # rows before it; a tied row lands on its self row
+        at = pos + np.cumsum(new) - new
+        mine = np.ones(len(self.values) + int(new.sum()), dtype=bool)
+        mine[at[new]] = False
+        out = object.__new__(ValueMassTable)
+        out.values = np.empty(len(mine))
+        out.values[mine] = self.values
+        out.values[at] = other.values
+        out.masses = np.zeros(len(mine))
+        out.masses[mine] = self.masses
+        out.masses[at] += other.masses
+        out.eligible = np.zeros(len(mine), dtype=bool)
+        out.eligible[mine] = self.eligible
+        out.eligible[at] |= other.eligible
+        return out
 
     @property
     def total_mass(self) -> float:

@@ -163,6 +163,18 @@ def test_precision_floor():
     assert assert_distinct_points(calls) == run.evaluations
 
 
+def test_deep_tail_masses_keep_sup_equal_inf():
+    # at level 32 the masses of paper_d1's cells near x = 1 were cdf
+    # differences rounded to 0 or one ulp of 1, and the run raised "sup/inf
+    # estimator mismatch at level 32" (1.350338690032967 vs 1.350342377166704)
+    p = lq.paper_f_d1()
+    run = run_unknown(p.f, p.measure, p.alpha, 2 * 10 ** 4)
+    assert run.stop_reason == "precision"
+    assert run.level == K_MAX
+    for r in run.history:
+        assert r.active_mass + r.frozen_mass == pytest.approx(1.0, abs=1e-12)
+
+
 def test_stop_reasons(paper_d2):
     args = (paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha)
     assert run_known(*args, 1000).stop_reason == "budget"

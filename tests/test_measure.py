@@ -57,6 +57,16 @@ class TestTruncatedNormal:
         v = np.asarray(m.cdf(np.linspace(0, 1, 1000)))
         assert np.all(np.diff(v) >= 0)
 
+    def test_survival_function(self):
+        m = truncated_normal_marginal(0.2, 0.2)
+        x = np.linspace(0, 1, 101)
+        np.testing.assert_allclose(m.sf(x), 1.0 - scipy_truncnorm_cdf(x, 0.2, 0.2), atol=1e-12)
+        # near 1, where 1 - cdf(x) cancels, sf keeps its relative accuracy
+        x = 1.0 - np.array([1e-6, 1e-9])
+        want = truncnorm.sf(x, -1.0, 4.0, loc=0.2, scale=0.2)
+        np.testing.assert_allclose(m.sf(x), want, rtol=1e-7)
+        assert m.sf(np.array(1.0)) == 0.0
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             truncated_normal_marginal(0.2, 0.0)
@@ -116,6 +126,18 @@ class TestMassConservation:
             kids = child_digits(digits)
             total = float(np.sum(m.cell_probabilities(k + 1, kids)))
             assert total == pytest.approx(parent, abs=1e-12)
+
+    @pytest.mark.parametrize("level, rtol", [(20, 1e-5), (25, 1e-3)])
+    def test_deep_cells_near_one(self, level, rtol):
+        # cdf(b) - cdf(a) near x = 1 is a multiple of the ulp of 1, 18% off
+        # at level 25 (and 0 or 250 times the mass at level 32); the upper
+        # tail takes sf(a) - sf(b) instead
+        m = product_measure([truncated_normal_marginal(0.2, 0.2)])
+        digits = 3 ** level - 1 - np.arange(0, 3 ** (level - 12), 3 ** (level - 15))
+        got = m.cell_probabilities(level, digits[:, None])
+        mid = (digits + 0.5) / 3 ** level
+        want = truncnorm.pdf(mid, -1.0, 4.0, loc=0.2, scale=0.2) / 3 ** level
+        np.testing.assert_allclose(got, want, rtol=rtol)
 
     def test_monotone_in_box(self):
         m = truncated_normal_marginal(0.2, 0.2)

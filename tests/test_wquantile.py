@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lipquant.wquantile import (
-    MassPoint,
     ValueMassTable,
     weighted_quantile_inf,
     weighted_quantile_sup,
@@ -14,7 +13,9 @@ from lipquant.wquantile import (
 
 
 def table(points):
-    return ValueMassTable.from_points([MassPoint(*p) for p in points])
+    """The table of (value, mass, eligible) triples."""
+    values, masses, eligible = zip(*points)
+    return ValueMassTable(values, masses, eligible)
 
 
 class TestSup:
@@ -121,9 +122,57 @@ class TestTableMechanics:
             ValueMassTable([], [], [])
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            MassPoint(0.0, -0.1)
+        with pytest.raises(ValueError, match="masses must be >= 0"):
+            table([(1.0, 0.5, True), (0.0, -0.1, True)])
 
     def test_total_mass(self):
         t = table([(0.0, 0.4, True), (1.0, 0.6, True)])
         assert t.total_mass == pytest.approx(1.0, abs=1e-15)
+
+
+class TestMerge:
+    """Merging sorted, tie-merged parts equals building the table at once."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),  # few distinct values: heavy ties
+                st.floats(0.01, 1.0, allow_nan=False),
+                st.booleans(),
+                st.integers(0, 3),  # the part holding the point
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(0.01, 0.99),
+    )
+    def test_merged_parts_equal_whole_table(self, points, alpha):
+        v = np.array([p[0] / 7 for p in points])
+        m = np.array([p[1] for p in points])
+        m /= m.sum()
+        e = np.array([p[2] for p in points])
+        part = np.array([p[3] for p in points])
+        whole = ValueMassTable(v, m, e)
+        parts = [ValueMassTable(v[part == i], m[part == i], e[part == i])
+                 for i in np.unique(part)]
+        merged = parts[0]
+        for t in parts[1:]:
+            merged = merged.merge(t)
+        np.testing.assert_array_equal(merged.values, whole.values)
+        np.testing.assert_array_equal(merged.eligible, whole.eligible)
+        np.testing.assert_allclose(merged.masses, whole.masses, rtol=1e-13, atol=0)
+        if not whole.eligible.any():
+            return
+        # away from the cumulative masses, rounding cannot move a quantile
+        cum = np.concatenate([np.cumsum(whole.masses), 1.0 - np.cumsum(whole.masses[::-1])])
+        assume(np.all(np.abs(cum - alpha) > 1e-12))
+        assert weighted_quantile_sup(merged, alpha) == weighted_quantile_sup(whole, alpha)
+        assert weighted_quantile_inf(merged, alpha) == weighted_quantile_inf(whole, alpha)
+
+    def test_disjoint_and_tied_rows(self):
+        a = table([(0.0, 0.1, False), (2.0, 0.2, False)])
+        b = table([(1.0, 0.3, True), (2.0, 0.4, True), (3.0, 0.0, True)])
+        t = a.merge(b)
+        assert t.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert t.masses.tolist() == [0.1, 0.3, 0.2 + 0.4, 0.0]
+        assert t.eligible.tolist() == [False, True, True, True]
