@@ -43,8 +43,7 @@ class QuantileBracket:
     lower: float
     upper: float
     level: int
-    calls_used: int
-    evaluations: int
+    evaluations: int  # f calls spent up to `level`, each at a distinct center
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class LevelRecord:
     estimate: float
     lower: float
     upper: float
-    calls_used: int       # ledger value needed to reach and evaluate this level
-    evaluations: int      # distinct f evaluations after this level
+    evaluations: int      # f calls spent to reach and evaluate this level
     active_cells: int
     active_mass: float
     frozen_mass: float
@@ -74,15 +72,13 @@ class KnownRun:
             raise ValueError("budget must be >= 1")
         rec = None
         for r in self.history:
-            if r.calls_used <= budget:
+            if r.evaluations <= budget:
                 rec = r
             else:
                 break
         if rec is None:
             raise ValueError("budget smaller than the first level's cost")
-        return QuantileBracket(
-            rec.estimate, rec.lower, rec.upper, rec.level, rec.calls_used, rec.evaluations
-        )
+        return QuantileBracket(rec.estimate, rec.lower, rec.upper, rec.level, rec.evaluations)
 
 
 def _last(mask: np.ndarray) -> int:
@@ -109,6 +105,12 @@ class Frontier:
     merged into `frozen`.  `frozen_masses` keeps every frozen cell's own
     mass, in freezing order, for the mass ledger.
 
+    Masses come from the parents: each refinement makes one
+    `ProductMeasure.child_probabilities` call on the rows that keep children,
+    which gives both the next frontier's masses and those of the children
+    that freeze.  On the 3^d axis of the children the level loop uses slices
+    and integer indices only.
+
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding row i are the live
     j >= `lowest[i]`, and one flag, `held[i]`, says whether a retired band
@@ -128,6 +130,8 @@ class Frontier:
         self.lexicographic = lexicographic
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
         self.center = (3 ** d - 1) // 2  # row of the all-ones offset
+        self.others = np.delete(np.arange(3 ** d), self.center)  # non-center offset rows
+        self.odd = 2 * self.offsets[self.others] + 1  # 2*o + 1 for those offsets o
         self.level = 0
         self.evaluations = 0
         self.digits = np.zeros((1, d), dtype=np.int64)
@@ -138,11 +142,11 @@ class Frontier:
         self.retired: dict[int, int] = {}
         self.frozen: ValueMassTable | None = None
         self.frozen_masses = np.zeros(0)
-        self.values = self._evaluate(0, self.digits)
+        self.values = self._evaluate(np.full((1, d), 0.5))
+        self.masses = measure.cell_probabilities(0, self.digits)
         self._estimate()
 
-    def _evaluate(self, level: int, digits: np.ndarray) -> np.ndarray:
-        points = (2 * digits + 1) / (2 * 3 ** level)
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
         self.evaluations += len(points)
         values = np.asarray(self.f(points), dtype=float)
         if values.shape != (len(points),):
@@ -155,7 +159,6 @@ class Frontier:
         return values
 
     def _estimate(self) -> None:
-        self.masses = self.measure.cell_probabilities(self.level, self.digits)
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible; only
         # frozen values are not
@@ -202,57 +205,99 @@ class Frontier:
         self.live &= ~retiring
 
     def refine(self) -> None:
-        """Replace the frontier by the next level's cells and freeze the rest."""
-        n_kids, d = self.offsets.shape
-        c = self.center
+        """Replace the frontier by the next level's cells, freeze the rest, and
+        estimate the next level.
+
+        The next frontier is the children of the full rows (kept by a live
+        band), in parent order, then the center children of the solo rows
+        (held only by retired bands).  Its columns are built one step at a
+        time, each step in its own method, so that one step's temporaries
+        are released before the next step allocates.
+        """
         full = self.first <= _last(self.live)  # a band that goes on keeps the row
         solo = self.hold & ~full                # only retired bands hold the row
         gone = ~full & ~self.hold
-        level = self.level + 1
+        parents, solos = np.flatnonzero(full), np.flatnonzero(solo)
+        n_kids, level = len(self.offsets), self.level + 1
+        n = len(parents) * n_kids  # rows of the full rows' children
 
-        parents = np.flatnonzero(full)
-        kids = 3 * self.digits[parents, None, :] + self.offsets
-        values = np.empty((len(parents), n_kids))
-        values[:, c] = self.values[parents]
-        others = np.arange(n_kids) != c
+        digits, values = self._children(level, parents, solos)
+        lowest = np.full(len(values), len(self.lipschitz))
+        lowest[:n].reshape(-1, n_kids)[:] = self.first[parents, None]
+        held = np.ones(len(values), dtype=bool)
+        held[:n] = False
+        held[self.center:n:n_kids] = self.hold[parents]
+        masses, siblings = self._child_masses(level, parents, solos)
+        self._freeze(solo, gone, siblings)
+        if self.lexicographic:
+            order = np.lexsort(digits.T[::-1])
+            digits, values, masses = digits[order], values[order], masses[order]
+            lowest, held = lowest[order], held[order]
+        self.digits, self.values, self.masses = digits, values, masses
+        self.lowest, self.held = lowest, held
+        self.level = level
+        self._estimate()
+
+    def _children(self, level: int, parents: np.ndarray, solos: np.ndarray):
+        """Digits and values of the next frontier; f runs on the new centers."""
+        n_kids, d = self.offsets.shape
+        c, n = self.center, len(parents) * n_kids
+        digits = np.empty((n + len(solos), d), dtype=np.int64)
+        kids = digits[:n].reshape(-1, n_kids, d)
+        points = np.empty((len(parents), n_kids - 1, d))
+        for a in range(d):
+            base = 3 * self.digits[parents, a, None]
+            kids[:, :, a] = base + self.offsets[:, a]
+            # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every
+            # term is an integer below 2^53, so only the division rounds
+            points[:, :, a] = (2.0 * base + self.odd[:, a]) / (2 * 3 ** level)
+        digits[n:] = 3 * self.digits[solos] + 1
+        values = np.empty(len(digits))
+        kid_values = values[:n].reshape(-1, n_kids)
+        kid_values[:, c] = self.values[parents]  # the center child's is its parent's
         if len(parents):
-            fresh = self._evaluate(level, kids[:, others].reshape(-1, d))
-            values[:, others] = fresh.reshape(len(parents), n_kids - 1)
-        held = np.zeros((len(parents), n_kids), dtype=bool)
-        held[:, c] = self.hold[parents]
+            fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
+            kid_values[:, :c], kid_values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
+        values[n:] = self.values[solos]
+        return digits, values
 
-        # frozen entries in row order: a row outside every band leaves with
-        # its own mass, a row held only by retired bands leaves its
-        # non-center children with their masses
-        count = np.where(solo, n_kids - 1, gone)
+    def _child_masses(self, level: int, parents: np.ndarray, solos: np.ndarray):
+        """Masses of the next frontier, and of the solo rows' other children.
+
+        One mass call serves every row that keeps children: a full row's
+        children join the frontier, a solo row's center child joins it and
+        the others freeze.
+        """
+        n_kids, n_full = len(self.offsets), len(parents)
+        child = self.measure.child_probabilities(
+            level, self.digits[np.concatenate([parents, solos])])
+        masses = np.empty(n_full * n_kids + len(solos))
+        masses[:n_full * n_kids].reshape(-1, n_kids)[:] = child[:n_full]
+        masses[n_full * n_kids:] = child[n_full:, self.center]
+        # in C order, since the rounding of _freeze's row sums depends on the
+        # layout; copying the transpose is the fast way there
+        return masses, child.T[self.others, n_full:].T.copy()
+
+    def _freeze(self, solo: np.ndarray, gone: np.ndarray, siblings: np.ndarray) -> None:
+        """Merge the cells that leave the frontier into `frozen`.
+
+        A row outside every band leaves with its own mass; a solo row leaves
+        its non-center children, `siblings`, with their masses.  Both go to
+        `frozen_masses` in row order.
+        """
+        count = np.where(solo, len(self.offsets) - 1, gone)
         start = np.cumsum(count) - count
         frozen_masses = np.empty(int(count.sum()))
         frozen_masses[start[gone]] = self.masses[gone]
         leaving = self.masses * gone  # the mass each row leaves, all at its value
-        if solo.any():
-            siblings = 3 * self.digits[solo, None, :] + self.offsets[others]
-            sub = self.measure.cell_probabilities(level, siblings.reshape(-1, d))
-            sub = sub.reshape(-1, n_kids - 1)
-            frozen_masses[start[solo][:, None] + np.arange(n_kids - 1)] = sub
-            leaving[solo] = sub.sum(axis=1)
+        if len(siblings):
+            frozen_masses[start[solo][:, None] + np.arange(siblings.shape[1])] = siblings
+            leaving[solo] = siblings.sum(axis=1)
         out = solo | gone
         if out.any():
             table = ValueMassTable(self.values[out], leaving[out], np.zeros(int(out.sum()), dtype=bool))
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
         self.frozen_masses = np.concatenate([self.frozen_masses, frozen_masses])
-
-        n_solo = int(solo.sum())
-        self.digits = np.concatenate([kids.reshape(-1, d), 3 * self.digits[solo] + 1])
-        self.values = np.concatenate([values.ravel(), self.values[solo]])
-        self.lowest = np.concatenate([np.repeat(self.first[parents], n_kids),
-                                      np.full(n_solo, len(self.lipschitz))])
-        self.held = np.concatenate([held.ravel(), np.ones(n_solo, dtype=bool)])
-        if self.lexicographic:
-            order = np.lexsort(self.digits.T[::-1])
-            self.digits, self.values = self.digits[order], self.values[order]
-            self.lowest, self.held = self.lowest[order], self.held[order]
-        self.level = level
-        self._estimate()
 
 
 def run_known(
@@ -288,7 +333,6 @@ def run_known(
                 estimate=fr.estimate,
                 lower=fr.estimate - lipschitz * delta,
                 upper=fr.estimate + lipschitz * delta,
-                calls_used=int(fr.ledgers[0]),
                 evaluations=fr.evaluations,
                 active_cells=len(fr.digits),
                 active_mass=float(np.sum(fr.masses)),
@@ -309,9 +353,7 @@ def run_known(
         fr.refine()
 
     last = history[-1]
-    bracket = QuantileBracket(
-        last.estimate, last.lower, last.upper, last.level, last.calls_used, last.evaluations
-    )
+    bracket = QuantileBracket(last.estimate, last.lower, last.upper, last.level, last.evaluations)
     return KnownRun(bracket=bracket, history=history, budget=budget,
                     active_sets=active_sets, stop_reason=stop)
 

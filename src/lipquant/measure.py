@@ -95,6 +95,24 @@ def user_marginal(cdf: CdfFn) -> Marginal:
     return Marginal(cdf=cdf, kind="user_cdf")
 
 
+def _steps(m: Marginal, edges: np.ndarray) -> np.ndarray:
+    """m's mass between consecutive rows of `edges` (ascending along axis 0).
+
+    Where cdf(a) > 1/2 on an interval [a, b] and the marginal has a survival
+    function, the mass is sf(a) - sf(b): cdf(b) - cdf(a) would cancel there,
+    down to 0 or 1 ulp on deep cells.
+    """
+    # the CDF and the survival function see 1-D arrays, as user_marginal probes
+    c = m.cdf(edges.ravel()).reshape(edges.shape)
+    steps = c[1:] - c[:-1]
+    if m.sf is not None:
+        upper = c[:-1] > 0.5
+        if upper.any():
+            s = m.sf(edges.ravel()).reshape(edges.shape)
+            steps[upper] = (s[:-1] - s[1:])[upper]
+    return steps
+
+
 @dataclass(frozen=True)
 class ProductMeasure:
     marginals: tuple[Marginal, ...]
@@ -114,25 +132,32 @@ class ProductMeasure:
         """Vectorized cell_probability over many same-level cells.
 
         `digits` is an (n, d) integer array or a sequence of digit tuples.
-        Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).  Where
-        cdf(a) > 1/2 on an edge [a, b] and the marginal has a survival
-        function, the increment is sf(a) - sf(b): cdf(b) - cdf(a) would
-        cancel there, down to 0 or 1 ulp on deep cells.
+        Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).
         """
         digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.dim)
         den = 3 ** level
         out = np.ones(len(digits))
         for col, m in zip(digits.T, self.marginals):
-            if m.sf is None:
-                out *= m.cdf((col + 1) / den) - m.cdf(col / den)
-                continue
-            a, b = col / den, (col + 1) / den
-            lo = m.cdf(a)
-            step = m.cdf(b) - lo
-            upper = lo > 0.5
-            step[upper] = m.sf(a[upper]) - m.sf(b[upper])
-            out *= step
+            out *= _steps(m, np.stack([col / den, (col + 1) / den]))[0]
         return out
+
+    def child_probabilities(self, level: int, parents: np.ndarray) -> np.ndarray:
+        """The (n, 3^d) masses of the level-`level` children of each parent.
+
+        `parents` is an (n, d) integer array of level-(`level` - 1) digits;
+        children are in `itertools.product` order, as `3 * parents + offset`.
+        Equal, bit for bit, to `cell_probabilities` of the children: on each
+        axis the 4 edges (3b + t)/3^k, t = 0..3, bound a parent's 3 children,
+        and the axis product runs in the same order.
+        """
+        parents = np.asarray(parents, dtype=np.int64).reshape(-1, self.dim)
+        den = 3 ** level
+        t = np.arange(4)[:, None]
+        out = None
+        for col, m in zip(parents.T, self.marginals):
+            steps = _steps(m, (3 * col + t) / den)  # (3, n)
+            out = steps if out is None else out[..., None, :] * steps
+        return out.reshape(3 ** self.dim, -1).T
 
     def marginal_quantile(self, axis: int, u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Inverse CDF by bisection on [0,1] (vectorized)."""

@@ -20,21 +20,35 @@ class ValueMassTable:
         values = np.asarray(values, dtype=float)
         masses = np.asarray(masses, dtype=float)
         eligible = np.asarray(eligible, dtype=bool)
+        if not (values.ndim == 1 and values.shape == masses.shape == eligible.shape):
+            raise ValueError(f"values, masses and eligible must be 1-D of one length, got "
+                             f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
         if values.size == 0:
             raise ValueError("empty table")
-        if np.any(masses < 0):
+        if masses.min() < 0:
             raise ValueError(f"masses must be >= 0, got {masses[masses < 0][0]}")
-        order = np.argsort(values, kind="stable")
-        values, masses, eligible = values[order], masses[order], eligible[order]
+        order = np.argsort(values)
+        ordered = values[order]
+        if np.isnan(ordered[-1]):  # sorted last
+            raise ValueError("values must not be NaN")
         # merge ties: mass sums, eligibility is or-ed
         keep = np.empty(values.size, dtype=bool)
         keep[0] = True
-        keep[1:] = values[1:] != values[:-1]
-        group = np.cumsum(keep) - 1
-        self.values = values[keep]
-        # bincount sums each group sequentially in index order
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+        starts = np.flatnonzero(keep)
+        self.values = ordered[starts]
+        del ordered
+        # tied values are bitwise equal, but for the signs of zero: keep the
+        # first row's, as a stable sort would
+        zero = np.flatnonzero(self.values == 0)
+        if len(zero):
+            self.values[zero] = values[np.argmax(values == 0)]
+        self.eligible = np.logical_or.reduceat(eligible[order], starts)
+        # each row's group, in row order: bincount then sums each group
+        # sequentially in row order, the order a stable sort would give
+        group = np.empty(values.size, dtype=np.int64)
+        group[order] = np.cumsum(keep) - 1
         self.masses = np.bincount(group, weights=masses)
-        self.eligible = np.bincount(group, weights=eligible) > 0
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
         """The table of both tables' points, without sorting them again.

@@ -164,9 +164,9 @@ def test_criterion_07_budget_accounting(
         expected = 1
         for prev, cur in zip(hist, hist[1:]):
             expected += (3 ** d - 1) * (cur.active_cells // 3 ** d)
-            if cur.calls_used != expected or cur.evaluations > 2000:
+            if cur.evaluations != expected or cur.evaluations > 2000:
                 violations += 1
-            if cur.calls_used > calls_upper(c, cur.level):
+            if cur.evaluations > calls_upper(c, cur.level):
                 violations += 1
     for p, n in ((paper_d1, 1000), (paper_d2, 2000)):
         run = run_unknown(p.f, p.measure, p.alpha, n)

@@ -38,7 +38,7 @@ class TestBasicRuns:
         run = run_known(p.f, p.lipschitz, p.measure, p.alpha, 1)
         assert run.bracket.level == 0
         assert run.bracket.estimate == 0.5  # f at the cube center
-        assert run.bracket.calls_used == 1
+        assert run.bracket.evaluations == 1
 
     def test_validation(self):
         p = lq.linear_d1(0.5)
@@ -74,18 +74,28 @@ class TestBudgetAccounting:
         for prev, cur in zip(hist, hist[1:]):
             expected += (3 ** 2 - 1) * cur.active_cells // 3 ** 2
             assert cur.active_cells % 3 ** 2 == 0
-            assert cur.calls_used == expected
+            assert cur.evaluations == expected
 
     def test_calls_never_exceed_budget(self, paper_d1, paper_d1_deep_run):
         for n in (1, 7, 50, 333, 2000):
             b = paper_d1_deep_run.bracket_for_budget(n)
-            assert b.calls_used <= n
+            assert b.evaluations <= n
 
-    def test_evaluations_equal_ledger(self, paper_d1_deep_run, paper_d2_deep_run):
-        # center-child reuse makes distinct evaluations match the ledger
-        for run in (paper_d1_deep_run, paper_d2_deep_run):
+    def test_evaluations_equal_ledger(self, paper_d1, paper_d2):
+        # center-child reuse makes the distinct points f has seen by each
+        # level match that level's ledger: no point is evaluated twice
+        for p in (paper_d1, paper_d2):
+            calls = []
+
+            def f(x, p=p, calls=calls):
+                calls.append(np.array(x, copy=True))
+                return p.f(x)
+
+            run = run_known(f, p.lipschitz, p.measure, p.alpha, 2000)
+            assert len(calls) == len(run.history)  # one batch per level
             for r in run.history:
-                assert r.evaluations == r.calls_used
+                points = np.concatenate(calls[: r.level + 1])
+                assert len(np.unique(points, axis=0)) == len(points) == r.evaluations
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from lipquant.grid import MultiIndex
+from lipquant.grid import MultiIndex, child_digits
 from lipquant.measure import (
     product_measure,
     truncated_normal_marginal,
@@ -146,6 +146,65 @@ class TestMassConservation:
         base = float(m.cdf(np.array(hi)) - m.cdf(np.array(lo)))
         wider = float(m.cdf(np.array(hi + 0.2)) - m.cdf(np.array(lo - 0.2)))
         assert wider >= base
+
+
+def _square_cdf(x):
+    """A user CDF for scalars and 1-D arrays, the input user_marginal probes."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"1-D input only, got shape {x.shape}")
+    return x ** 2
+
+
+MARGINALS = {
+    "uniform": uniform_marginal,
+    "user": lambda: user_marginal(_square_cdf),
+    "truncated_normal": lambda: truncated_normal_marginal(0.3, 0.25),
+}
+
+
+def _edge_parents(level, median):
+    """Level-`level` digits next to 0, next to 1 and on both sides of `median`."""
+    top = 3 ** level
+    mid = int(median * top)
+    return sorted({b for b in (0, 1, 2, mid - 1, mid, mid + 1, top - 3, top - 2, top - 1)
+                   if 0 <= b < top})
+
+
+class TestChildProbabilities:
+    """child_probabilities(k, P) is cell_probabilities(k, children of P), bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(MARGINALS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("level", [1, 13, 20, 32])
+    def test_equals_cell_probabilities_of_children(self, kind, dim, level):
+        marginal = MARGINALS[kind]()
+        m = product_measure([marginal] * dim)
+        median = float(m.marginal_quantile(0, np.array(0.5)))
+        axis = _edge_parents(level - 1, median)
+        parents = np.array(list(itertools.product(axis, repeat=dim)), dtype=np.int64)
+        kids = [child_digits(tuple(b)) for b in parents.tolist()]
+        want = m.cell_probabilities(level, np.array(kids).reshape(-1, dim))
+        got = m.child_probabilities(level, parents)
+        assert got.shape == (len(parents), 3 ** dim)
+        assert np.array_equal(got, want.reshape(len(parents), 3 ** dim))
+        if kind == "truncated_normal" and level > 1:
+            # children on both sides of cdf = 1/2: both branches of the steps
+            lower_edges = marginal.cdf(np.array(kids).ravel() / 3 ** level)
+            assert (lower_edges > 0.5).any() and (lower_edges <= 0.5).any()
+
+    def test_mixed_marginals(self):
+        m = product_measure([truncated_normal_marginal(0.6, 0.1), uniform_marginal(),
+                             user_marginal(_square_cdf)])
+        rng = np.random.default_rng(3)
+        parents = rng.integers(0, 3 ** 7, (50, 3))
+        kids = np.array([child_digits(tuple(b)) for b in parents.tolist()]).reshape(-1, 3)
+        want = m.cell_probabilities(8, kids).reshape(50, 27)
+        assert np.array_equal(m.child_probabilities(8, parents), want)
+
+    def test_no_parents(self):
+        m = uniform_cube(2)
+        assert m.child_probabilities(3, np.zeros((0, 2), dtype=np.int64)).shape == (0, 9)
 
 
 class TestInverseAndSampling:

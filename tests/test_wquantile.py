@@ -12,6 +12,24 @@ from lipquant.wquantile import (
 )
 
 
+def stable_reference(values, masses, eligible):
+    """The constructor's (values, masses, eligible) by a stable argsort.
+
+    A stable sort keeps tied rows in row order, so each tie's mass is summed
+    in row order and the first row's value (and sign of zero) represents it.
+    """
+    values, masses, eligible = (np.asarray(a, dtype=t) for a, t in
+                                ((values, float), (masses, float), (eligible, bool)))
+    order = np.argsort(values, kind="stable")
+    values, masses, eligible = values[order], masses[order], eligible[order]
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = values[1:] != values[:-1]
+    group = np.cumsum(keep) - 1
+    return (values[keep], np.bincount(group, weights=masses),
+            np.bincount(group, weights=eligible) > 0)
+
+
 def table(points):
     """The table of (value, mass, eligible) triples."""
     values, masses, eligible = zip(*points)
@@ -128,6 +146,68 @@ class TestTableMechanics:
     def test_total_mass(self):
         t = table([(0.0, 0.4, True), (1.0, 0.6, True)])
         assert t.total_mass == pytest.approx(1.0, abs=1e-15)
+
+
+class TestAgainstStableSort:
+    """The constructor equals the stable-sort reference exactly, bit for bit."""
+
+    @staticmethod
+    def assert_same(values, masses, eligible):
+        t = ValueMassTable(values, masses, eligible)
+        want = stable_reference(values, masses, eligible)
+        for got, ref in zip((t.values, t.masses, t.eligible), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(t.values), np.signbit(want[0]))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1 / 3, 2.0, 7.0]),  # heavy ties
+                st.floats(0.0, 1.0, allow_nan=False),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_heavy_ties(self, points):
+        values, masses, eligible = zip(*points)
+        self.assert_same(values, masses, eligible)
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200, unique=True),
+        st.data(),
+    )
+    def test_all_distinct(self, values, data):
+        n = len(values)
+        masses = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        eligible = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        self.assert_same(values, masses, eligible)
+
+    @pytest.mark.parametrize("distinct", [24, 100_000])
+    def test_large_tables(self, distinct):
+        # the default argsort leaves most tied rows out of row order here
+        rng = np.random.default_rng(distinct)
+        values = rng.integers(0, distinct, 100_000) / 7
+        self.assert_same(values, rng.random(100_000) ** 4, rng.random(100_000) < 0.5)
+
+    def test_first_zero_keeps_its_sign(self):
+        for first in (-0.0, 0.0):
+            values = [first, 1.0, -first, 5.0, -first]
+            t = ValueMassTable(values, [0.25] * 5, [True] * 5)
+            assert t.values[0] == 0.0 and np.signbit(t.values[0]) == np.signbit(first)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            ValueMassTable([0.5, np.nan, 1.0], [0.3, 0.3, 0.4], [True] * 3)
+
+    @pytest.mark.parametrize("masses, eligible", [([0.5], [True, True]),
+                                                  ([0.5, 0.5], [True]),
+                                                  ([[0.5, 0.5]], [True, True])])
+    def test_mismatched_shapes_rejected(self, masses, eligible):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            ValueMassTable([0.0, 1.0], masses, eligible)
 
 
 class TestMerge:
