@@ -22,7 +22,6 @@ from .bounds import (
     level_lower,
     unknown_bound,
 )
-from .grid import BoxDomain, MultiIndex, rescale_problem
 from .known import KnownRun, QuantileBracket, run_known, run_known_sweep
 from .measure import (
     Marginal,
@@ -50,10 +49,8 @@ from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_
 __all__ = [
     "AdversaryD1",
     "AdversaryD2",
-    "BoxDomain",
     "KnownRun",
     "Marginal",
-    "MultiIndex",
     "ProblemConstants",
     "ProductMeasure",
     "QuantileBracket",
@@ -79,7 +76,6 @@ __all__ = [
     "paper_f_d2",
     "product_measure",
     "reference_quantile",
-    "rescale_problem",
     "run_known",
     "run_known_sweep",
     "run_unknown",

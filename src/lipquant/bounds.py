@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grid import half_radius
+
 
 @dataclass(frozen=True)
 class ProblemConstants:
@@ -21,17 +23,17 @@ class ProblemConstants:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.lipschitz <= 0:
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
-        if self.level_set <= 0:
-            raise ValueError(f"level_set must be positive, got {self.level_set}")
+        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
+            raise ValueError(f"lipschitz must be finite and positive, got {self.lipschitz}")
+        if not (math.isfinite(self.level_set) and self.level_set > 0):
+            raise ValueError(f"level_set must be finite and positive, got {self.level_set}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
 
 
 def bracket_halfwidth(lipschitz: float, level: int, dim: int) -> float:
     """Deterministic bracket half-width L * sqrt(d) / (2 * 3^k)."""
-    return lipschitz * math.sqrt(dim) / 2.0 * 3.0 ** (-level)
+    return lipschitz * half_radius(level, dim)
 
 
 def known_bound(c: ProblemConstants, budget: int) -> float:

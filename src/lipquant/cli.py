@@ -123,8 +123,8 @@ def build_problem(cfg: ExperimentConfig) -> TestProblem:
     if cfg.lipschitz is not None:
         from dataclasses import replace
 
-        if cfg.lipschitz <= 0:
-            raise ConfigError(f"lipschitz must be positive, got {cfg.lipschitz}")
+        if not (math.isfinite(cfg.lipschitz) and cfg.lipschitz > 0):
+            raise ConfigError(f"lipschitz must be finite and positive, got {cfg.lipschitz}")
         p = replace(p, lipschitz=cfg.lipschitz)
     return p
 
@@ -163,10 +163,13 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
     p = build_problem(cfg)
     if cfg.algo not in ("known", "unknown", "monte_carlo"):
         raise ConfigError(f"unknown algorithm {cfg.algo!r}")
-    true_q = reference_quantile(p, cfg.resolution)
     constants = None
     if cfg.level_set is not None:
-        constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
+        try:
+            constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    true_q = reference_quantile(p, cfg.resolution)
 
     if cfg.algo == "known":
         brackets = run_known_sweep(p.f, p.lipschitz, p.measure, p.alpha, cfg.budgets)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import center_point, half_radius
+from .bounds import bracket_halfwidth
+from .grid import half_radius
 from .measure import ProductMeasure
 from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
@@ -116,18 +117,17 @@ class Frontier:
     j >= `lowest[i]`, and one flag, `held[i]`, says whether a retired band
     holds it.
 
-    With `lexicographic`, every level is kept in lexicographic digit order;
-    otherwise children follow their parents in `itertools.product` order.
-    The order fixes how the quantile table merges tied values.
+    Every level lists first the children of the full rows, in parent order
+    and each row's in `itertools.product` order, then the center children of
+    the solo rows (see `refine`).  The order fixes how the quantile table
+    sums the masses of tied values.
     """
 
-    def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices,
-                 lexicographic: bool = False):
+    def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
         d = measure.dim
         self.f, self.measure, self.alpha = f, measure, alpha
         self.lipschitz = [float(c) for c in lipschitz]
         self.slices = np.asarray(slices, dtype=np.int64)
-        self.lexicographic = lexicographic
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
         self.center = (3 ** d - 1) // 2  # row of the all-ones offset
         self.others = np.delete(np.arange(3 ** d), self.center)  # non-center offset rows
@@ -229,10 +229,6 @@ class Frontier:
         held[self.center:n:n_kids] = self.hold[parents]
         masses, siblings = self._child_masses(level, parents, solos)
         self._freeze(solo, gone, siblings)
-        if self.lexicographic:
-            order = np.lexsort(digits.T[::-1])
-            digits, values, masses = digits[order], values[order], masses[order]
-            lowest, held = lowest[order], held[order]
         self.digits, self.values, self.masses = digits, values, masses
         self.lowest, self.held = lowest, held
         self.level = level
@@ -315,8 +311,8 @@ def run_known(
     pure.  Returns the bracket of the deepest fully affordable level together
     with the per-level history.  Refinement stops at level K_MAX.
     """
-    if lipschitz <= 0:
-        raise ValueError(f"lipschitz must be positive, got {lipschitz}")
+    if not (np.isfinite(lipschitz) and lipschitz > 0):
+        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if budget < 1:
@@ -326,13 +322,13 @@ def run_known(
     history: list[LevelRecord] = []
     active_sets: list[list[tuple[int, ...]]] = []
     while True:
-        delta = half_radius(fr.level, measure.dim)
+        halfwidth = bracket_halfwidth(lipschitz, fr.level, measure.dim)
         history.append(
             LevelRecord(
                 level=fr.level,
                 estimate=fr.estimate,
-                lower=fr.estimate - lipschitz * delta,
-                upper=fr.estimate + lipschitz * delta,
+                lower=fr.estimate - halfwidth,
+                upper=fr.estimate + halfwidth,
                 evaluations=fr.evaluations,
                 active_cells=len(fr.digits),
                 active_mass=float(np.sum(fr.masses)),
@@ -373,16 +369,3 @@ def run_known_sweep(
     run = run_known(f, lipschitz, measure, alpha, max(budgets))
     return {n: run.bracket_for_budget(n) for n in budgets}
 
-
-def full_grid_estimate(f, measure: ProductMeasure, alpha: float, level: int) -> float:
-    """Level-k estimator computed on the complete grid (test oracle only)."""
-    d = measure.dim
-    n_cells = 3 ** (level * d)
-    if n_cells > 10 ** 6:
-        raise ValueError(f"refusing to enumerate {n_cells} cells")
-    cells = [tuple(c) for c in itertools.product(range(3 ** level), repeat=d)]
-    pts = np.array([center_point(level, c) for c in cells])
-    values = np.asarray(f(pts), dtype=float)
-    masses = measure.cell_probabilities(level, cells)
-    table = ValueMassTable(values, masses, np.ones(len(cells), dtype=bool))
-    return weighted_quantile_sup(table, alpha)

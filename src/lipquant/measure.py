@@ -12,8 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import MultiIndex, cell_bounds
-
 CdfFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -121,15 +119,9 @@ class ProductMeasure:
     def dim(self) -> int:
         return len(self.marginals)
 
-    def cell_probability(self, idx: MultiIndex) -> float:
-        lo, hi = cell_bounds(idx.level, idx.digits)
-        p = 1.0
-        for m, a, b in zip(self.marginals, lo, hi):
-            p *= float(m.cdf(np.array(b)) - m.cdf(np.array(a)))
-        return p
-
     def cell_probabilities(self, level: int, digits: Sequence[Sequence[int]]) -> np.ndarray:
-        """Vectorized cell_probability over many same-level cells.
+        """Masses of many same-level cells: per axis, the mass between the
+        cell edges b/3^k and (b+1)/3^k, multiplied over the axes.
 
         `digits` is an (n, d) integer array or a sequence of digit tuples.
         Edges b/3^k are correctly rounded while 3^k < 2^53 (k <= 33).

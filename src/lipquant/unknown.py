@@ -90,21 +90,14 @@ def run_unknown(
 ) -> UnknownRun:
     """Run the unknown-constant algorithm with a global budget of N calls.
 
-    Candidate j is band j of one shared `Frontier`, kept in lexicographic
-    digit order.  Refinement stops at level K_MAX.
+    Candidate j of `schedule(budget)` is band j of one shared `Frontier`.
+    Refinement stops at level K_MAX.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if budget < _MIN_BUDGET:
-        raise ValueError(f"budget must be >= {_MIN_BUDGET}, got {budget}")
-
-    jmax = j_max(budget)
-    fr = Frontier(
-        f, measure, alpha,
-        [3.0 ** j for j in range(jmax + 1)],
-        [candidate_budget(j, budget) for j in range(jmax + 1)],
-        lexicographic=True,
-    )
+    candidates = schedule(budget)  # refuses a budget below _MIN_BUDGET
+    fr = Frontier(f, measure, alpha, [c.lipschitz for c in candidates],
+                  [c.budget for c in candidates])
     history: list[UnknownLevelRecord] = []
     while True:
         history.append(
@@ -132,7 +125,7 @@ def run_unknown(
         evaluations=fr.evaluations,
         budget=budget,
         closed_form_j_max=int(math.floor(math.sqrt(6.0 * budget) / math.pi)) - 1,
-        enumerated_j_max=jmax,
+        enumerated_j_max=candidates[-1].j,
         retirement_level=dict(fr.retired),
         ledgers=dict(enumerate(fr.ledgers.tolist())),
         history=history,

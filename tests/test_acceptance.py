@@ -12,10 +12,11 @@ import pytest
 import lipquant as lq
 from lipquant.bounds import ProblemConstants, calls_upper, known_bound, unknown_bound
 from lipquant.cli import fit_slope
-from lipquant.known import full_grid_estimate, run_known, run_known_sweep
+from lipquant.known import run_known, run_known_sweep
 from lipquant.unknown import best_candidate, run_unknown
 
 from conftest import random_lipschitz_problem
+from oracles import full_grid_estimate
 
 #: float noise floor: brackets/errors below this are at the limit of double
 #: precision and of the reference oracles, so literal-zero checks use this

@@ -25,6 +25,14 @@ class TestProblemConstants:
         with pytest.raises(ValueError):
             ProblemConstants(1, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_constants_are_refused(self, bad):
+        # both used to be accepted, and the bounds came out nan or inf
+        with pytest.raises(ValueError, match="lipschitz must be finite"):
+            ProblemConstants(1, bad, 1.0, 0.5)
+        with pytest.raises(ValueError, match="level_set must be finite"):
+            ProblemConstants(1, 1.0, bad, 0.5)
+
 
 class TestKnownBound:
     def test_d1_algebraic_example(self):

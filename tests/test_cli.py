@@ -202,7 +202,14 @@ class TestExitCodes:
         ["adversary", "--dim", "1", "--n", "abc"],  # used to raise from int()
         ["adversary", "--dim", "1"],  # used to print an empty table and exit 0
         ["run", "--algo", "unknown", "--problem", "paper_d2", "--budgets", "1"],  # used to exit 1
-    ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1"])
+        # nan and inf used to give nan or infinite brackets and exit 0
+        ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--lipschitz", "nan"],
+        ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--lipschitz", "inf"],
+        # a nan bound column and exit 0, a ValueError traceback and exit 1
+        ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--level-set", "nan"],
+        ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--level-set", "-1"],
+    ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
+            "lipschitz-inf", "level-set-nan", "level-set-negative"])
     def test_exit_two(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -1,9 +1,9 @@
-"""The array subdivision engine against per-cell oracles built from grid.py.
+"""The array subdivision engine against per-cell oracles built from oracles.py.
 
-The oracles redo each level with exact digit tuples: `grid.child_digits` for
-children, `grid.center_point` for centers and, for the unknown-constant
-algorithm, the per-cell loop with a center memo (`canonical_center_key`)
-that `known.Frontier` replaced.
+The oracles redo each level with exact digit tuples: `child_digits` for
+children, `center_point` for centers and, for the unknown-constant
+algorithm, a per-cell loop with a center memo (`canonical_center_key`)
+that walks the cells in the engine's order.
 """
 
 import ast
@@ -12,18 +12,13 @@ import numpy as np
 import pytest
 
 import lipquant as lq
-from lipquant.grid import (
-    canonical_center_key,
-    center_child_digits,
-    center_point,
-    child_digits,
-    half_radius,
-)
+from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, run_known
 from lipquant.unknown import candidate_budget, j_max, run_unknown
 from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
 
 from conftest import random_lipschitz_problem
+from oracles import canonical_center_key, center_point, child_digits
 
 CASES = [(1, 300), (2, 2000), (3, 5000)]
 
@@ -52,10 +47,16 @@ def measure_for(dim):
 
 
 def reference_unknown(f, measure, alpha, budget, max_level):
-    """run_unknown as a per-cell loop over tuple cells with a center memo."""
+    """run_unknown as a per-cell loop over tuple cells with a center memo.
+
+    `cells` is the frontier in the engine's order: the children of every cell
+    that a live band keeps, in parent and `itertools.product` order, then the
+    center children of the cells that only retired bands hold.
+    """
     d = measure.dim
     n_kids = 3 ** d
-    sets = {j: [(0,) * d] for j in range(j_max(budget) + 1)}
+    cells = [(0,) * d]
+    sets = {j: cells for j in range(j_max(budget) + 1)}
     ledgers = dict.fromkeys(sets, 1)
     live = list(sets)
     retired: dict[int, int] = {}
@@ -65,26 +66,26 @@ def reference_unknown(f, measure, alpha, budget, max_level):
     levels = []  # (estimate, active mass, frozen mass), summed in table order
     k = 0
     while True:
-        union = sorted(set().union(*sets.values()))
-        keys = [canonical_center_key(k, c) for c in union]
+        keys = [canonical_center_key(k, c) for c in cells]
         missing = sorted(set(keys) - set(cache))
         if missing:
             cache.update(zip(missing, f(np.array([center_point(*key) for key in missing]))))
         values = np.array([cache[key] for key in keys])
-        masses = measure.cell_probabilities(k, union)
+        masses = measure.cell_probabilities(k, cells)
         table = ValueMassTable(
             np.concatenate([values, frozen_values]),
             np.concatenate([masses, frozen_masses]),
-            [True] * len(union) + [False] * len(frozen_values),
+            [True] * len(cells) + [False] * len(frozen_values),
         )
         estimate = weighted_quantile_sup(table, alpha)
         levels.append((estimate, float(np.sum(masses)), float(np.sum(frozen_masses))))
         if k >= max_level:
             break
-        value_of = dict(zip(union, values))
-        mass_of = dict(zip(union, masses))
+        value_of = dict(zip(cells, values))
+        mass_of = dict(zip(cells, masses))
         delta = half_radius(k, d)
         nxt = {}
+        full = set()  # cells that a band still live after this level keeps
         for j in list(live):
             kept = [c for c in sets[j] if abs(value_of[c] - estimate) <= 2.0 * 3.0 ** j * delta]
             ledgers[j] += (n_kids - 1) * len(kept)
@@ -93,12 +94,18 @@ def reference_unknown(f, measure, alpha, budget, max_level):
                 retired[j] = k
             else:
                 nxt[j] = [kid for c in kept for kid in child_digits(c)]
+                full.update(kept)
         for j in sets:
             nxt.setdefault(j, [center_child_digits(c) for c in sets[j]])
         if not live:
             break
-        next_union = set().union(*nxt.values())
-        for c in union:
+        held = set().union(*(sets[j] for j in retired))
+        next_cells = [kid for c in cells if c in full for kid in child_digits(c)]
+        next_cells += [center_child_digits(c) for c in cells if c not in full and c in held]
+        next_union = set(next_cells)
+        assert len(next_union) == len(next_cells)
+        assert next_union == set().union(*nxt.values())
+        for c in cells:
             gone = [kid for kid in child_digits(c) if kid not in next_union]
             if len(gone) == n_kids:
                 frozen_values.append(value_of[c])
@@ -106,7 +113,7 @@ def reference_unknown(f, measure, alpha, budget, max_level):
             elif gone:
                 frozen_values.extend([value_of[c]] * len(gone))
                 frozen_masses.extend(measure.cell_probabilities(k + 1, gone))
-        sets = nxt
+        sets, cells = nxt, next_cells
         k += 1
     return levels, ledgers, retired, len(cache)
 
@@ -136,7 +143,7 @@ def test_unknown_frontier_matches_oracle(dim, budget):
     max_level = 12 // dim
     run = run_unknown(g, m, 0.8, budget, max_level=max_level)
     levels, ledgers, retired, evaluations = reference_unknown(f, m, 0.8, budget, max_level)
-    # exact sums pin the frontier to lexicographic order, as in the loop
+    # exact sums pin the frontier to the engine's order, as in the loop
     assert [(r.estimate, r.active_mass, r.frozen_mass) for r in run.history] == levels
     assert run.ledgers == ledgers
     assert run.retirement_level == retired

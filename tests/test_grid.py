@@ -1,28 +1,26 @@
-"""Ternary subdivision: centers, lineage, exact partition identities."""
+"""Ternary subdivision: the cell radius, and the exact cell oracles of oracles.py
+(centers, lineage, partition identities)."""
 
 import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipquant.grid import (
-    BoxDomain,
+from lipquant.grid import center_child_digits, half_radius
+
+from oracles import (
     MultiIndex,
     canonical_center_key,
     cell_box_fraction,
     center,
-    center_child_digits,
     center_fraction,
     center_point,
     child_digits,
     children,
-    half_radius,
     parent_l,
-    rescale_problem,
 )
 
 
@@ -167,32 +165,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiIndex(-1, (0,))
 
-    def test_degenerate_box(self):
-        with pytest.raises(ValueError):
-            BoxDomain((0.0, 0.0), (1.0, 0.0))
 
-
-class TestRescale:
-    def test_identity_domain(self):
-        g, c1, c2 = rescale_problem(
-            BoxDomain((0.0,), (1.0,)), lambda x: np.asarray(x)[:, 0]
-        )
-        assert c1 == 1.0 and c2 == 1.0
-        assert g(np.array([[0.25]]))[0] == 0.25
-
-    def test_stretch_d1(self):
-        g, c1, c2 = rescale_problem(
-            BoxDomain((0.0,), (2.0,)), lambda x: np.asarray(x)[:, 0]
-        )
-        assert c1 == 2.0 and c2 == 2.0
-        assert g(np.array([[0.5]]))[0] == 1.0
-
-    def test_stretch_d2(self):
-        g, c1, c2 = rescale_problem(
-            BoxDomain((0.0, 0.0), (2.0, 3.0)), lambda x: np.asarray(x).sum(axis=1)
-        )
-        assert c1 == 3.0 and c2 == 6.0
-
+class TestChildDigits:
     def test_child_digits_matches_children(self):
         idx = MultiIndex(1, (2, 1))
         assert sorted(child_digits(idx.digits)) == sorted(k.digits for k in children(idx))

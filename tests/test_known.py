@@ -5,9 +5,10 @@ import pytest
 
 import lipquant as lq
 from lipquant.grid import half_radius
-from lipquant.known import full_grid_estimate, run_known, run_known_sweep
+from lipquant.known import run_known, run_known_sweep
 
 from conftest import random_lipschitz_problem
+from oracles import full_grid_estimate
 
 
 class TestBasicRuns:
@@ -48,6 +49,13 @@ class TestBasicRuns:
             run_known(p.f, 1.0, p.measure, 1.5, 10)
         with pytest.raises(ValueError):
             run_known(p.f, 1.0, p.measure, 0.5, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lipschitz_is_refused(self, bad):
+        # nan used to give the bracket [nan, nan], inf the bracket [-inf, inf]
+        p = lq.linear_d1(0.5)
+        with pytest.raises(ValueError, match="lipschitz must be finite"):
+            run_known(p.f, bad, p.measure, 0.5, 10)
 
 
 class TestBracketStructure:
