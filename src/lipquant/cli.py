@@ -14,7 +14,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,12 +117,8 @@ def build_problem(cfg: ExperimentConfig) -> TestProblem:
         if cfg.problem == "paper_d2":
             p = BUILTIN_PROBLEMS[cfg.problem](cfg.alpha)  # keeps the analytic quantile
         else:
-            from dataclasses import replace
-
             p = replace(p, alpha=cfg.alpha, true_quantile=None)
     if cfg.lipschitz is not None:
-        from dataclasses import replace
-
         if not (math.isfinite(cfg.lipschitz) and cfg.lipschitz > 0):
             raise ConfigError(f"lipschitz must be finite and positive, got {cfg.lipschitz}")
         p = replace(p, lipschitz=cfg.lipschitz)
@@ -315,42 +311,25 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The keys of a config file or of the `run` flags, each with its parser.
+CONFIG_KEYS = {"problem": str, "algo": str, "alpha": float, "budgets": parse_budgets,
+               "lipschitz": float, "level_set": float, "out": str, "seed": int,
+               "resolution": int}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    merged: dict[str, str] = dict(file_values)
-    for key in ("problem", "algo", "alpha", "budgets", "lipschitz", "level_set",
-                "out", "seed", "resolution"):
+    merged = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = str(value)
-    known_keys = {"problem", "algo", "alpha", "budgets", "lipschitz", "level_set",
-                  "out", "seed", "resolution"}
     for key in merged:
-        if key not in known_keys:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        if "problem" in merged:
-            cfg.problem = merged["problem"]
-        if "algo" in merged:
-            cfg.algo = merged["algo"]
-        if "alpha" in merged:
-            cfg.alpha = float(merged["alpha"])
-        if "budgets" in merged:
-            cfg.budgets = parse_budgets(merged["budgets"])
-        if "lipschitz" in merged:
-            cfg.lipschitz = float(merged["lipschitz"])
-        if "level_set" in merged:
-            cfg.level_set = float(merged["level_set"])
-        if "out" in merged:
-            cfg.out = merged["out"]
-        if "seed" in merged:
-            cfg.seed = int(merged["seed"])
-        if "resolution" in merged:
-            cfg.resolution = int(merged["resolution"])
+        return ExperimentConfig(**{key: CONFIG_KEYS[key](v) for key, v in merged.items()})
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -71,14 +71,10 @@ class KnownRun:
         """Deepest completed level affordable within `budget` calls."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        rec = None
-        for r in self.history:
-            if r.evaluations <= budget:
-                rec = r
-            else:
-                break
-        if rec is None:
+        fits = [r for r in self.history if r.evaluations <= budget]  # a prefix
+        if not fits:
             raise ValueError("budget smaller than the first level's cost")
+        rec = fits[-1]
         return QuantileBracket(rec.estimate, rec.lower, rec.upper, rec.level, rec.evaluations)
 
 
@@ -91,20 +87,26 @@ def _last(mask: np.ndarray) -> int:
 class Frontier:
     """The cells under refinement, scanned under J Lipschitz constants at once.
 
-    Row i of `digits` (n, d) addresses a cell of level `level`; `values[i]` is
-    f at its center and `masses[i]` its probability.  Band j has constant
-    `lipschitz[j]` (increasing in j) and budget slice `slices[j]`.  A live band
-    keeps the cells of its set whose value lies within 2*L_j*delta_k of the
-    pooled estimate; all 3^d children of a kept cell join the next level.  A
-    band whose ledger overruns its slice retires: it then advances through
-    center children only, which share their parent's center and so cost no
-    call.  Cells that leave the frontier are frozen: their value and mass stay
-    in every later table as ineligible points.  They are kept as one table,
-    `frozen`, sorted by value and merged on ties.  Each level merges its
-    frozen cells into it once, the frozen children of one row (which share
-    its value) as one point, and its quantile table is the active cells
-    merged into `frozen`.  `frozen_masses` keeps every frozen cell's own
-    mass, in freezing order, for the mass ledger.
+    Row i is a cell of level `level`; `values[i]` is f at its center and
+    `masses[i]` its probability.  Band j has constant `lipschitz[j]`
+    (increasing in j) and budget slice `slices[j]`.  A live band keeps the
+    cells of its set whose value lies within 2*L_j*delta_k of the pooled
+    estimate; all 3^d children of a kept cell join the next level.  A band
+    whose ledger overruns its slice retires: it then advances through center
+    children only, which share their parent's center and so cost no call.
+    Cells that leave the frontier are frozen: their value and mass stay in
+    every later table as ineligible points.  They are kept as one table,
+    `frozen`, sorted by value and merged on ties, into which each level
+    merges its frozen cells once, the frozen children of one row (which share
+    its value) as one point; `frozen_mass` is their running total.
+
+    Every level lists first the children of the full rows, in parent order
+    and each row's in `itertools.product` order, then the center children of
+    the solo rows (see `refine`); the order fixes how the quantile table sums
+    tied masses.  So digits are not stored per row: row r < 3^d * len(block)
+    is the child 3*block[r // 3^d] + offsets[r % 3^d] of a full row, the rows
+    after them have the digits `solo`, and `digits` derives them, once per
+    level for the rows that keep children.
 
     Masses come from the parents: each refinement makes one
     `ProductMeasure.child_probabilities` call on the rows that keep children,
@@ -116,11 +118,6 @@ class Frontier:
     cell a narrower one keeps.  So the live bands holding row i are the live
     j >= `lowest[i]`, and one flag, `held[i]`, says whether a retired band
     holds it.
-
-    Every level lists first the children of the full rows, in parent order
-    and each row's in `itertools.product` order, then the center children of
-    the solo rows (see `refine`).  The order fixes how the quantile table
-    sums the masses of tied values.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
@@ -134,16 +131,17 @@ class Frontier:
         self.odd = 2 * self.offsets[self.others] + 1  # 2*o + 1 for those offsets o
         self.level = 0
         self.evaluations = 0
-        self.digits = np.zeros((1, d), dtype=np.int64)
+        self.block = np.zeros((0, d), dtype=np.int64)
+        self.solo = np.zeros((1, d), dtype=np.int64)
         self.lowest = np.zeros(1, dtype=np.int64)
         self.held = np.zeros(1, dtype=bool)
         self.live = np.ones(len(self.lipschitz), dtype=bool)
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
         self.frozen: ValueMassTable | None = None
-        self.frozen_masses = np.zeros(0)
+        self.frozen_mass = 0.0
         self.values = self._evaluate(np.full((1, d), 0.5))
-        self.masses = measure.cell_probabilities(0, self.digits)
+        self.masses = measure.cell_probabilities(0, self.solo)
         self._estimate()
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -157,6 +155,17 @@ class Frontier:
             raise ValueError(f"f must be finite, got {values[bad[0]]} at the point "
                              f"{points[bad[0]].tolist()}")
         return values
+
+    def digits(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The (len(rows), d) digits of the ascending frontier rows `rows`,
+        of every row by default."""
+        n = len(self.block) * len(self.offsets)
+        if rows is None:
+            rows = np.arange(n + len(self.solo))
+        split = np.searchsorted(rows, n)
+        parent, kid = np.divmod(rows[:split], len(self.offsets))
+        return np.concatenate([3 * self.block[parent] + self.offsets[kid],
+                               self.solo[rows[split:] - n]])
 
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
@@ -220,54 +229,53 @@ class Frontier:
         parents, solos = np.flatnonzero(full), np.flatnonzero(solo)
         n_kids, level = len(self.offsets), self.level + 1
         n = len(parents) * n_kids  # rows of the full rows' children
+        # the digits of the rows that keep children, full rows first
+        digits = np.concatenate([self.digits(parents), self.digits(solos)])
+        block = digits[:len(parents)]
 
-        digits, values = self._children(level, parents, solos)
+        values = self._children(level, parents, block, solos)
         lowest = np.full(len(values), len(self.lipschitz))
         lowest[:n].reshape(-1, n_kids)[:] = self.first[parents, None]
         held = np.ones(len(values), dtype=bool)
         held[:n] = False
         held[self.center:n:n_kids] = self.hold[parents]
-        masses, siblings = self._child_masses(level, parents, solos)
+        masses, siblings = self._child_masses(level, digits, len(parents))
         self._freeze(solo, gone, siblings)
-        self.digits, self.values, self.masses = digits, values, masses
+        self.block, self.solo = block, 3 * digits[len(parents):] + 1
+        self.values, self.masses = values, masses
         self.lowest, self.held = lowest, held
         self.level = level
         self._estimate()
 
-    def _children(self, level: int, parents: np.ndarray, solos: np.ndarray):
-        """Digits and values of the next frontier; f runs on the new centers."""
+    def _children(self, level: int, parents: np.ndarray, block: np.ndarray, solos: np.ndarray):
+        """Values of the next frontier, from the digits `block` of the full
+        rows `parents`; f runs on the new centers."""
         n_kids, d = self.offsets.shape
         c, n = self.center, len(parents) * n_kids
-        digits = np.empty((n + len(solos), d), dtype=np.int64)
-        kids = digits[:n].reshape(-1, n_kids, d)
         points = np.empty((len(parents), n_kids - 1, d))
         for a in range(d):
-            base = 3 * self.digits[parents, a, None]
-            kids[:, :, a] = base + self.offsets[:, a]
             # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every
             # term is an integer below 2^53, so only the division rounds
-            points[:, :, a] = (2.0 * base + self.odd[:, a]) / (2 * 3 ** level)
-        digits[n:] = 3 * self.digits[solos] + 1
-        values = np.empty(len(digits))
+            points[:, :, a] = (6 * block[:, a, None] + self.odd[:, a]) / (2 * 3 ** level)
+        values = np.empty(n + len(solos))
         kid_values = values[:n].reshape(-1, n_kids)
         kid_values[:, c] = self.values[parents]  # the center child's is its parent's
         if len(parents):
             fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
             kid_values[:, :c], kid_values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
         values[n:] = self.values[solos]
-        return digits, values
+        return values
 
-    def _child_masses(self, level: int, parents: np.ndarray, solos: np.ndarray):
+    def _child_masses(self, level: int, digits: np.ndarray, n_full: int):
         """Masses of the next frontier, and of the solo rows' other children.
 
-        One mass call serves every row that keeps children: a full row's
-        children join the frontier, a solo row's center child joins it and
-        the others freeze.
+        One mass call serves every row that keeps children (`digits`, the
+        `n_full` full rows first): a full row's children join the frontier,
+        a solo row's center child joins it and the others freeze.
         """
-        n_kids, n_full = len(self.offsets), len(parents)
-        child = self.measure.child_probabilities(
-            level, self.digits[np.concatenate([parents, solos])])
-        masses = np.empty(n_full * n_kids + len(solos))
+        n_kids = len(self.offsets)
+        child = self.measure.child_probabilities(level, digits)
+        masses = np.empty(n_full * n_kids + len(digits) - n_full)
         masses[:n_full * n_kids].reshape(-1, n_kids)[:] = child[:n_full]
         masses[n_full * n_kids:] = child[n_full:, self.center]
         # in C order, since the rounding of _freeze's row sums depends on the
@@ -278,22 +286,17 @@ class Frontier:
         """Merge the cells that leave the frontier into `frozen`.
 
         A row outside every band leaves with its own mass; a solo row leaves
-        its non-center children, `siblings`, with their masses.  Both go to
-        `frozen_masses` in row order.
+        its non-center children, `siblings`, with the sum of their masses.
         """
-        count = np.where(solo, len(self.offsets) - 1, gone)
-        start = np.cumsum(count) - count
-        frozen_masses = np.empty(int(count.sum()))
-        frozen_masses[start[gone]] = self.masses[gone]
         leaving = self.masses * gone  # the mass each row leaves, all at its value
         if len(siblings):
-            frozen_masses[start[solo][:, None] + np.arange(siblings.shape[1])] = siblings
             leaving[solo] = siblings.sum(axis=1)
         out = solo | gone
         if out.any():
-            table = ValueMassTable(self.values[out], leaving[out], np.zeros(int(out.sum()), dtype=bool))
+            lost = leaving[out]
+            table = ValueMassTable(self.values[out], lost, np.zeros(len(lost), dtype=bool))
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
-        self.frozen_masses = np.concatenate([self.frozen_masses, frozen_masses])
+            self.frozen_mass += float(lost.sum())
 
 
 def run_known(
@@ -330,13 +333,13 @@ def run_known(
                 lower=fr.estimate - halfwidth,
                 upper=fr.estimate + halfwidth,
                 evaluations=fr.evaluations,
-                active_cells=len(fr.digits),
+                active_cells=len(fr.values),
                 active_mass=float(np.sum(fr.masses)),
-                frozen_mass=float(np.sum(fr.frozen_masses)),
+                frozen_mass=fr.frozen_mass,
             )
         )
         if keep_active_sets:
-            active_sets.append(list(map(tuple, fr.digits.tolist())))
+            active_sets.append(list(map(tuple, fr.digits().tolist())))
         stop = fr.stop_reason(max_level)
         if stop:
             break
@@ -366,6 +369,8 @@ def run_known_sweep(
     Valid because the per-level estimates and active sets never depend on the
     budget; each budget just truncates the same run at a different level.
     """
+    if len(budgets) == 0:
+        raise ValueError("budgets must name at least one budget, got none")
     run = run_known(f, lipschitz, measure, alpha, max(budgets))
     return {n: run.bracket_for_budget(n) for n in budgets}
 

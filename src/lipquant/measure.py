@@ -152,17 +152,21 @@ class ProductMeasure:
         return out.reshape(3 ** self.dim, -1).T
 
     def marginal_quantile(self, axis: int, u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Inverse CDF by bisection on [0,1] (vectorized)."""
+        """Inverse CDF by bisection on [0,1] (vectorized), until each bracket
+        is at most `tol` wide or its midpoint rounds to one of its ends."""
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {tol}")
         u = np.asarray(u, dtype=float)
         lo = np.zeros_like(u)
         hi = np.ones_like(u)
         cdf = self.marginals[axis].cdf
-        while np.max(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        while np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
             below = cdf(mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        return mid
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws via inverse-CDF sampling of each marginal."""

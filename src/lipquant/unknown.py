@@ -107,7 +107,7 @@ def run_unknown(
                 live=tuple(np.flatnonzero(fr.live).tolist()),
                 evaluations=fr.evaluations,
                 active_mass=float(np.sum(fr.masses)),
-                frozen_mass=float(np.sum(fr.frozen_masses)),
+                frozen_mass=fr.frozen_mass,
             )
         )
         stop = fr.stop_reason(max_level)

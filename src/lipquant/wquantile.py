@@ -25,8 +25,8 @@ class ValueMassTable:
                              f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
         if values.size == 0:
             raise ValueError("empty table")
-        if masses.min() < 0:
-            raise ValueError(f"masses must be >= 0, got {masses[masses < 0][0]}")
+        if not masses.min() >= 0:  # so that NaN fails too
+            raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
         order = np.argsort(values)
         ordered = values[order]
         if np.isnan(ordered[-1]):  # sorted last

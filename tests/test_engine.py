@@ -13,7 +13,7 @@ import pytest
 
 import lipquant as lq
 from lipquant.grid import center_child_digits, half_radius
-from lipquant.known import K_MAX, run_known
+from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import candidate_budget, j_max, run_unknown
 from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
 
@@ -63,7 +63,9 @@ def reference_unknown(f, measure, alpha, budget, max_level):
     cache: dict = {}
     frozen_values: list[float] = []
     frozen_masses: list[float] = []
+    frozen_mass = 0.0  # running total, one row-order sum per level, as the engine keeps it
     levels = []  # (estimate, active mass, frozen mass), summed in table order
+    frontiers = []  # the cells of each level
     k = 0
     while True:
         keys = [canonical_center_key(k, c) for c in cells]
@@ -78,7 +80,8 @@ def reference_unknown(f, measure, alpha, budget, max_level):
             [True] * len(cells) + [False] * len(frozen_values),
         )
         estimate = weighted_quantile_sup(table, alpha)
-        levels.append((estimate, float(np.sum(masses)), float(np.sum(frozen_masses))))
+        levels.append((estimate, float(np.sum(masses)), frozen_mass))
+        frontiers.append(cells)
         if k >= max_level:
             break
         value_of = dict(zip(cells, values))
@@ -105,17 +108,23 @@ def reference_unknown(f, measure, alpha, budget, max_level):
         next_union = set(next_cells)
         assert len(next_union) == len(next_cells)
         assert next_union == set().union(*nxt.values())
+        leaving = []  # the mass each cell leaves, in frontier order
         for c in cells:
             gone = [kid for kid in child_digits(c) if kid not in next_union]
             if len(gone) == n_kids:
                 frozen_values.append(value_of[c])
                 frozen_masses.append(mass_of[c])
+                leaving.append(mass_of[c])
             elif gone:
+                gone_masses = measure.cell_probabilities(k + 1, gone)
                 frozen_values.extend([value_of[c]] * len(gone))
-                frozen_masses.extend(measure.cell_probabilities(k + 1, gone))
+                frozen_masses.extend(gone_masses)
+                leaving.append(float(np.sum(gone_masses)))
+        if leaving:
+            frozen_mass += float(np.sum(leaving))
         sets, cells = nxt, next_cells
         k += 1
-    return levels, ledgers, retired, len(cache)
+    return levels, ledgers, retired, len(cache), frontiers
 
 
 @pytest.mark.parametrize("dim,budget", CASES)
@@ -142,7 +151,7 @@ def test_unknown_frontier_matches_oracle(dim, budget):
     m = measure_for(dim)
     max_level = 12 // dim
     run = run_unknown(g, m, 0.8, budget, max_level=max_level)
-    levels, ledgers, retired, evaluations = reference_unknown(f, m, 0.8, budget, max_level)
+    levels, ledgers, retired, evaluations, _ = reference_unknown(f, m, 0.8, budget, max_level)
     # exact sums pin the frontier to the engine's order, as in the loop
     assert [(r.estimate, r.active_mass, r.frozen_mass) for r in run.history] == levels
     assert run.ledgers == ledgers
@@ -151,6 +160,28 @@ def test_unknown_frontier_matches_oracle(dim, budget):
     # center children while live ones still refine
     assert len(set(retired.values())) > 1
     assert assert_distinct_points(calls) == run.evaluations == evaluations
+
+
+@pytest.mark.parametrize("dim,budget", CASES)
+def test_frontier_digits_on_the_solo_path(dim, budget):
+    # the digits are derived from the full rows' parents and the solo rows'
+    # own; after a retirement both kinds of row share the frontier
+    f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
+    m = measure_for(dim)
+    max_level = 12 // dim
+    *_, frontiers = reference_unknown(f, m, 0.8, budget, max_level)
+    bands = range(j_max(budget) + 1)
+    fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
+    mixed = 0  # levels with both full-block and solo rows
+    for cells in frontiers:
+        assert list(map(tuple, fr.digits().tolist())) == cells
+        mixed += len(fr.block) > 0 and len(fr.solo) > 0
+        if fr.level == len(frontiers) - 1:
+            break
+        fr.prune()
+        fr.refine()
+    assert fr.level == len(frontiers) - 1
+    assert mixed > 0
 
 
 def test_precision_floor():

@@ -118,6 +118,11 @@ class TestSweep:
             ).bracket
             assert swept[n] == fresh
 
+    def test_empty_budgets_rejected(self, paper_d2):
+        # used to surface as max()'s "arg is an empty sequence"
+        with pytest.raises(ValueError, match="budgets must name at least one budget"):
+            run_known_sweep(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, [])
+
     def test_budget_too_small_rejected(self, paper_d1_deep_run):
         with pytest.raises(ValueError):
             paper_d1_deep_run.bracket_for_budget(0)

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import truncnorm
 
 from lipquant.measure import (
+    Marginal,
     product_measure,
     truncated_normal_marginal,
     uniform_cube,
@@ -212,6 +213,39 @@ class TestInverseAndSampling:
         u = np.array([0.1, 0.4057285644, 0.9])
         x = m.marginal_quantile(0, u)
         np.testing.assert_allclose(m.marginals[0].cdf(x), u, atol=1e-10)
+
+    def test_default_tol_keeps_its_forty_halvings(self):
+        # the loop that stops on an unsplittable bracket gives the old loop's
+        # results bit for bit at the default tol
+        m = product_measure([truncated_normal_marginal(0.2, 0.2)])
+        u = np.random.default_rng(5).random(200)
+        lo, hi = np.zeros_like(u), np.ones_like(u)
+        for _ in range(40):  # 2^-40 is the first width <= 1e-12
+            mid = 0.5 * (lo + hi)
+            below = m.marginals[0].cdf(mid) < u
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        assert np.array_equal(m.marginal_quantile(0, u), 0.5 * (lo + hi))
+
+    def test_tol_below_float_spacing_terminates(self):
+        # the bracket cannot shrink below one ulp, so tol = 1e-300 used to
+        # bisect forever; the CDF refuses to be called that often
+        calls = []
+
+        def cdf(x):
+            calls.append(1)
+            assert len(calls) < 200, "bisection does not terminate"
+            return np.asarray(x, dtype=float)
+
+        m = product_measure([Marginal(cdf=cdf, kind="uniform")])
+        u = np.array([0.1, 0.7, 0.999])
+        x = m.marginal_quantile(0, u, tol=1e-300)
+        assert np.all(np.abs(x - u) <= np.spacing(u))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf])
+    def test_invalid_tol_rejected(self, tol):
+        m = uniform_cube(1)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            m.marginal_quantile(0, np.array(0.5), tol=tol)
 
     def test_sampling_deterministic(self):
         m = product_measure([truncated_normal_marginal(0.2, 0.2), uniform_marginal()])

@@ -143,6 +143,12 @@ class TestTableMechanics:
         with pytest.raises(ValueError, match="masses must be >= 0"):
             table([(1.0, 0.5, True), (0.0, -0.1, True)])
 
+    def test_nan_mass_rejected(self):
+        # masses.min() < 0 is False for NaN: the table was built and its sup
+        # quantile was 3.0
+        with pytest.raises(ValueError, match="masses must be >= 0, got nan"):
+            ValueMassTable([1.0, 2.0, 3.0], [np.nan, 0.5, 0.5], [True] * 3)
+
     def test_total_mass(self):
         t = table([(0.0, 0.4, True), (1.0, 0.6, True)])
         assert t.total_mass == pytest.approx(1.0, abs=1e-15)
