@@ -24,8 +24,8 @@ from .bounds import ProblemConstants, known_bound, unknown_bound
 from .known import run_known_sweep
 from .problems import (
     BUILTIN_PROBLEMS,
+    MIN_RESOLUTION,
     TestProblem,
-    brute_force_quantile,
     estimate_level_set_M,
     estimate_lipschitz,
     monte_carlo_quantile,
@@ -51,6 +51,16 @@ class ExperimentConfig:
     out: Optional[str] = None
     seed: int = 0
     resolution: Optional[int] = None
+
+    def __post_init__(self):
+        if self.resolution is not None and self.resolution < MIN_RESOLUTION:
+            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def parse_budgets(text: str) -> list[int]:
@@ -150,8 +160,11 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float], mode: str) -> tuple[
     return float(slope), float(intercept), r2
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
+def _fmt(x) -> str:
+    """A CSV cell: empty for None, an integer as is, any other number as a float's repr."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
@@ -165,8 +178,36 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
             constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    true_q = reference_quantile(p, cfg.resolution)
+    try:  # before any run, so that a bad path costs nothing
+        out_fh = open(cfg.out, "w", newline="") if cfg.out else stream
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}") from None
+    try:
+        rows = _sweep(cfg, p, constants)
+        writer = csv.DictWriter(out_fh, CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({key: _fmt(value) for key, value in r.items()} for r in rows)
+    finally:
+        if cfg.out:
+            out_fh.close()
 
+    mode = "semilog" if p.dim == 1 else "loglog"
+    try:
+        slope, intercept, r2 = fit_slope(
+            [r["n"] for r in rows], [r["abs_error"] for r in rows], mode
+        )
+        summary = f"# slope ({mode}): {slope:.6f}  intercept: {intercept:.6f}  R2: {r2:.4f}"
+        if p.dim == 1:
+            summary += f"  rho_hat: {math.exp(slope):.6f}"
+        print(summary, file=sys.stderr)
+    except ValueError as exc:
+        print(f"# slope fit skipped: {exc}", file=sys.stderr)
+    return rows
+
+
+def _sweep(cfg: ExperimentConfig, p: TestProblem, constants: ProblemConstants | None) -> list[dict]:
+    """The CSV rows of `run_experiment`, one per budget."""
+    true_q = reference_quantile(p, cfg.resolution)
     if cfg.algo == "known":
         brackets = run_known_sweep(p.f, p.lipschitz, p.measure, p.alpha, cfg.budgets)
     rows: list[dict] = []
@@ -193,53 +234,8 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
         else:
             estimate, _ = monte_carlo_quantile(p, max(n, 100), cfg.seed)
             evals = max(n, 100)
-        rows.append(
-            {
-                "n": n,
-                "estimate": estimate,
-                "lower": lower,
-                "upper": upper,
-                "level": level,
-                "evals": evals,
-                "true_q": true_q,
-                "abs_error": abs(estimate - true_q),
-                "bound": bound,
-            }
-        )
-
-    out_fh = open(cfg.out, "w", newline="") if cfg.out else stream
-    try:
-        writer = csv.writer(out_fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["n"],
-                    _fmt(r["estimate"]),
-                    _fmt(r["lower"]),
-                    _fmt(r["upper"]),
-                    "" if r["level"] is None else r["level"],
-                    "" if r["evals"] is None else r["evals"],
-                    _fmt(r["true_q"]),
-                    _fmt(r["abs_error"]),
-                    _fmt(r["bound"]),
-                ]
-            )
-    finally:
-        if cfg.out:
-            out_fh.close()
-
-    mode = "semilog" if p.dim == 1 else "loglog"
-    try:
-        slope, intercept, r2 = fit_slope(
-            [r["n"] for r in rows], [r["abs_error"] for r in rows], mode
-        )
-        summary = f"# slope ({mode}): {slope:.6f}  intercept: {intercept:.6f}  R2: {r2:.4f}"
-        if p.dim == 1:
-            summary += f"  rho_hat: {math.exp(slope):.6f}"
-        print(summary, file=sys.stderr)
-    except ValueError as exc:
-        print(f"# slope fit skipped: {exc}", file=sys.stderr)
+        row = (n, estimate, lower, upper, level, evals, true_q, abs(estimate - true_q), bound)
+        rows.append(dict(zip(CSV_HEADER, row)))
     return rows
 
 
@@ -339,6 +335,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_experiment(_config_from_args(args))
             return 0
         if args.command == "adversary":
+            _check_seed(args.seed)
             ok = adversary_report(args.dim, parse_query_counts(args.n), seed=args.seed)
             return 0 if ok else 3
         if args.command == "oracle":

@@ -49,33 +49,40 @@ class QuantileBracket:
 
 @dataclass(frozen=True)
 class LevelRecord:
+    """One level of a run of either algorithm, taken before it is pruned."""
+
     level: int
     estimate: float
-    lower: float
-    upper: float
     evaluations: int      # f calls spent to reach and evaluate this level
     active_cells: int
     active_mass: float
     frozen_mass: float
+    live: tuple[int, ...]  # the bands not yet retired
 
 
 @dataclass
 class KnownRun:
-    bracket: QuantileBracket
     history: list[LevelRecord]
     budget: int
+    lipschitz: float
+    dim: int
     active_sets: list[list[tuple[int, ...]]] = field(default_factory=list)
     stop_reason: str = "budget"  # budget | max_level | precision
 
+    @property
+    def bracket(self) -> QuantileBracket:
+        """The bracket of the last level, which the budget always affords."""
+        return self.bracket_for_budget(self.budget)
+
     def bracket_for_budget(self, budget: int) -> QuantileBracket:
         """Deepest completed level affordable within `budget` calls."""
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
         fits = [r for r in self.history if r.evaluations <= budget]  # a prefix
         if not fits:
             raise ValueError("budget smaller than the first level's cost")
         rec = fits[-1]
-        return QuantileBracket(rec.estimate, rec.lower, rec.upper, rec.level, rec.evaluations)
+        halfwidth = bracket_halfwidth(self.lipschitz, rec.level, self.dim)
+        return QuantileBracket(rec.estimate, rec.estimate - halfwidth, rec.estimate + halfwidth,
+                               rec.level, rec.evaluations)
 
 
 def _last(mask: np.ndarray) -> int:
@@ -86,6 +93,10 @@ def _last(mask: np.ndarray) -> int:
 
 class Frontier:
     """The cells under refinement, scanned under J Lipschitz constants at once.
+
+    `run` is the level loop of both algorithms (`run_known` is its
+    single-band case): it records each level as a `LevelRecord` and calls
+    `step`, which prunes the level and, while a band stays live, refines it.
 
     Row i is a cell of level `level`; `values[i]` is f at its center and
     `masses[i]` its probability.  Band j has constant `lipschitz[j]`
@@ -102,7 +113,7 @@ class Frontier:
 
     Every level lists first the children of the full rows, in parent order
     and each row's in `itertools.product` order, then the center children of
-    the solo rows (see `refine`); the order fixes how the quantile table sums
+    the solo rows (see `_refine`); the order fixes how the quantile table sums
     tied masses.  So digits are not stored per row: row r < 3^d * len(block)
     is the child 3*block[r // 3^d] + offsets[r % 3^d] of a full row, the rows
     after them have the digits `solo`, and `digits` derives them, once per
@@ -183,37 +194,54 @@ class Frontier:
                 f"sup/inf estimator mismatch at level {self.level}: {self.estimate} vs {est_inf}"
             )
 
-    def stop_reason(self, max_level: int | None) -> str | None:
-        """Why the run may not refine past this level, if it may not."""
-        if max_level is not None and self.level >= max_level:
-            return "max_level"
-        if self.level >= K_MAX:
-            return "precision"
-        return None
+    def run(self, max_level: int | None, keep_active_sets: bool = False):
+        """Record each level and step to the next until the run stops.
 
-    def prune(self) -> None:
-        """Band tests of the live bands, their ledgers, and retirements.
+        Returns the level records, the frontier digits of each level (if
+        `keep_active_sets`) and why the run stopped: `max_level`, `precision`
+        at K_MAX, or `all_retired` once no band is live.
+        """
+        history: list[LevelRecord] = []
+        active_sets: list[list[tuple[int, ...]]] = []
+        while True:
+            history.append(LevelRecord(self.level, self.estimate, self.evaluations,
+                                       len(self.values), float(np.sum(self.masses)),
+                                       self.frozen_mass, tuple(np.flatnonzero(self.live).tolist())))
+            if keep_active_sets:
+                active_sets.append(list(map(tuple, self.digits().tolist())))
+            if max_level is not None and self.level >= max_level:
+                return history, active_sets, "max_level"
+            if self.level >= K_MAX:
+                return history, active_sets, "precision"
+            if not self.step():
+                return history, active_sets, "all_retired"
 
-        Sets `first` (row i is kept by the live bands j >= first[i]; J
-        means by none), `kept` (rows some live band keeps) and `hold` (rows
-        a retired or retiring band holds).
+    def step(self) -> bool:
+        """Prune this level under the live bands and, while one stays live,
+        refine to the next; returns whether the frontier advanced.
+
+        Row i is kept by the live bands j >= first[i] (J means by none) and
+        held by a retired or retiring band iff hold[i].
         """
         n_bands = len(self.lipschitz)
         delta = half_radius(self.level, self.measure.dim)
         bands = np.array([2.0 * c * delta for c in self.lipschitz])
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j]
         gap = np.abs(self.values - self.estimate)
-        self.first = np.maximum(self.lowest, np.searchsorted(bands, gap))
-        kept_by = np.cumsum(np.bincount(self.first, minlength=n_bands + 1))[:n_bands]
+        first = np.maximum(self.lowest, np.searchsorted(bands, gap))
+        kept_by = np.cumsum(np.bincount(first, minlength=n_bands + 1))[:n_bands]
         self.ledgers[self.live] += (len(self.offsets) - 1) * kept_by[self.live]
-        self.kept = self.first <= _last(self.live)
         retiring = self.live & (self.ledgers > self.slices)
         for j in np.flatnonzero(retiring):
             self.retired[int(j)] = self.level
-        self.hold = self.held | (self.lowest <= _last(retiring))
+        hold = self.held | (self.lowest <= _last(retiring))
         self.live &= ~retiring
+        if not self.live.any():
+            return False
+        self._refine(first, hold)
+        return True
 
-    def refine(self) -> None:
+    def _refine(self, first: np.ndarray, hold: np.ndarray) -> None:
         """Replace the frontier by the next level's cells, freeze the rest, and
         estimate the next level.
 
@@ -223,10 +251,12 @@ class Frontier:
         time, each step in its own method, so that one step's temporaries
         are released before the next step allocates.
         """
-        full = self.first <= _last(self.live)  # a band that goes on keeps the row
-        solo = self.hold & ~full                # only retired bands hold the row
-        gone = ~full & ~self.hold
+        full = first <= _last(self.live)  # a band that goes on keeps the row
+        solo = hold & ~full                # only retired bands hold the row
+        gone = ~full & ~hold
         parents, solos = np.flatnonzero(full), np.flatnonzero(solo)
+        if len(parents) + len(solos) == 0:
+            raise AssertionError("no survivor: the estimate must lie in its own band")
         n_kids, level = len(self.offsets), self.level + 1
         n = len(parents) * n_kids  # rows of the full rows' children
         # the digits of the rows that keep children, full rows first
@@ -235,10 +265,10 @@ class Frontier:
 
         values = self._children(level, parents, block, solos)
         lowest = np.full(len(values), len(self.lipschitz))
-        lowest[:n].reshape(-1, n_kids)[:] = self.first[parents, None]
+        lowest[:n].reshape(-1, n_kids)[:] = first[parents, None]
         held = np.ones(len(values), dtype=bool)
         held[:n] = False
-        held[self.center:n:n_kids] = self.hold[parents]
+        held[self.center:n:n_kids] = hold[parents]
         masses, siblings = self._child_masses(level, digits, len(parents))
         self._freeze(solo, gone, siblings)
         self.block, self.solo = block, 3 * digits[len(parents):] + 1
@@ -322,39 +352,10 @@ def run_known(
         raise ValueError(f"budget must be >= 1, got {budget}")
 
     fr = Frontier(f, measure, alpha, [lipschitz], [budget])
-    history: list[LevelRecord] = []
-    active_sets: list[list[tuple[int, ...]]] = []
-    while True:
-        halfwidth = bracket_halfwidth(lipschitz, fr.level, measure.dim)
-        history.append(
-            LevelRecord(
-                level=fr.level,
-                estimate=fr.estimate,
-                lower=fr.estimate - halfwidth,
-                upper=fr.estimate + halfwidth,
-                evaluations=fr.evaluations,
-                active_cells=len(fr.values),
-                active_mass=float(np.sum(fr.masses)),
-                frozen_mass=fr.frozen_mass,
-            )
-        )
-        if keep_active_sets:
-            active_sets.append(list(map(tuple, fr.digits().tolist())))
-        stop = fr.stop_reason(max_level)
-        if stop:
-            break
-        fr.prune()
-        if not fr.kept.any():
-            raise AssertionError("no survivor: the estimate must lie in its own band")
-        if not fr.live[0]:
-            stop = "budget"
-            break
-        fr.refine()
-
-    last = history[-1]
-    bracket = QuantileBracket(last.estimate, last.lower, last.upper, last.level, last.evaluations)
-    return KnownRun(bracket=bracket, history=history, budget=budget,
-                    active_sets=active_sets, stop_reason=stop)
+    history, active_sets, stop = fr.run(max_level, keep_active_sets)
+    # the one band retires when the budget cannot pay for the next level
+    return KnownRun(history, budget, lipschitz, measure.dim, active_sets,
+                    "budget" if stop == "all_retired" else stop)
 
 
 def run_known_sweep(

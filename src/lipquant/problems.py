@@ -101,6 +101,10 @@ BUILTIN_PROBLEMS = {
 }
 
 
+#: Coarsest grid, in cells per axis, that the grid oracle accepts.
+MIN_RESOLUTION = 1000
+
+
 def brute_force_quantile(p: TestProblem, resolution: int = 10 ** 6) -> float:
     """Grid oracle for the alpha-quantile of f(X); accuracy O(L / resolution).
 
@@ -112,8 +116,8 @@ def brute_force_quantile(p: TestProblem, resolution: int = 10 ** 6) -> float:
     """
     if p.dim > 2:
         raise ValueError("grid oracle supports d <= 2 only")
-    if resolution < 1000:
-        raise ValueError(f"resolution must be >= 1000, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     if p.dim == 1:
         return _grid_quantile_d1(p, resolution)
     return _grid_quantile_d2(p, resolution)
@@ -273,13 +277,12 @@ def estimate_level_set_M(
         resolution = 10 ** 6 if p.dim == 1 else 3000
     deltas = [3.0, 1.0, 0.3, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
     vols = []
+    centers = (np.arange(resolution) + 0.5) / resolution
     if p.dim == 1:
-        centers = (np.arange(resolution) + 0.5) / resolution
         v = np.asarray(p.f(centers[:, None]), dtype=float)
         for delta in deltas:
             vols.append(float(np.mean(np.abs(v - q) <= delta)))
     else:
-        centers = (np.arange(resolution) + 0.5) / resolution
         chunk = max(1, 10 ** 7 // resolution)
         counts = np.zeros(len(deltas))
         for i0 in range(0, resolution, chunk):
@@ -289,7 +292,7 @@ def estimate_level_set_M(
             v = np.asarray(p.f(np.column_stack([x1, x2])), dtype=float)
             for i, delta in enumerate(deltas):
                 counts[i] += float(np.sum(np.abs(v - q) <= delta))
-        vols = list(counts / resolution ** 2)
+        vols = (counts / resolution ** 2).tolist()  # floats, not NumPy scalars
     # shrink test on the small-delta tail only: a wide band at delta ~ 1 is
     # normal, but the volume must vanish as delta -> 0
     if vols[-1] > 0.5 * vols[deltas.index(1e-1)]:

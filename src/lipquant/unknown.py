@@ -11,14 +11,13 @@ estimate is returned without a bracket.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # center_child_digits is unused here; the benchmark's tests patch it at this path
 from .grid import center_child_digits, half_radius  # noqa: F401
-from .known import Frontier
+from .known import Frontier, LevelRecord
 from .measure import ProductMeasure
 
 _MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
@@ -29,20 +28,6 @@ def candidate_budget(j: int, budget: int) -> int:
     return int(math.floor(6.0 * budget / (math.pi ** 2 * (j + 1) ** 2)))
 
 
-def j_max(budget: int) -> int:
-    """Largest candidate id with a nonzero budget slice, by enumeration.
-
-    The closed form floor(sqrt(6N)/pi) - 1 can disagree by one at boundary
-    budgets; the enumerated sup definition is authoritative here.
-    """
-    if budget < _MIN_BUDGET:
-        raise ValueError(f"budget must be >= {_MIN_BUDGET}, got {budget}")
-    j = 0
-    while candidate_budget(j + 1, budget) >= 1:
-        j += 1
-    return j
-
-
 @dataclass(frozen=True)
 class CandidateSchedule:
     j: int
@@ -51,20 +36,21 @@ class CandidateSchedule:
 
 
 def schedule(budget: int) -> list[CandidateSchedule]:
-    return [
-        CandidateSchedule(j=j, lipschitz=3.0 ** j, budget=candidate_budget(j, budget))
-        for j in range(j_max(budget) + 1)
-    ]
+    """Candidates j = 0, 1, ... with constant 3^j, while their slice is nonzero."""
+    if budget < _MIN_BUDGET:
+        raise ValueError(f"budget must be >= {_MIN_BUDGET}, got {budget}")
+    slices = itertools.takewhile(
+        lambda n: n >= 1, (candidate_budget(j, budget) for j in itertools.count()))
+    return [CandidateSchedule(j, 3.0 ** j, n) for j, n in enumerate(slices)]
 
 
-@dataclass(frozen=True)
-class UnknownLevelRecord:
-    level: int
-    estimate: float
-    live: tuple[int, ...]
-    evaluations: int
-    active_mass: float
-    frozen_mass: float
+def j_max(budget: int) -> int:
+    """Largest candidate id with a nonzero budget slice, by enumeration.
+
+    The closed form floor(sqrt(6N)/pi) - 1 can disagree by one at boundary
+    budgets; the enumerated sup definition is authoritative here.
+    """
+    return schedule(budget)[-1].j
 
 
 @dataclass
@@ -77,7 +63,7 @@ class UnknownRun:
     enumerated_j_max: int
     retirement_level: dict[int, int]
     ledgers: dict[int, int]
-    history: list[UnknownLevelRecord] = field(default_factory=list)
+    history: list[LevelRecord] = field(default_factory=list)
     stop_reason: str = "all_retired"  # all_retired | max_level | precision
 
 
@@ -98,27 +84,7 @@ def run_unknown(
     candidates = schedule(budget)  # refuses a budget below _MIN_BUDGET
     fr = Frontier(f, measure, alpha, [c.lipschitz for c in candidates],
                   [c.budget for c in candidates])
-    history: list[UnknownLevelRecord] = []
-    while True:
-        history.append(
-            UnknownLevelRecord(
-                level=fr.level,
-                estimate=fr.estimate,
-                live=tuple(np.flatnonzero(fr.live).tolist()),
-                evaluations=fr.evaluations,
-                active_mass=float(np.sum(fr.masses)),
-                frozen_mass=fr.frozen_mass,
-            )
-        )
-        stop = fr.stop_reason(max_level)
-        if stop:
-            break
-        fr.prune()
-        if not fr.live.any():
-            stop = "all_retired"  # the estimate of this level is the returned value
-            break
-        fr.refine()
-
+    history, _, stop = fr.run(max_level)
     return UnknownRun(
         estimate=fr.estimate,
         level=fr.level,

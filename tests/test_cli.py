@@ -165,6 +165,13 @@ class TestReports:
         assert "analytic_quantile" in text
         assert "estimated_lipschitz" in text
 
+    def test_oracle_report_prints_plain_floats(self):
+        # estimated_level_set_M used to print as np.float64(0.5438...) on paper_d2
+        buf = io.StringIO()
+        oracle_report(ExperimentConfig(problem="paper_d2", resolution=1000), stream=buf)
+        fields = dict(line.split(": ", 1) for line in buf.getvalue().splitlines())
+        assert float(fields["estimated_level_set_M"]) > 0
+
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -208,8 +215,16 @@ class TestExitCodes:
         # a nan bound column and exit 0, a ValueError traceback and exit 1
         ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--level-set", "nan"],
         ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--level-set", "-1"],
+        # these four used to exit 1 with a traceback, the last after every run
+        ["run", "--problem", "paper_d1", "--budgets", "10,20,30", "--resolution", "5"],
+        ["oracle", "--problem", "paper_d1", "--resolution", "5"],
+        ["run", "--algo", "monte_carlo", "--seed", "-1"],
+        ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--out", "/nonexistent/x.csv"],
+        ["adversary", "--dim", "1", "--n", "3", "--seed", "-1"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
-            "lipschitz-inf", "level-set-nan", "level-set-negative"])
+            "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
+            "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",
+            "adversary-seed-negative"])
     def test_exit_two(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()

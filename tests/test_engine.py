@@ -178,8 +178,7 @@ def test_frontier_digits_on_the_solo_path(dim, budget):
         mixed += len(fr.block) > 0 and len(fr.solo) > 0
         if fr.level == len(frontiers) - 1:
             break
-        fr.prune()
-        fr.refine()
+        assert fr.step()
     assert fr.level == len(frontiers) - 1
     assert mixed > 0
 

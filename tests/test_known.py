@@ -61,16 +61,18 @@ class TestBasicRuns:
 class TestBracketStructure:
     def test_nested_bounds(self, paper_d1_deep_run, paper_d2_deep_run):
         for run in (paper_d1_deep_run, paper_d2_deep_run):
-            lowers = [r.lower for r in run.history]
-            uppers = [r.upper for r in run.history]
+            brackets = [run.bracket_for_budget(r.evaluations) for r in run.history]
+            lowers = [b.lower for b in brackets]
+            uppers = [b.upper for b in brackets]
             assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
             assert all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
 
     def test_bracket_geometry(self, paper_d2_deep_run):
         for r in paper_d2_deep_run.history:
+            b = paper_d2_deep_run.bracket_for_budget(r.evaluations)
             hw = lq.bracket_halfwidth(np.sqrt(2), r.level, 2)
-            assert r.upper - r.estimate == pytest.approx(hw, rel=1e-12)
-            assert r.estimate - r.lower == pytest.approx(hw, rel=1e-12)
+            assert b.upper - b.estimate == pytest.approx(hw, rel=1e-12)
+            assert b.estimate - b.lower == pytest.approx(hw, rel=1e-12)
 
 
 class TestBudgetAccounting:

@@ -134,6 +134,19 @@ class TestPooling:
             assert set(sizes[0][k]) <= set(sizes[1][k]) <= set(sizes[2][k])
 
 
+class TestSingleBand:
+    @pytest.mark.parametrize("name", ["paper_d1", "paper_d2", "linear_d1"])
+    def test_run_known_is_the_single_band_case(self, name):
+        # below N = 7 only candidate 0 is funded: one band, constant 1, and the
+        # same level records as run_known with that constant and slice
+        p = lq.problems.BUILTIN_PROBLEMS[name]()
+        for n in range(2, 7):
+            assert len(schedule(n)) == 1
+            run = run_unknown(p.f, p.measure, p.alpha, n)
+            known = run_known(p.f, 1.0, p.measure, p.alpha, candidate_budget(0, n))
+            assert run.history == known.history
+
+
 class TestErrorBound:
     def test_paper_d1(self, paper_d1, paper_d1_quantile):
         run = run_unknown(paper_d1.f, paper_d1.measure, paper_d1.alpha, 3000)
