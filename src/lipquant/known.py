@@ -109,7 +109,9 @@ class Frontier:
     every later table as ineligible points.  They are kept as one table,
     `frozen`, sorted by value and merged on ties, into which each level
     merges its frozen cells once, the frozen children of one row (which share
-    its value) as one point; `frozen_mass` is their running total.
+    its value) as one point; `frozen_mass` is their running total.  Each
+    level is sorted once: `_freeze` builds the table of the cells that leave
+    from the groups of the level's table, `table` (`ValueMassTable.take`).
 
     Every level lists first the children of the full rows, in parent order
     and each row's in `itertools.product` order, then the center children of
@@ -126,15 +128,18 @@ class Frontier:
     and integer indices only.
 
     The sets of the live bands are nested, since a wider band keeps every
-    cell a narrower one keeps.  So the live bands holding row i are the live
-    j >= `lowest[i]`, and one flag, `held[i]`, says whether a retired band
-    holds it.
+    cell a narrower one keeps.  So the live bands holding a row are the live
+    j >= its lowest band, and one flag says whether a retired band holds it.
+    These band columns are kept per full row, `lowest` and `held`, and read
+    through (len(block), 3^d) views: a full row's children have its lowest
+    band, and a retired band holds its center child iff one held the row.
+    The solo rows share `solo_lowest` and `solo_held`.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
         d = measure.dim
         self.f, self.measure, self.alpha = f, measure, alpha
-        self.lipschitz = [float(c) for c in lipschitz]
+        self.lipschitz = np.array(lipschitz, dtype=float)
         self.slices = np.asarray(slices, dtype=np.int64)
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
         self.center = (3 ** d - 1) // 2  # row of the all-ones offset
@@ -144,8 +149,9 @@ class Frontier:
         self.evaluations = 0
         self.block = np.zeros((0, d), dtype=np.int64)
         self.solo = np.zeros((1, d), dtype=np.int64)
-        self.lowest = np.zeros(1, dtype=np.int64)
-        self.held = np.zeros(1, dtype=bool)
+        self.lowest = np.zeros(0, dtype=np.int64)
+        self.held = np.zeros(0, dtype=bool)
+        self.solo_lowest, self.solo_held = 0, False
         self.live = np.ones(len(self.lipschitz), dtype=bool)
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
@@ -175,14 +181,19 @@ class Frontier:
             rows = np.arange(n + len(self.solo))
         split = np.searchsorted(rows, n)
         parent, kid = np.divmod(rows[:split], len(self.offsets))
-        return np.concatenate([3 * self.block[parent] + self.offsets[kid],
-                               self.solo[rows[split:] - n]])
+        # np.take gathers rows of a 2-D array several times faster than
+        # fancy indexing does
+        full = np.take(self.block, parent, axis=0)
+        full *= 3
+        full += np.take(self.offsets, kid, axis=0)
+        return np.concatenate([full, np.take(self.solo, rows[split:] - n, axis=0)])
 
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible; only
         # frozen values are not
-        table = ValueMassTable(self.values, self.masses, np.ones(len(self.values), dtype=bool))
+        self.table = table = ValueMassTable(self.values, self.masses,
+                                            np.ones(len(self.values), dtype=bool))
         if self.frozen is not None:
             table = self.frozen.merge(table)
         self.estimate = weighted_quantile_sup(table, self.alpha)
@@ -223,21 +234,38 @@ class Frontier:
         Row i is kept by the live bands j >= first[i] (J means by none) and
         held by a retired or retiring band iff hold[i].
         """
-        n_bands = len(self.lipschitz)
+        n_bands, n_kids = len(self.lipschitz), len(self.offsets)
+        n = len(self.block) * n_kids  # rows of the full rows' children
         delta = half_radius(self.level, self.measure.dim)
-        bands = np.array([2.0 * c * delta for c in self.lipschitz])
-        # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j]
-        gap = np.abs(self.values - self.estimate)
-        first = np.maximum(self.lowest, np.searchsorted(bands, gap))
+        bands = 2.0 * self.lipschitz * delta
+        # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
+        # where a child of a full row has its parent's lowest
+        gap = np.subtract(self.values, self.estimate)
+        np.abs(gap, out=gap)
+        if n_bands == 1:  # one comparison per row beats a binary search
+            first = np.greater(gap, bands[0]).astype(np.int64)
+        else:
+            first = np.searchsorted(bands, gap)
+        del gap
+        kids = first[:n].reshape(-1, n_kids)
+        np.maximum(kids, self.lowest[:, None], out=kids)
+        np.maximum(first[n:], self.solo_lowest, out=first[n:])
         kept_by = np.cumsum(np.bincount(first, minlength=n_bands + 1))[:n_bands]
-        self.ledgers[self.live] += (len(self.offsets) - 1) * kept_by[self.live]
+        self.ledgers[self.live] += (n_kids - 1) * kept_by[self.live]
         retiring = self.live & (self.ledgers > self.slices)
         for j in np.flatnonzero(retiring):
             self.retired[int(j)] = self.level
-        hold = self.held | (self.lowest <= _last(retiring))
         self.live &= ~retiring
         if not self.live.any():
             return False
+        # a band retiring now holds the rows whose lowest band is at or below
+        # it; bands retired before hold the solo rows and the center child of
+        # each full row they held
+        last = _last(retiring)
+        hold = np.empty(len(first), dtype=bool)
+        hold[:n].reshape(-1, n_kids)[:] = (self.lowest <= last)[:, None]
+        hold[self.center:n:n_kids] |= self.held
+        hold[n:] = self.solo_held or self.solo_lowest <= last
         self._refine(first, hold)
         return True
 
@@ -257,23 +285,19 @@ class Frontier:
         parents, solos = np.flatnonzero(full), np.flatnonzero(solo)
         if len(parents) + len(solos) == 0:
             raise AssertionError("no survivor: the estimate must lie in its own band")
-        n_kids, level = len(self.offsets), self.level + 1
-        n = len(parents) * n_kids  # rows of the full rows' children
+        level = self.level + 1
         # the digits of the rows that keep children, full rows first
         digits = np.concatenate([self.digits(parents), self.digits(solos)])
         block = digits[:len(parents)]
 
         values = self._children(level, parents, block, solos)
-        lowest = np.full(len(values), len(self.lipschitz))
-        lowest[:n].reshape(-1, n_kids)[:] = first[parents, None]
-        held = np.ones(len(values), dtype=bool)
-        held[:n] = False
-        held[self.center:n:n_kids] = hold[parents]
         masses, siblings = self._child_masses(level, digits, len(parents))
         self._freeze(solo, gone, siblings)
         self.block, self.solo = block, 3 * digits[len(parents):] + 1
         self.values, self.masses = values, masses
-        self.lowest, self.held = lowest, held
+        # a solo row's center child is held by retired bands only
+        self.lowest, self.held = first[parents], hold[parents]
+        self.solo_lowest, self.solo_held = len(self.lipschitz), True
         self.level = level
         self._estimate()
 
@@ -286,7 +310,7 @@ class Frontier:
         for a in range(d):
             # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every
             # term is an integer below 2^53, so only the division rounds
-            points[:, :, a] = (6 * block[:, a, None] + self.odd[:, a]) / (2 * 3 ** level)
+            np.divide(6 * block[:, a, None] + self.odd[:, a], 2 * 3 ** level, out=points[:, :, a])
         values = np.empty(n + len(solos))
         kid_values = values[:n].reshape(-1, n_kids)
         kid_values[:, c] = self.values[parents]  # the center child's is its parent's
@@ -318,13 +342,13 @@ class Frontier:
         A row outside every band leaves with its own mass; a solo row leaves
         its non-center children, `siblings`, with the sum of their masses.
         """
-        leaving = self.masses * gone  # the mass each row leaves, all at its value
-        if len(siblings):
-            leaving[solo] = siblings.sum(axis=1)
-        out = solo | gone
-        if out.any():
-            lost = leaving[out]
-            table = ValueMassTable(self.values[out], lost, np.zeros(len(lost), dtype=bool))
+        rows = np.flatnonzero(solo | gone)
+        table, self.table = self.table, None
+        if len(rows):
+            lost = self.masses[rows]  # the mass each row leaves, all at its value
+            if len(siblings):
+                lost[solo[rows]] = siblings.sum(axis=1)
+            table = table.take(rows, lost)
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
             self.frozen_mass += float(lost.sum())
 

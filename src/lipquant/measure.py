@@ -40,6 +40,8 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
     The only user of SciPy on the algorithms' path: it is imported here, so
     that the package and every other marginal load NumPy alone.
     """
+    if not (np.isfinite(mu) and np.isfinite(sigma)):
+        raise ValueError(f"mu and sigma must be finite, got mu={mu}, sigma={sigma}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     from scipy.special import erfc
@@ -56,6 +58,9 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
     hi = std_normal_cdf(np.array((1.0 - mu) / sigma))
     hi_sf = std_normal_sf(np.array((1.0 - mu) / sigma))
     norm = float(hi - lo)
+    if not norm > 0:
+        raise ValueError(f"mu={mu}, sigma={sigma} put a mass on [0,1] that rounds to 0, "
+                         f"so the normal law cannot be conditioned on [0,1]")
 
     def cdf(x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - mu) / sigma

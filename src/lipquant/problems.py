@@ -189,51 +189,6 @@ def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
     return float(values[order][i])
 
 
-def refined_quantile_d1(p: TestProblem, coarse_resolution: int = 10 ** 5) -> float:
-    """Near-machine-precision quantile oracle for smooth d = 1 problems.
-
-    Bisects on the quantile value q; at each step P(f(X) <= q) is computed
-    by locating the roots of f = q with Brent's method (f is assumed
-    monotone within each coarse grid cell) and summing exact CDF increments
-    over the sublevel intervals.  Accuracy ~1e-13, versus O(L/resolution)
-    for the plain grid oracle.
-    """
-    from scipy.optimize import brentq
-
-    if p.dim != 1:
-        raise ValueError("refined oracle supports d = 1 only")
-    cdf = p.measure.marginals[0].cdf
-    x = np.linspace(0.0, 1.0, coarse_resolution + 1)
-    v = np.asarray(p.f(x[:, None]), dtype=float)
-    cdf_x = np.asarray(cdf(x), dtype=float)
-    w = np.diff(cdf_x)
-
-    def scalar_f(t: float) -> float:
-        return float(p.f(np.array([[t]]))[0])
-
-    def sublevel_mass(q: float) -> float:
-        below = v <= q
-        mass = float(np.sum(w[below[:-1] & below[1:]]))
-        for i in np.flatnonzero(below[:-1] != below[1:]):
-            r = brentq(lambda t: scalar_f(t) - q, x[i], x[i + 1], xtol=1e-15)
-            if below[i]:
-                mass += float(cdf(r) - cdf_x[i])
-            else:
-                mass += float(cdf_x[i + 1] - cdf(r))
-        return mass
-
-    lo, hi = float(v.min()), float(v.max())
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sublevel_mass(mid) >= p.alpha:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
-            break
-    return hi
-
-
 def reference_quantile(p: TestProblem, resolution: int | None = None) -> float:
     """Analytic quantile when known, otherwise the grid oracle."""
     if p.true_quantile is not None:

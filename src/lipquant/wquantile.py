@@ -13,6 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_masses(masses: np.ndarray) -> None:
+    if masses.size == 0:
+        raise ValueError("empty table")
+    if not masses.min() >= 0:  # so that NaN fails too
+        raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
+
+
 class ValueMassTable:
     """Immutable table of mass points, sorted by value and merged on ties."""
 
@@ -23,10 +30,7 @@ class ValueMassTable:
         if not (values.ndim == 1 and values.shape == masses.shape == eligible.shape):
             raise ValueError(f"values, masses and eligible must be 1-D of one length, got "
                              f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
-        if values.size == 0:
-            raise ValueError("empty table")
-        if not masses.min() >= 0:  # so that NaN fails too
-            raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
+        _check_masses(masses)
         order = np.argsort(values)
         ordered = values[order]
         if np.isnan(ordered[-1]):  # sorted last
@@ -43,12 +47,46 @@ class ValueMassTable:
         zero = np.flatnonzero(self.values == 0)
         if len(zero):
             self.values[zero] = values[np.argmax(values == 0)]
-        self.eligible = np.logical_or.reduceat(eligible[order], starts)
+        if eligible.all():
+            self.eligible = np.ones(len(starts), dtype=bool)
+        else:
+            self.eligible = np.logical_or.reduceat(eligible[order], starts)
         # each row's group, in row order: bincount then sums each group
         # sequentially in row order, the order a stable sort would give
+        ranks = keep.astype(np.int64)  # numpy sums int64 faster than bools
+        np.cumsum(ranks, out=ranks)
+        ranks -= 1
         group = np.empty(values.size, dtype=np.int64)
-        group[order] = np.cumsum(keep) - 1
+        group[order] = ranks
+        del order, ranks
         self.masses = np.bincount(group, weights=masses)
+        # the rows' values and groups, from which `take` builds a sub-table
+        self.row_values, self.row_group = values, group
+
+    def take(self, rows: np.ndarray, masses) -> "ValueMassTable":
+        """The table of the rows `rows` of the values this table was built
+        from (it must not be a merged table), with masses `masses`, none
+        eligible: `ValueMassTable(values[rows], masses, False)`, bit for bit,
+        but built from this table's groups with no second sort.  Each group's
+        masses are summed in the order of `rows`, and a zero takes the sign
+        of the first of `rows` that holds it.
+        """
+        masses = np.asarray(masses, dtype=float)
+        _check_masses(masses)
+        group = self.row_group[rows]
+        present = np.zeros(len(self.values), dtype=bool)
+        present[group] = True
+        ranks = np.cumsum(present) - 1
+        out = object.__new__(ValueMassTable)
+        out.values = self.values[present]
+        zero = np.flatnonzero(self.values == 0)  # one group at most
+        if len(zero) and present[zero[0]]:
+            first = rows[np.argmax(group == zero[0])]
+            out.values[ranks[zero[0]]] = self.row_values[first]
+        np.take(ranks, group, out=group)
+        out.masses = np.bincount(group, weights=masses)
+        out.eligible = np.zeros(len(out.values), dtype=bool)
+        return out
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
         """The table of both tables' points, without sorting them again.

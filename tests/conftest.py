@@ -39,7 +39,7 @@ def paper_d2():
 @pytest.fixture(scope="session")
 def paper_d1_quantile(paper_d1):
     """Root-refined reference quantile, accurate to ~1e-13."""
-    from lipquant.problems import refined_quantile_d1
+    from oracles import refined_quantile_d1
 
     return refined_quantile_d1(paper_d1)
 

@@ -1,8 +1,8 @@
 """Cold start: the package, the uniform law and both algorithms load NumPy only.
 
-SciPy is imported by `truncated_normal_marginal` alone (and by the d=1
-root-refined oracle), so a process that never builds a truncated normal never
-pays for it.  Each check runs in a fresh interpreter, since this test process
+SciPy is imported by `truncated_normal_marginal` alone (and by the tests'
+d=1 root-refined oracle), so a process that never builds a truncated normal
+never pays for it.  Each check runs in a fresh interpreter, since this test process
 has SciPy loaded already.
 """
 

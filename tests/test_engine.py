@@ -243,3 +243,32 @@ def test_f_returning_wrong_shape_is_refused(paper_d2):
         run_known(f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 1000)
     with pytest.raises(ValueError, match=r"shape \(1,\), got shape \(1, 1\)"):
         run_unknown(f, paper_d2.measure, paper_d2.alpha, 1000)
+
+
+@pytest.mark.parametrize("dim,budget", CASES)
+def test_f_gets_fresh_arrays_it_may_overwrite(dim, budget):
+    # the centers are written in place into one array per level: f must get
+    # a C-contiguous float64 (n, d) array that no earlier call got, and
+    # scribbling over it must change nothing the run reports
+    f, lip = random_lipschitz_problem(np.random.default_rng(20 + dim), dim)
+    m = measure_for(dim)
+    seen = []
+
+    def scribbling(x):
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        assert x.ndim == 2 and x.shape[1] == dim and x.flags.c_contiguous
+        assert not any(np.shares_memory(x, y) for y in seen)
+        seen.append(x)  # held, so that its memory cannot be handed out again
+        values = f(x)
+        x[:] = np.nan
+        return values
+
+    known = [run_known(g, lip, m, 0.8, budget, keep_active_sets=True) for g in (f, scribbling)]
+    assert known[0].history == known[1].history
+    assert known[0].active_sets == known[1].active_sets
+    assert known[0].bracket == known[1].bracket
+    assert sum(map(len, seen)) == known[0].history[-1].evaluations
+    seen.clear()
+    unknown = [run_unknown(g, m, 0.8, budget, max_level=12 // dim) for g in (f, scribbling)]
+    assert unknown[0] == unknown[1]
+    assert sum(map(len, seen)) == unknown[0].evaluations

@@ -73,6 +73,21 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal_marginal(0.2, 0.0)
 
+    @pytest.mark.parametrize("mu, sigma", [(np.nan, 0.2), (np.inf, 0.2), (-np.inf, 0.2),
+                                           (0.2, np.nan), (0.2, np.inf)])
+    def test_rejects_non_finite_parameters(self, mu, sigma):
+        with pytest.raises(ValueError, match=r"mu and sigma must be finite, got "
+                                             rf"mu={mu}, sigma={sigma}"):
+            truncated_normal_marginal(mu, sigma)
+
+    @pytest.mark.parametrize("mu", [40.0, -40.0])
+    def test_rejects_a_law_without_mass_on_the_cube(self, mu):
+        # before the check, a run on such a law failed late, with a
+        # RuntimeWarning and "masses must be >= 0, got nan"
+        with pytest.raises(ValueError, match=rf"mu={mu}, sigma=0.5 put a mass on \[0,1\] "
+                                             "that rounds to 0"):
+            truncated_normal_marginal(mu, 0.5)
+
 
 class TestCellProbability:
     def test_uniform_d2_level1(self):

@@ -14,8 +14,9 @@ from lipquant.problems import (
     monte_carlo_quantile,
     paper_f_d1,
     paper_f_d2,
-    refined_quantile_d1,
 )
+
+from oracles import refined_quantile_d1
 
 
 class TestPaperD1:

@@ -262,3 +262,73 @@ class TestMerge:
         assert t.values.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert t.masses.tolist() == [0.1, 0.3, 0.2 + 0.4, 0.0]
         assert t.eligible.tolist() == [False, True, True, True]
+
+
+class TestTake:
+    """The table of some rows, built from the groups of the table of all
+    rows, equals the table built from those rows alone, bit for bit."""
+
+    @staticmethod
+    def assert_take(values, eligible, rows, masses):
+        values = np.asarray(values, dtype=float)
+        rows = np.asarray(rows, dtype=np.int64)
+        whole = ValueMassTable(values, np.ones(len(values)), eligible)
+        got = whole.take(rows, masses)
+        want = ValueMassTable(values[rows], masses, np.zeros(len(rows), dtype=bool))
+        for a, b in ((got.values, want.values), (got.masses, want.masses),
+                     (got.eligible, want.eligible)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+        return got
+
+    def test_ties_and_a_zero_mass_row(self):
+        values = [2.0, 1.0, 2.0, 3.0, 1.0, 2.0]
+        got = self.assert_take(values, [True] * 6, [0, 2, 3, 4, 5], [0.125, 0.0, 0.25, 0.5, 0.125])
+        assert got.values.tolist() == [1.0, 2.0, 3.0]
+        assert got.masses.tolist() == [0.5, 0.25, 0.25]
+        assert not got.eligible.any()
+
+    def test_zero_takes_the_sign_of_the_first_row_taken(self):
+        # -0.0 comes first in the whole table, but is not taken
+        values = [-0.0, 1.0, 0.0, -0.0, 0.0]
+        assert np.signbit(ValueMassTable(values, [0.2] * 5, [True] * 5).values[0])
+        got = self.assert_take(values, [True] * 5, [1, 2, 3], [0.25, 0.25, 0.5])
+        assert got.values[0] == 0.0 and not np.signbit(got.values[0])
+        got = self.assert_take(values, [True] * 5, [0, 4], [0.5, 0.5])
+        assert np.signbit(got.values[0])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1 / 3, 2.0, 7.0]),  # heavy ties
+                st.booleans(),  # eligible in the whole table
+                st.booleans(),  # taken
+                st.sampled_from([0.0, 0.1, 1 / 3, 0.7]),
+            ),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_random_tables(self, points):
+        values, eligible, taken, masses = map(np.array, zip(*points))
+        assume(taken.any())
+        rows = np.flatnonzero(taken)
+        self.assert_take(values, eligible, rows, masses[rows])
+
+    @pytest.mark.parametrize("distinct", [24, 100_000])
+    def test_large_tables(self, distinct):
+        rng = np.random.default_rng(distinct)
+        values = (rng.integers(0, distinct, 100_000) - distinct // 2) / 7
+        values[rng.random(100_000) < 0.01] = -0.0
+        rows = np.flatnonzero(rng.random(100_000) < 0.3)
+        self.assert_take(values, np.ones(100_000, dtype=bool), rows, rng.random(len(rows)) ** 4)
+
+    def test_refuses_bad_masses(self):
+        t = ValueMassTable([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [True] * 3)
+        with pytest.raises(ValueError, match="masses must be >= 0, got nan"):
+            t.take(np.array([0, 2]), [0.5, np.nan])
+        with pytest.raises(ValueError, match="masses must be >= 0, got -0.5"):
+            t.take(np.array([1]), [-0.5])
+        with pytest.raises(ValueError, match="empty table"):
+            t.take(np.array([], dtype=np.int64), [])
