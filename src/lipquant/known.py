@@ -21,6 +21,7 @@ budgets from a single deep run.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,9 @@ class LevelRecord:
     level: int
     estimate: float
     evaluations: int      # f calls spent to reach and evaluate this level
-    active_cells: int
-    active_mass: float
-    frozen_mass: float
+    active_cells: int     # the frontier: cells kept by a live band at the level before
+    active_mass: float    # their probability
+    frozen_mass: float    # the probability of the cells that left the frontier
     live: tuple[int, ...]  # the bands not yet retired
 
 
@@ -103,37 +104,37 @@ class Frontier:
     (increasing in j) and budget slice `slices[j]`.  A live band keeps the
     cells of its set whose value lies within 2*L_j*delta_k of the pooled
     estimate; all 3^d children of a kept cell join the next level.  A band
-    whose ledger overruns its slice retires: it then advances through center
-    children only, which share their parent's center and so cost no call.
-    Cells that leave the frontier are frozen: their value and mass stay in
-    every later table as ineligible points.  They are kept as one table,
-    `frozen`, sorted by value and merged on ties, into which each level
-    merges its frozen cells once, the frozen children of one row (which share
-    its value) as one point; `frozen_mass` is their running total.  Each
-    level is sorted once: `_freeze` builds the table of the cells that leave
+    whose ledger overruns its slice retires: it refines nothing more, and the
+    cells of its set, whose centers were evaluated, stay quantile candidates.
+
+    A row that no live band keeps leaves the frontier once, with its own
+    mass, as a frozen point: eligible iff a retired band holds it (as DIRECT
+    leaves a box that no constant selects in its partition), else a pruned
+    cell that only adds its mass.  The frozen points are kept as one table,
+    `frozen`, sorted by value and merged on ties, into which each level merges
+    the rows that leave once; `frozen_mass` is their running total.  Each
+    level is sorted once: `_freeze` builds the table of the rows that leave
     from the groups of the level's table, `table` (`ValueMassTable.take`).
+    If no live band keeps a row, the frontier is empty: the run goes on to
+    its stop with no f call, and the estimate comes from `frozen` alone.
 
-    Every level lists first the children of the full rows, in parent order
-    and each row's in `itertools.product` order, then the center children of
-    the solo rows (see `_refine`); the order fixes how the quantile table sums
-    tied masses.  So digits are not stored per row: row r < 3^d * len(block)
-    is the child 3*block[r // 3^d] + offsets[r % 3^d] of a full row, the rows
-    after them have the digits `solo`, and `digits` derives them, once per
-    level for the rows that keep children.
-
-    Masses come from the parents: each refinement makes one
-    `ProductMeasure.child_probabilities` call on the rows that keep children,
-    which gives both the next frontier's masses and those of the children
-    that freeze.  On the 3^d axis of the children the level loop uses slices
-    and integer indices only.
+    Every level lists the children of the rows kept at the level before, in
+    parent order and each row's in `itertools.product` order; the order fixes
+    how the quantile table sums tied masses.  So digits are not stored per
+    row: row r is the child 3*block[r // fan] + offsets[r % fan] of the
+    parent digits `block`, with `fan` = 3^d rows per parent (1 at the root,
+    whose parent digits are 0), and `digits` derives them, once per level for
+    the kept rows.  Masses come from the parents too: each refinement makes
+    one `ProductMeasure.child_probabilities` call on the kept rows.  On the
+    3^d axis of the children the level loop uses slices and integer indices
+    only.
 
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding a row are the live
     j >= its lowest band, and one flag says whether a retired band holds it.
-    These band columns are kept per full row, `lowest` and `held`, and read
-    through (len(block), 3^d) views: a full row's children have its lowest
-    band, and a retired band holds its center child iff one held the row.
-    The solo rows share `solo_lowest` and `solo_held`.
+    These band columns are kept per parent, `lowest` and `held`, and read
+    through (len(block), fan) views: a row has its parent's lowest band, and
+    a retired band holds the center child of each row it held.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
@@ -143,22 +144,20 @@ class Frontier:
         self.slices = np.asarray(slices, dtype=np.int64)
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
         self.center = (3 ** d - 1) // 2  # row of the all-ones offset
-        self.others = np.delete(np.arange(3 ** d), self.center)  # non-center offset rows
-        self.odd = 2 * self.offsets[self.others] + 1  # 2*o + 1 for those offsets o
+        # 2*o + 1 for the non-center offsets o
+        self.odd = 2 * np.delete(self.offsets, self.center, axis=0) + 1
         self.level = 0
         self.evaluations = 0
-        self.block = np.zeros((0, d), dtype=np.int64)
-        self.solo = np.zeros((1, d), dtype=np.int64)
-        self.lowest = np.zeros(0, dtype=np.int64)
-        self.held = np.zeros(0, dtype=bool)
-        self.solo_lowest, self.solo_held = 0, False
+        self.block, self.fan = np.zeros((1, d), dtype=np.int64), 1
+        self.lowest = np.zeros(1, dtype=np.int64)
+        self.held = np.zeros(1, dtype=bool)
         self.live = np.ones(len(self.lipschitz), dtype=bool)
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
         self.frozen: ValueMassTable | None = None
         self.frozen_mass = 0.0
         self.values = self._evaluate(np.full((1, d), 0.5))
-        self.masses = measure.cell_probabilities(0, self.solo)
+        self.masses = measure.cell_probabilities(0, self.block)
         self._estimate()
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -174,28 +173,26 @@ class Frontier:
         return values
 
     def digits(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The (len(rows), d) digits of the ascending frontier rows `rows`,
-        of every row by default."""
-        n = len(self.block) * len(self.offsets)
+        """The (len(rows), d) digits of the frontier rows `rows`, of every row
+        by default."""
         if rows is None:
-            rows = np.arange(n + len(self.solo))
-        split = np.searchsorted(rows, n)
-        parent, kid = np.divmod(rows[:split], len(self.offsets))
+            rows = np.arange(len(self.values))
+        parent, kid = np.divmod(rows, self.fan)
         # np.take gathers rows of a 2-D array several times faster than
         # fancy indexing does
-        full = np.take(self.block, parent, axis=0)
-        full *= 3
-        full += np.take(self.offsets, kid, axis=0)
-        return np.concatenate([full, np.take(self.solo, rows[split:] - n, axis=0)])
+        digits = np.take(self.block, parent, axis=0)
+        digits *= 3
+        digits += np.take(self.offsets, kid, axis=0)
+        return digits
 
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
-        # shares its parent's), so the whole frontier is eligible; only
-        # frozen values are not
-        self.table = table = ValueMassTable(self.values, self.masses,
-                                            np.ones(len(self.values), dtype=bool))
-        if self.frozen is not None:
-            table = self.frozen.merge(table)
+        # shares its parent's), so the whole frontier is eligible
+        table = self.frozen
+        if len(self.values):
+            self.table = ValueMassTable(self.values, self.masses,
+                                        np.ones(len(self.values), dtype=bool))
+            table = self.table if table is None else table.merge(self.table)
         self.estimate = weighted_quantile_sup(table, self.alpha)
         est_inf = weighted_quantile_inf(table, self.alpha)
         # equal in exact arithmetic; cumulative-sum rounding can flip one
@@ -234,12 +231,11 @@ class Frontier:
         Row i is kept by the live bands j >= first[i] (J means by none) and
         held by a retired or retiring band iff hold[i].
         """
-        n_bands, n_kids = len(self.lipschitz), len(self.offsets)
-        n = len(self.block) * n_kids  # rows of the full rows' children
+        n_bands, fan = len(self.lipschitz), self.fan
         delta = half_radius(self.level, self.measure.dim)
         bands = 2.0 * self.lipschitz * delta
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
-        # where a child of a full row has its parent's lowest
+        # where a row has its parent's lowest
         gap = np.subtract(self.values, self.estimate)
         np.abs(gap, out=gap)
         if n_bands == 1:  # one comparison per row beats a binary search
@@ -247,11 +243,10 @@ class Frontier:
         else:
             first = np.searchsorted(bands, gap)
         del gap
-        kids = first[:n].reshape(-1, n_kids)
+        kids = first.reshape(-1, fan)
         np.maximum(kids, self.lowest[:, None], out=kids)
-        np.maximum(first[n:], self.solo_lowest, out=first[n:])
         kept_by = np.cumsum(np.bincount(first, minlength=n_bands + 1))[:n_bands]
-        self.ledgers[self.live] += (n_kids - 1) * kept_by[self.live]
+        self.ledgers[self.live] += (len(self.offsets) - 1) * kept_by[self.live]
         retiring = self.live & (self.ledgers > self.slices)
         for j in np.flatnonzero(retiring):
             self.retired[int(j)] = self.level
@@ -259,98 +254,71 @@ class Frontier:
         if not self.live.any():
             return False
         # a band retiring now holds the rows whose lowest band is at or below
-        # it; bands retired before hold the solo rows and the center child of
-        # each full row they held
-        last = _last(retiring)
+        # it; bands retired before hold the center child of each row they held
         hold = np.empty(len(first), dtype=bool)
-        hold[:n].reshape(-1, n_kids)[:] = (self.lowest <= last)[:, None]
-        hold[self.center:n:n_kids] |= self.held
-        hold[n:] = self.solo_held or self.solo_lowest <= last
+        hold.reshape(-1, fan)[:] = (self.lowest <= _last(retiring))[:, None]
+        hold[fan // 2::fan] |= self.held
         self._refine(first, hold)
         return True
 
     def _refine(self, first: np.ndarray, hold: np.ndarray) -> None:
-        """Replace the frontier by the next level's cells, freeze the rest, and
-        estimate the next level.
+        """Replace the frontier by the children of the rows that a live band
+        keeps, freeze the other rows, and estimate the next level.
 
-        The next frontier is the children of the full rows (kept by a live
-        band), in parent order, then the center children of the solo rows
-        (held only by retired bands).  Its columns are built one step at a
-        time, each step in its own method, so that one step's temporaries
-        are released before the next step allocates.
+        The next level's columns are built one step at a time, so that one
+        step's temporaries are released before the next step allocates.
         """
-        full = first <= _last(self.live)  # a band that goes on keeps the row
-        solo = hold & ~full                # only retired bands hold the row
-        gone = ~full & ~hold
-        parents, solos = np.flatnonzero(full), np.flatnonzero(solo)
-        if len(parents) + len(solos) == 0:
-            raise AssertionError("no survivor: the estimate must lie in its own band")
+        kept = first <= _last(self.live)  # a band that goes on keeps the row
+        parents = np.flatnonzero(kept)
         level = self.level + 1
-        # the digits of the rows that keep children, full rows first
-        digits = np.concatenate([self.digits(parents), self.digits(solos)])
-        block = digits[:len(parents)]
-
-        values = self._children(level, parents, block, solos)
-        masses, siblings = self._child_masses(level, digits, len(parents))
-        self._freeze(solo, gone, siblings)
-        self.block, self.solo = block, 3 * digits[len(parents):] + 1
+        block = self.digits(parents)
+        values = self._children(level, parents, block)
+        # row-major: each parent's children in `itertools.product` order
+        masses = self.measure.child_probabilities(level, block).ravel()
+        self._freeze(~kept, hold)
+        self.block, self.fan = block, len(self.offsets)
         self.values, self.masses = values, masses
-        # a solo row's center child is held by retired bands only
         self.lowest, self.held = first[parents], hold[parents]
-        self.solo_lowest, self.solo_held = len(self.lipschitz), True
         self.level = level
         self._estimate()
 
-    def _children(self, level: int, parents: np.ndarray, block: np.ndarray, solos: np.ndarray):
-        """Values of the next frontier, from the digits `block` of the full
-        rows `parents`; f runs on the new centers."""
+    def _children(self, level: int, parents: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Values of the next frontier, from the digits `block` of the rows
+        `parents`; f runs on the new centers."""
         n_kids, d = self.offsets.shape
-        c, n = self.center, len(parents) * n_kids
+        c = self.center
         points = np.empty((len(parents), n_kids - 1, d))
         for a in range(d):
             # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every
             # term is an integer below 2^53, so only the division rounds
             np.divide(6 * block[:, a, None] + self.odd[:, a], 2 * 3 ** level, out=points[:, :, a])
-        values = np.empty(n + len(solos))
-        kid_values = values[:n].reshape(-1, n_kids)
-        kid_values[:, c] = self.values[parents]  # the center child's is its parent's
+        values = np.empty((len(parents), n_kids))
+        values[:, c] = self.values[parents]  # the center child's is its parent's
         if len(parents):
             fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
-            kid_values[:, :c], kid_values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
-        values[n:] = self.values[solos]
-        return values
+            values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
+        return values.reshape(-1)
 
-    def _child_masses(self, level: int, digits: np.ndarray, n_full: int):
-        """Masses of the next frontier, and of the solo rows' other children.
-
-        One mass call serves every row that keeps children (`digits`, the
-        `n_full` full rows first): a full row's children join the frontier,
-        a solo row's center child joins it and the others freeze.
-        """
-        n_kids = len(self.offsets)
-        child = self.measure.child_probabilities(level, digits)
-        masses = np.empty(n_full * n_kids + len(digits) - n_full)
-        masses[:n_full * n_kids].reshape(-1, n_kids)[:] = child[:n_full]
-        masses[n_full * n_kids:] = child[n_full:, self.center]
-        # in C order, since the rounding of _freeze's row sums depends on the
-        # layout; copying the transpose is the fast way there
-        return masses, child.T[self.others, n_full:].T.copy()
-
-    def _freeze(self, solo: np.ndarray, gone: np.ndarray, siblings: np.ndarray) -> None:
-        """Merge the cells that leave the frontier into `frozen`.
-
-        A row outside every band leaves with its own mass; a solo row leaves
-        its non-center children, `siblings`, with the sum of their masses.
-        """
-        rows = np.flatnonzero(solo | gone)
+    def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
+        """Merge the rows `leaving` into `frozen`, each with its own mass and
+        eligible iff a retired band holds it."""
+        rows = np.flatnonzero(leaving)
         table, self.table = self.table, None
         if len(rows):
-            lost = self.masses[rows]  # the mass each row leaves, all at its value
-            if len(siblings):
-                lost[solo[rows]] = siblings.sum(axis=1)
-            table = table.take(rows, lost)
+            lost = self.masses[rows]
+            table = table.take(rows, lost, hold[rows])
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
             self.frozen_mass += float(lost.sum())
+
+
+def check_limits(budget, least: int, max_level: int | None = None) -> None:
+    """Refuse a budget that is not a whole number >= `least`, and a negative
+    `max_level`."""
+    whole = isinstance(budget, numbers.Integral) or isinstance(budget, float) and budget.is_integer()
+    if not (whole and budget >= least):
+        raise ValueError(f"budget must be a whole number >= {least}, got {budget!r}")
+    if max_level is not None and max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level!r}")
 
 
 def run_known(
@@ -372,8 +340,7 @@ def run_known(
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_limits(budget, 1, max_level)
 
     fr = Frontier(f, measure, alpha, [lipschitz], [budget])
     history, active_sets, stop = fr.run(max_level, keep_active_sets)

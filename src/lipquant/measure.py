@@ -54,20 +54,26 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
         # and this one in the upper tail
         return 0.5 * erfc(np.asarray(z, dtype=float) / np.sqrt(2.0))
 
-    lo = std_normal_cdf(np.array((0.0 - mu) / sigma))
-    hi = std_normal_cdf(np.array((1.0 - mu) / sigma))
-    hi_sf = std_normal_sf(np.array((1.0 - mu) / sigma))
-    norm = float(hi - lo)
+    # each difference is taken in the tail that keeps its relative accuracy:
+    # the upper tail where [0,1] lies above mu, the lower where it lies below
+    a, b = np.array((0.0 - mu) / sigma), np.array((1.0 - mu) / sigma)
+    lo, lo_sf = std_normal_cdf(a), std_normal_sf(a)
+    hi, hi_sf = std_normal_cdf(b), std_normal_sf(b)
+    norm = float(lo_sf - hi_sf) if a > 0 else float(hi - lo)
     if not norm > 0:
         raise ValueError(f"mu={mu}, sigma={sigma} put a mass on [0,1] that rounds to 0, "
                          f"so the normal law cannot be conditioned on [0,1]")
 
     def cdf(x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - mu) / sigma
+        if a > 0:
+            return (lo_sf - std_normal_sf(z)) / norm
         return (std_normal_cdf(z) - lo) / norm
 
     def sf(x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - mu) / sigma
+        if b < 0:
+            return (hi - std_normal_cdf(z)) / norm
         return (std_normal_sf(z) - hi_sf) / norm
 
     return Marginal(cdf=cdf, kind="truncated_normal", params=(mu, sigma), sf=sf)

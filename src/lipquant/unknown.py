@@ -3,10 +3,14 @@
 Candidate constants 3^j, j = 0..j_max(N), each run the known-constant
 pruning with their own band and their own slice of the global budget,
 floor(6N / (pi^2 (j+1)^2)).  All candidates share one frontier of cells
-(`known.Frontier`, one band per candidate) and one pooled quantile per level;
-a candidate whose ledger overruns its slice is retired and thereafter
-advances only through center children, which cost nothing.  The pooled
-estimate is returned without a bracket.
+(`known.Frontier`, one band per candidate) and one pooled quantile per level.
+A candidate whose ledger overruns its slice is retired and refines nothing
+more.  A cell that only retired candidates hold leaves the frontier once, with
+its own mass, as an eligible frozen point, as DIRECT leaves a box that no
+constant selects in its partition.  So from the first retirement on, a
+`LevelRecord`'s `active_cells` and `active_mass` count only the cells that a
+live candidate keeps, and its `frozen_mass` includes the cells that left as
+eligible points.  The pooled estimate is returned without a bracket.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 # center_child_digits is unused here; the benchmark's tests patch it at this path
 from .grid import center_child_digits, half_radius  # noqa: F401
-from .known import Frontier, LevelRecord
+from .known import Frontier, LevelRecord, check_limits
 from .measure import ProductMeasure
 
 _MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
@@ -37,8 +41,7 @@ class CandidateSchedule:
 
 def schedule(budget: int) -> list[CandidateSchedule]:
     """Candidates j = 0, 1, ... with constant 3^j, while their slice is nonzero."""
-    if budget < _MIN_BUDGET:
-        raise ValueError(f"budget must be >= {_MIN_BUDGET}, got {budget}")
+    check_limits(budget, _MIN_BUDGET)
     slices = itertools.takewhile(
         lambda n: n >= 1, (candidate_budget(j, budget) for j in itertools.count()))
     return [CandidateSchedule(j, 3.0 ** j, n) for j, n in enumerate(slices)]
@@ -81,7 +84,8 @@ def run_unknown(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    candidates = schedule(budget)  # refuses a budget below _MIN_BUDGET
+    check_limits(budget, _MIN_BUDGET, max_level)
+    candidates = schedule(budget)
     fr = Frontier(f, measure, alpha, [c.lipschitz for c in candidates],
                   [c.budget for c in candidates])
     history, _, stop = fr.run(max_level)

@@ -63,29 +63,30 @@ class ValueMassTable:
         # the rows' values and groups, from which `take` builds a sub-table
         self.row_values, self.row_group = values, group
 
-    def take(self, rows: np.ndarray, masses) -> "ValueMassTable":
+    def take(self, rows: np.ndarray, masses, eligible) -> "ValueMassTable":
         """The table of the rows `rows` of the values this table was built
-        from (it must not be a merged table), with masses `masses`, none
-        eligible: `ValueMassTable(values[rows], masses, False)`, bit for bit,
-        but built from this table's groups with no second sort.  Each group's
-        masses are summed in the order of `rows`, and a zero takes the sign
-        of the first of `rows` that holds it.
+        from (it must not be a merged table), with masses `masses` and
+        eligibility `eligible`: `ValueMassTable(values[rows], masses,
+        eligible)`, bit for bit, but built from this table's groups with no
+        second sort.  Each group's masses are summed in the order of `rows`,
+        its eligibility is or-ed, and a zero takes the sign of the first of
+        `rows` that holds it.
         """
         masses = np.asarray(masses, dtype=float)
         _check_masses(masses)
         group = self.row_group[rows]
         present = np.zeros(len(self.values), dtype=bool)
         present[group] = True
-        ranks = np.cumsum(present) - 1
         out = object.__new__(ValueMassTable)
         out.values = self.values[present]
         zero = np.flatnonzero(self.values == 0)  # one group at most
         if len(zero) and present[zero[0]]:
             first = rows[np.argmax(group == zero[0])]
-            out.values[ranks[zero[0]]] = self.row_values[first]
-        np.take(ranks, group, out=group)
-        out.masses = np.bincount(group, weights=masses)
-        out.eligible = np.zeros(len(out.values), dtype=bool)
+            out.values[np.count_nonzero(present[:zero[0]])] = self.row_values[first]
+        out.masses = np.bincount(group, weights=masses, minlength=len(self.values))[present]
+        hit = np.zeros(len(self.values), dtype=bool)
+        hit[group[np.asarray(eligible, dtype=bool)]] = True
+        out.eligible = hit[present]
         return out
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":

@@ -46,12 +46,17 @@ def measure_for(dim):
     )
 
 
-def reference_unknown(f, measure, alpha, budget, max_level):
+def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     """run_unknown as a per-cell loop over tuple cells with a center memo.
 
     `cells` is the frontier in the engine's order: the children of every cell
-    that a live band keeps, in parent and `itertools.product` order, then the
-    center children of the cells that only retired bands hold.
+    that a live band keeps, in parent and `itertools.product` order.  A cell
+    that no live band keeps leaves it with its own mass, as an eligible
+    frozen point if a retired band holds it.  With `walk` such a held cell
+    instead goes on as its center child (which shares its center), after the
+    kept cells' children, and its other children freeze at its value: in
+    exact arithmetic the same table, since merged on that value they form
+    one eligible point with the cell's mass.
     """
     d = measure.dim
     n_kids = 3 ** d
@@ -61,11 +66,11 @@ def reference_unknown(f, measure, alpha, budget, max_level):
     live = list(sets)
     retired: dict[int, int] = {}
     cache: dict = {}
-    frozen_values: list[float] = []
-    frozen_masses: list[float] = []
+    frozen: list[tuple[float, float, bool]] = []  # (value, mass, eligible)
     frozen_mass = 0.0  # running total, one row-order sum per level, as the engine keeps it
     levels = []  # (estimate, active mass, frozen mass), summed in table order
     frontiers = []  # the cells of each level
+    frozen_points = []  # the frozen points of each level
     k = 0
     while True:
         keys = [canonical_center_key(k, c) for c in cells]
@@ -75,13 +80,14 @@ def reference_unknown(f, measure, alpha, budget, max_level):
         values = np.array([cache[key] for key in keys])
         masses = measure.cell_probabilities(k, cells)
         table = ValueMassTable(
-            np.concatenate([values, frozen_values]),
-            np.concatenate([masses, frozen_masses]),
-            [True] * len(cells) + [False] * len(frozen_values),
+            np.concatenate([values, [v for v, _, _ in frozen]]),
+            np.concatenate([masses, [m for _, m, _ in frozen]]),
+            [True] * len(cells) + [e for _, _, e in frozen],
         )
         estimate = weighted_quantile_sup(table, alpha)
         levels.append((estimate, float(np.sum(masses)), frozen_mass))
         frontiers.append(cells)
+        frozen_points.append(list(frozen))
         if k >= max_level:
             break
         value_of = dict(zip(cells, values))
@@ -99,32 +105,32 @@ def reference_unknown(f, measure, alpha, budget, max_level):
                 nxt[j] = [kid for c in kept for kid in child_digits(c)]
                 full.update(kept)
         for j in sets:
-            nxt.setdefault(j, [center_child_digits(c) for c in sets[j]])
+            nxt.setdefault(j, [center_child_digits(c) for c in sets[j] if walk or c in full])
         if not live:
             break
         held = set().union(*(sets[j] for j in retired))
         next_cells = [kid for c in cells if c in full for kid in child_digits(c)]
-        next_cells += [center_child_digits(c) for c in cells if c not in full and c in held]
+        next_cells += [center_child_digits(c) for c in cells if walk and c not in full and c in held]
         next_union = set(next_cells)
         assert len(next_union) == len(next_cells)
         assert next_union == set().union(*nxt.values())
         leaving = []  # the mass each cell leaves, in frontier order
         for c in cells:
-            gone = [kid for kid in child_digits(c) if kid not in next_union]
-            if len(gone) == n_kids:
-                frozen_values.append(value_of[c])
-                frozen_masses.append(mass_of[c])
-                leaving.append(mass_of[c])
-            elif gone:
+            if c in full:
+                continue
+            if walk and c in held:
+                gone = [kid for kid in child_digits(c) if kid != center_child_digits(c)]
                 gone_masses = measure.cell_probabilities(k + 1, gone)
-                frozen_values.extend([value_of[c]] * len(gone))
-                frozen_masses.extend(gone_masses)
+                frozen.extend((value_of[c], m, False) for m in gone_masses)
                 leaving.append(float(np.sum(gone_masses)))
+            else:
+                frozen.append((value_of[c], mass_of[c], c in held))
+                leaving.append(mass_of[c])
         if leaving:
             frozen_mass += float(np.sum(leaving))
         sets, cells = nxt, next_cells
         k += 1
-    return levels, ledgers, retired, len(cache), frontiers
+    return levels, ledgers, retired, len(cache), frontiers, frozen_points
 
 
 @pytest.mark.parametrize("dim,budget", CASES)
@@ -151,36 +157,84 @@ def test_unknown_frontier_matches_oracle(dim, budget):
     m = measure_for(dim)
     max_level = 12 // dim
     run = run_unknown(g, m, 0.8, budget, max_level=max_level)
-    levels, ledgers, retired, evaluations, _ = reference_unknown(f, m, 0.8, budget, max_level)
+    levels, ledgers, retired, evaluations, *_ = reference_unknown(f, m, 0.8, budget, max_level)
     # exact sums pin the frontier to the engine's order, as in the loop
     assert [(r.estimate, r.active_mass, r.frozen_mass) for r in run.history] == levels
     assert run.ledgers == ledgers
     assert run.retirement_level == retired
-    # candidates retire at different levels, so retired bands advance by
-    # center children while live ones still refine
+    # candidates retire at different levels, so cells that only retired
+    # bands hold leave the frontier while live bands still refine
     assert len(set(retired.values())) > 1
     assert assert_distinct_points(calls) == run.evaluations == evaluations
 
 
 @pytest.mark.parametrize("dim,budget", CASES)
-def test_frontier_digits_on_the_solo_path(dim, budget):
-    # the digits are derived from the full rows' parents and the solo rows'
-    # own; after a retirement both kinds of row share the frontier
+def test_settled_cells_change_no_estimate(dim, budget):
+    # the walk keeps each cell that only retired bands hold in the frontier
+    # as its center child; leaving it once as an eligible frozen point gives
+    # the same estimate at every level
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     m = measure_for(dim)
     max_level = 12 // dim
-    *_, frontiers = reference_unknown(f, m, 0.8, budget, max_level)
+    run = run_unknown(f, m, 0.8, budget, max_level=max_level)
+    levels, ledgers, retired, evaluations, frontiers, _ = reference_unknown(
+        f, m, 0.8, budget, max_level, walk=True)
+    assert [r.estimate for r in run.history] == [estimate for estimate, _, _ in levels]
+    assert run.ledgers == ledgers
+    assert run.retirement_level == retired
+    assert run.evaluations == evaluations
+    # the walk carries cells that the engine has settled
+    assert any(len(cells) > r.active_cells for cells, r in zip(frontiers, run.history))
+
+
+@pytest.mark.parametrize("dim,budget", CASES)
+def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
+    # the digits are derived from the parents' at every level, the root's
+    # included; the frozen table holds the oracle's points, eligible where a
+    # retired band holds them, also through the center child of a kept cell
+    f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
+    m = measure_for(dim)
+    max_level = 12 // dim
+    *_, frontiers, frozen_points = reference_unknown(f, m, 0.8, budget, max_level)
     bands = range(j_max(budget) + 1)
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
-    mixed = 0  # levels with both full-block and solo rows
-    for cells in frontiers:
+    settled = 0  # levels with eligible frozen points
+    for cells, points in zip(frontiers, frozen_points):
         assert list(map(tuple, fr.digits().tolist())) == cells
-        mixed += len(fr.block) > 0 and len(fr.solo) > 0
+        if points:
+            want = ValueMassTable(*zip(*points))
+            for got, ref in ((fr.frozen.values, want.values), (fr.frozen.masses, want.masses),
+                             (fr.frozen.eligible, want.eligible)):
+                assert np.array_equal(got, ref)
+            settled += bool(want.eligible.any())
         if fr.level == len(frontiers) - 1:
             break
         assert fr.step()
     assert fr.level == len(frontiers) - 1
-    assert mixed > 0
+    assert settled > 0
+
+
+def test_empty_frontier_goes_on_without_f():
+    # band 0 stays live but keeps no cell after level 3: the frontier is
+    # empty from then on, and the frozen table alone gives the estimate
+    rng = np.random.default_rng(1093)
+    f, _ = random_lipschitz_problem(rng, 1)
+    m = lq.product_measure([lq.truncated_normal_marginal(rng.uniform(0.1, 0.9),
+                                                         rng.uniform(0.05, 0.4))])
+    alpha = rng.uniform(0.05, 0.95)
+    g, calls = recorded(f)
+    run = run_unknown(g, m, alpha, 50)
+    assert run.stop_reason == "precision"
+    assert run.level == K_MAX
+    assert [len(c) for c in calls] == [1, 2, 4, 2]
+    assert run.evaluations == 9
+    assert [r.active_cells for r in run.history[4:]] == [0] * (K_MAX - 3)
+    assert {r.live for r in run.history[4:]} == {(0,)}
+    assert {r.estimate for r in run.history[3:]} == {run.estimate}
+    _, ledgers, retired, evaluations, *_ = reference_unknown(f, m, alpha, 50, K_MAX, walk=True)
+    assert run.ledgers == ledgers
+    assert run.retirement_level == retired
+    assert run.evaluations == evaluations
 
 
 def test_precision_floor():
@@ -218,6 +272,25 @@ def test_stop_reasons(paper_d2):
     assert run_known(*args, 10 ** 9, max_level=3).stop_reason == "max_level"
     assert run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000,
                        max_level=2).stop_reason == "max_level"
+
+
+@pytest.mark.parametrize("budget", [np.inf, np.nan, 2.5])
+def test_budget_must_be_a_whole_number(paper_d2, budget):
+    # inf raised OverflowError, NaN numpy's "cannot convert float NaN to
+    # integer", and run_unknown ran 2.5 as a budget with one candidate
+    with pytest.raises(ValueError, match=r"budget must be a whole number >= 1, got"):
+        run_known(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, budget)
+    with pytest.raises(ValueError, match=r"budget must be a whole number >= 2, got"):
+        run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, budget)
+
+
+def test_negative_max_level_is_refused(paper_d2):
+    # it returned a one-level run that stopped at "max_level"
+    with pytest.raises(ValueError, match=r"max_level must be >= 0, got -1"):
+        run_known(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 1000,
+                  max_level=-1)
+    with pytest.raises(ValueError, match=r"max_level must be >= 0, got -1"):
+        run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000, max_level=-1)
 
 
 def test_f_returning_nan_is_refused(paper_d2):

@@ -88,6 +88,22 @@ class TestTruncatedNormal:
                                              "that rounds to 0"):
             truncated_normal_marginal(mu, 0.5)
 
+    @pytest.mark.parametrize("mu", [11.0, 5.0, -4.0, -10.0])
+    def test_law_centred_off_the_cube(self, mu):
+        # the cdf and sf took their differences in the tail near 1, where
+        # they cancel: at (11, 0.5) the level-6 masses summed to 0.5165, at
+        # (5, 0.5) the level-3 ones to 1.0819, at (-4, 0.5) the level-1 ones
+        # to 1.0033, and (-10, 0.5) was refused although its mass is 2.75e-89
+        m = product_measure([truncated_normal_marginal(mu, 0.5)])
+        law = truncnorm((0.0 - mu) / 0.5, (1.0 - mu) / 0.5, loc=mu, scale=0.5)
+        for level in (1, 3, 6):
+            edges = np.arange(3 ** level + 1) / 3 ** level
+            cdf, sf = law.cdf(edges), law.sf(edges)
+            want = np.where(cdf[:-1] <= 0.5, cdf[1:] - cdf[:-1], sf[:-1] - sf[1:])
+            got = m.cell_probabilities(level, np.arange(3 ** level)[:, None])
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+            assert abs(got.sum() - 1.0) <= 1e-12
+
 
 class TestCellProbability:
     def test_uniform_d2_level1(self):

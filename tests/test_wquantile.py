@@ -269,12 +269,15 @@ class TestTake:
     rows, equals the table built from those rows alone, bit for bit."""
 
     @staticmethod
-    def assert_take(values, eligible, rows, masses):
+    def assert_take(values, rows, masses, eligible):
+        """Take `rows` of `values` with `masses` and their flags of `eligible`,
+        from a table of all rows in which every row is eligible."""
         values = np.asarray(values, dtype=float)
         rows = np.asarray(rows, dtype=np.int64)
-        whole = ValueMassTable(values, np.ones(len(values)), eligible)
-        got = whole.take(rows, masses)
-        want = ValueMassTable(values[rows], masses, np.zeros(len(rows), dtype=bool))
+        eligible = np.asarray(eligible, dtype=bool)
+        whole = ValueMassTable(values, np.ones(len(values)), np.ones(len(values), dtype=bool))
+        got = whole.take(rows, masses, eligible[rows])
+        want = ValueMassTable(values[rows], masses, eligible[rows])
         for a, b in ((got.values, want.values), (got.masses, want.masses),
                      (got.eligible, want.eligible)):
             assert a.dtype == b.dtype
@@ -284,25 +287,27 @@ class TestTake:
 
     def test_ties_and_a_zero_mass_row(self):
         values = [2.0, 1.0, 2.0, 3.0, 1.0, 2.0]
-        got = self.assert_take(values, [True] * 6, [0, 2, 3, 4, 5], [0.125, 0.0, 0.25, 0.5, 0.125])
+        got = self.assert_take(values, [0, 2, 3, 4, 5], [0.125, 0.0, 0.25, 0.5, 0.125],
+                               [False, True, False, True, False, True])
         assert got.values.tolist() == [1.0, 2.0, 3.0]
         assert got.masses.tolist() == [0.5, 0.25, 0.25]
-        assert not got.eligible.any()
+        # a group is eligible iff one of its rows taken is
+        assert got.eligible.tolist() == [False, True, True]
 
     def test_zero_takes_the_sign_of_the_first_row_taken(self):
         # -0.0 comes first in the whole table, but is not taken
         values = [-0.0, 1.0, 0.0, -0.0, 0.0]
         assert np.signbit(ValueMassTable(values, [0.2] * 5, [True] * 5).values[0])
-        got = self.assert_take(values, [True] * 5, [1, 2, 3], [0.25, 0.25, 0.5])
+        got = self.assert_take(values, [1, 2, 3], [0.25, 0.25, 0.5], [True] * 5)
         assert got.values[0] == 0.0 and not np.signbit(got.values[0])
-        got = self.assert_take(values, [True] * 5, [0, 4], [0.5, 0.5])
-        assert np.signbit(got.values[0])
+        got = self.assert_take(values, [0, 4], [0.5, 0.5], [True, False, False, False, False])
+        assert np.signbit(got.values[0]) and got.eligible.tolist() == [True]
 
     @given(
         st.lists(
             st.tuples(
                 st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1 / 3, 2.0, 7.0]),  # heavy ties
-                st.booleans(),  # eligible in the whole table
+                st.booleans(),  # eligible if taken
                 st.booleans(),  # taken
                 st.sampled_from([0.0, 0.1, 1 / 3, 0.7]),
             ),
@@ -314,7 +319,7 @@ class TestTake:
         values, eligible, taken, masses = map(np.array, zip(*points))
         assume(taken.any())
         rows = np.flatnonzero(taken)
-        self.assert_take(values, eligible, rows, masses[rows])
+        self.assert_take(values, rows, masses[rows], eligible)
 
     @pytest.mark.parametrize("distinct", [24, 100_000])
     def test_large_tables(self, distinct):
@@ -322,13 +327,13 @@ class TestTake:
         values = (rng.integers(0, distinct, 100_000) - distinct // 2) / 7
         values[rng.random(100_000) < 0.01] = -0.0
         rows = np.flatnonzero(rng.random(100_000) < 0.3)
-        self.assert_take(values, np.ones(100_000, dtype=bool), rows, rng.random(len(rows)) ** 4)
+        self.assert_take(values, rows, rng.random(len(rows)) ** 4, rng.random(100_000) < 0.1)
 
     def test_refuses_bad_masses(self):
         t = ValueMassTable([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [True] * 3)
         with pytest.raises(ValueError, match="masses must be >= 0, got nan"):
-            t.take(np.array([0, 2]), [0.5, np.nan])
+            t.take(np.array([0, 2]), [0.5, np.nan], [False, False])
         with pytest.raises(ValueError, match="masses must be >= 0, got -0.5"):
-            t.take(np.array([1]), [-0.5])
+            t.take(np.array([1]), [-0.5], [False])
         with pytest.raises(ValueError, match="empty table"):
-            t.take(np.array([], dtype=np.int64), [])
+            t.take(np.array([], dtype=np.int64), [], [])
