@@ -22,7 +22,7 @@ from .bounds import (
     level_lower,
     unknown_bound,
 )
-from .known import KnownRun, QuantileBracket, run_known, run_known_sweep
+from .known import QuantileBracket, Run, run_known, run_known_sweep
 from .measure import (
     Marginal,
     ProductMeasure,
@@ -43,20 +43,19 @@ from .problems import (
     paper_f_d2,
     reference_quantile,
 )
-from .unknown import UnknownRun, best_candidate, candidate_budget, j_max, run_unknown
+from .unknown import best_candidate, candidate_budget, run_unknown
 from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
 __all__ = [
     "AdversaryD1",
     "AdversaryD2",
-    "KnownRun",
     "Marginal",
     "ProblemConstants",
     "ProductMeasure",
     "QuantileBracket",
+    "Run",
     "SeparationReport",
     "TestProblem",
-    "UnknownRun",
     "ValueMassTable",
     "best_candidate",
     "bracket_halfwidth",
@@ -67,7 +66,6 @@ __all__ = [
     "candidate_budget",
     "estimate_level_set_M",
     "estimate_lipschitz",
-    "j_max",
     "known_bound",
     "level_lower",
     "linear_d1",

@@ -9,7 +9,6 @@ least half the gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,35 @@ class LevelRecord:
 
 
 @dataclass
-class KnownRun:
+class Run:
+    """A run of either algorithm.  `lipschitz` is the known constant, None
+    for `run_unknown`, whose run has no bracket."""
+
     history: list[LevelRecord]
     budget: int
-    lipschitz: float
     dim: int
-    active_sets: list[list[tuple[int, ...]]] = field(default_factory=list)
-    stop_reason: str = "budget"  # budget | max_level | precision
+    ledgers: dict[int, int]  # band j -> the f calls charged to it
+    retirement_level: dict[int, int]  # band j -> the level at which it retired
+    stop_reason: str  # budget | all_retired | max_level | precision | settled
+    lipschitz: float | None = None
+
+    # the last record's: the frontier does not move after it
+    @property
+    def estimate(self) -> float:
+        return self.history[-1].estimate
+
+    @property
+    def level(self) -> int:
+        return self.history[-1].level
+
+    @property
+    def evaluations(self) -> int:
+        return self.history[-1].evaluations
+
+    @property
+    def enumerated_j_max(self) -> int:
+        # the largest candidate id; bench/layers.py reads it by this name
+        return len(self.ledgers) - 1
 
     @property
     def bracket(self) -> QuantileBracket:
@@ -77,6 +99,8 @@ class KnownRun:
 
     def bracket_for_budget(self, budget: int) -> QuantileBracket:
         """Deepest completed level affordable within `budget` calls."""
+        if self.lipschitz is None:
+            raise ValueError("a run without a known Lipschitz constant has no bracket")
         fits = [r for r in self.history if r.evaluations <= budget]  # a prefix
         if not fits:
             raise ValueError("budget smaller than the first level's cost")
@@ -115,8 +139,8 @@ class Frontier:
     the rows that leave once; `frozen_mass` is their running total.  Each
     level is sorted once: `_freeze` builds the table of the rows that leave
     from the groups of the level's table, `table` (`ValueMassTable.take`).
-    If no live band keeps a row, the frontier is empty: the run goes on to
-    its stop with no f call, and the estimate comes from `frozen` alone.
+    If no live band keeps a row, the frontier is empty and the run stops as
+    `settled`: with no row to refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order; the order fixes
@@ -138,6 +162,8 @@ class Frontier:
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0,1), got {alpha}")
         d = measure.dim
         self.f, self.measure, self.alpha = f, measure, alpha
         self.lipschitz = np.array(lipschitz, dtype=float)
@@ -162,13 +188,17 @@ class Frontier:
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
         self.evaluations += len(points)
-        values = np.asarray(self.f(points), dtype=float)
-        if values.shape != (len(points),):
+        out = np.asarray(self.f(points))
+        if out.shape != (len(points),):
             raise ValueError(f"f must map {len(points)} points to an array of shape "
-                             f"({len(points)},), got shape {values.shape}")
-        bad = np.flatnonzero(~np.isfinite(values))
+                             f"({len(points)},), got shape {out.shape}")
+        values = out.real.astype(float, copy=False)
+        bad = ~np.isfinite(values)
+        if np.iscomplexobj(out):  # a cast to float would drop imaginary parts
+            bad |= out.imag != 0
+        bad = np.flatnonzero(bad)
         if len(bad):
-            raise ValueError(f"f must be finite, got {values[bad[0]]} at the point "
+            raise ValueError(f"f must be real and finite, got {out[bad[0]]} at the point "
                              f"{points[bad[0]].tolist()}")
         return values
 
@@ -202,27 +232,28 @@ class Frontier:
                 f"sup/inf estimator mismatch at level {self.level}: {self.estimate} vs {est_inf}"
             )
 
-    def run(self, max_level: int | None, keep_active_sets: bool = False):
-        """Record each level and step to the next until the run stops.
-
-        Returns the level records, the frontier digits of each level (if
-        `keep_active_sets`) and why the run stopped: `max_level`, `precision`
-        at K_MAX, or `all_retired` once no band is live.
-        """
+    def run(self, budget: int, max_level: int | None, lipschitz: float | None = None) -> Run:
+        """Record each level and step to the next until the run stops: at
+        `max_level`, at `precision` (K_MAX), as `settled` once the frontier is
+        empty, or once no band is live, as `budget` for a known constant
+        `lipschitz` and as `all_retired` for the candidates of an unknown one."""
         history: list[LevelRecord] = []
-        active_sets: list[list[tuple[int, ...]]] = []
         while True:
             history.append(LevelRecord(self.level, self.estimate, self.evaluations,
                                        len(self.values), float(np.sum(self.masses)),
                                        self.frozen_mass, tuple(np.flatnonzero(self.live).tolist())))
-            if keep_active_sets:
-                active_sets.append(list(map(tuple, self.digits().tolist())))
             if max_level is not None and self.level >= max_level:
-                return history, active_sets, "max_level"
-            if self.level >= K_MAX:
-                return history, active_sets, "precision"
-            if not self.step():
-                return history, active_sets, "all_retired"
+                stop = "max_level"
+            elif self.level >= K_MAX:
+                stop = "precision"
+            elif not len(self.values):
+                stop = "settled"
+            elif not self.step():
+                stop = "all_retired" if lipschitz is None else "budget"
+            else:
+                continue
+            return Run(history, budget, self.measure.dim, dict(enumerate(self.ledgers.tolist())),
+                       dict(self.retired), stop, lipschitz)
 
     def step(self) -> bool:
         """Prune this level under the live bands and, while one stays live,
@@ -328,25 +359,18 @@ def run_known(
     alpha: float,
     budget: int,
     max_level: int | None = None,
-    keep_active_sets: bool = False,
-) -> KnownRun:
+) -> Run:
     """Run the known-constant algorithm with at most `budget` calls to f.
 
     f maps an (n, d) array of points to an (n,) array of values and must be
-    pure.  Returns the bracket of the deepest fully affordable level together
-    with the per-level history.  Refinement stops at level K_MAX.
+    pure.  The returned `Run` holds the per-level history and the bracket of
+    the deepest fully affordable level.  Refinement stops at level K_MAX.
     """
     if not (np.isfinite(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     check_limits(budget, 1, max_level)
-
-    fr = Frontier(f, measure, alpha, [lipschitz], [budget])
-    history, active_sets, stop = fr.run(max_level, keep_active_sets)
     # the one band retires when the budget cannot pay for the next level
-    return KnownRun(history, budget, lipschitz, measure.dim, active_sets,
-                    "budget" if stop == "all_retired" else stop)
+    return Frontier(f, measure, alpha, [lipschitz], [budget]).run(budget, max_level, lipschitz)
 
 
 def run_known_sweep(
@@ -363,6 +387,8 @@ def run_known_sweep(
     """
     if len(budgets) == 0:
         raise ValueError("budgets must name at least one budget, got none")
+    for n in budgets:
+        check_limits(n, 1)
     run = run_known(f, lipschitz, measure, alpha, max(budgets))
     return {n: run.bracket_for_budget(n) for n in budgets}
 

@@ -7,7 +7,7 @@ assumed atomless, so cell boundaries carry no mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

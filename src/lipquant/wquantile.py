@@ -119,10 +119,6 @@ class ValueMassTable:
         out.eligible[at] |= other.eligible
         return out
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
 
 def weighted_quantile_sup(table: ValueMassTable, alpha: float) -> float:
     """sup{ v eligible : mass of {value >= v} >= 1 - alpha }.

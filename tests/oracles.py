@@ -5,8 +5,9 @@ Cells of the level-k ternary partition are addressed by digit tuples in
 partition identities can be checked exactly; floats only appear in
 `center`, `center_point`, `cell_bounds` and the scalar cell mass.  The
 engine (`lipquant.known.Frontier`) holds the same cells as int64 digit
-arrays; the tests compare it against these helpers.  `refined_quantile_d1`
-is a near-machine-precision quantile oracle for smooth d = 1 problems.
+arrays; the tests compare it against these helpers, and `frontier_sets`
+reads its cells level by level.  `refined_quantile_d1` is a
+near-machine-precision quantile oracle for smooth d = 1 problems.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from lipquant.known import K_MAX, Frontier
 from lipquant.problems import TestProblem
 from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
 
@@ -138,6 +140,19 @@ def full_grid_estimate(f, measure, alpha: float, level: int) -> float:
     masses = measure.cell_probabilities(level, cells)
     table = ValueMassTable(values, masses, np.ones(len(cells), dtype=bool))
     return weighted_quantile_sup(table, alpha)
+
+
+def frontier_sets(f, lipschitz: float, measure, alpha: float, budget: int,
+                  max_level: int = K_MAX) -> list[list[tuple[int, ...]]]:
+    """The frontier cells, as digit tuples, of each level that
+    `run_known(f, lipschitz, measure, alpha, budget, max_level)` records,
+    from a single-band `Frontier` stepped level by level."""
+    fr = Frontier(f, measure, alpha, [lipschitz], [budget])
+    sets = []
+    while True:
+        sets.append(list(map(tuple, fr.digits().tolist())))
+        if fr.level >= max_level or not fr.step():
+            return sets
 
 
 def refined_quantile_d1(p: TestProblem, coarse_resolution: int = 10 ** 5) -> float:

@@ -14,11 +14,11 @@ import pytest
 import lipquant as lq
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
-from lipquant.unknown import candidate_budget, j_max, run_unknown
+from lipquant.unknown import candidate_budget, run_unknown, schedule
 from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
 
 from conftest import random_lipschitz_problem
-from oracles import canonical_center_key, center_point, child_digits
+from oracles import canonical_center_key, center_point, child_digits, frontier_sets
 
 CASES = [(1, 300), (2, 2000), (3, 5000)]
 
@@ -61,7 +61,7 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     d = measure.dim
     n_kids = 3 ** d
     cells = [(0,) * d]
-    sets = {j: cells for j in range(j_max(budget) + 1)}
+    sets = {j: cells for j in range(len(schedule(budget)))}
     ledgers = dict.fromkeys(sets, 1)
     live = list(sets)
     retired: dict[int, int] = {}
@@ -138,10 +138,12 @@ def test_known_frontier_matches_oracle(dim, budget):
     f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
-    run = run_known(g, lip, m, 0.8, budget, keep_active_sets=True)
+    run = run_known(g, lip, m, 0.8, budget)
     assert run.stop_reason == "budget"
     assert len(run.history) >= 3
-    for rec, cells, nxt in zip(run.history, run.active_sets, run.active_sets[1:]):
+    sets = frontier_sets(f, lip, m, 0.8, budget)
+    assert len(sets) == len(run.history)
+    for rec, cells, nxt in zip(run.history, sets, sets[1:]):
         values = f(np.array([center_point(rec.level, c) for c in cells]))
         band = 2.0 * lip * half_radius(rec.level, dim)
         survivors = [c for c, v in zip(cells, values) if abs(v - rec.estimate) <= band]
@@ -196,7 +198,7 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     m = measure_for(dim)
     max_level = 12 // dim
     *_, frontiers, frozen_points = reference_unknown(f, m, 0.8, budget, max_level)
-    bands = range(j_max(budget) + 1)
+    bands = range(len(schedule(budget)))
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
     settled = 0  # levels with eligible frozen points
     for cells, points in zip(frontiers, frozen_points):
@@ -216,7 +218,8 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
 
 def test_empty_frontier_goes_on_without_f():
     # band 0 stays live but keeps no cell after level 3: the frontier is
-    # empty from then on, and the frozen table alone gives the estimate
+    # empty at level 4, whose estimate the frozen table alone gives, and no
+    # later level could differ, so the run stops there as settled
     rng = np.random.default_rng(1093)
     f, _ = random_lipschitz_problem(rng, 1)
     m = lq.product_measure([lq.truncated_normal_marginal(rng.uniform(0.1, 0.9),
@@ -224,11 +227,11 @@ def test_empty_frontier_goes_on_without_f():
     alpha = rng.uniform(0.05, 0.95)
     g, calls = recorded(f)
     run = run_unknown(g, m, alpha, 50)
-    assert run.stop_reason == "precision"
-    assert run.level == K_MAX
+    assert run.stop_reason == "settled"
+    assert run.level == 4
     assert [len(c) for c in calls] == [1, 2, 4, 2]
     assert run.evaluations == 9
-    assert [r.active_cells for r in run.history[4:]] == [0] * (K_MAX - 3)
+    assert [r.active_cells for r in run.history[4:]] == [0]
     assert {r.live for r in run.history[4:]} == {(0,)}
     assert {r.estimate for r in run.history[3:]} == {run.estimate}
     _, ledgers, retired, evaluations, *_ = reference_unknown(f, m, alpha, 50, K_MAX, walk=True)
@@ -318,6 +321,29 @@ def test_f_returning_wrong_shape_is_refused(paper_d2):
         run_unknown(f, paper_d2.measure, paper_d2.alpha, 1000)
 
 
+def test_f_returning_complex_values_is_refused(paper_d2):
+    # the imaginary part was dropped with a ComplexWarning, and the bracket
+    # certified the real part
+    def f(x):
+        return x[:, 0] + 1j * x[:, 1]
+
+    def g(x):  # real on the root, complex on level 1
+        values = paper_d2.f(x)
+        return values + 1j * (x[:, 0] > 0.8) if len(x) > 1 else values
+
+    for h, value, point in ((f, "(0.5+0.5j)", "[0.5, 0.5]"),
+                            (g, "(1+1j)", "[0.8333333333333334, 0.16666666666666666]")):
+        for run in (lambda: run_known(h, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 1000),
+                    lambda: run_unknown(h, paper_d2.measure, paper_d2.alpha, 1000)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == f"f must be real and finite, got {value} at the point {point}"
+    # a complex array whose imaginary parts are all 0 holds real values
+    args = (paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 1000)
+    assert (run_known(lambda x: paper_d2.f(x) + 0j, *args).history
+            == run_known(paper_d2.f, *args).history)
+
+
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_f_gets_fresh_arrays_it_may_overwrite(dim, budget):
     # the centers are written in place into one array per level: f must get
@@ -336,10 +362,13 @@ def test_f_gets_fresh_arrays_it_may_overwrite(dim, budget):
         x[:] = np.nan
         return values
 
-    known = [run_known(g, lip, m, 0.8, budget, keep_active_sets=True) for g in (f, scribbling)]
+    known = [run_known(g, lip, m, 0.8, budget) for g in (f, scribbling)]
     assert known[0].history == known[1].history
-    assert known[0].active_sets == known[1].active_sets
     assert known[0].bracket == known[1].bracket
+    assert sum(map(len, seen)) == known[0].history[-1].evaluations
+    seen.clear()
+    sets = [frontier_sets(g, lip, m, 0.8, budget) for g in (f, scribbling)]
+    assert sets[0] == sets[1]
     assert sum(map(len, seen)) == known[0].history[-1].evaluations
     seen.clear()
     unknown = [run_unknown(g, m, 0.8, budget, max_level=12 // dim) for g in (f, scribbling)]

@@ -8,7 +8,7 @@ from lipquant.grid import half_radius
 from lipquant.known import run_known, run_known_sweep
 
 from conftest import random_lipschitz_problem
-from oracles import full_grid_estimate
+from oracles import frontier_sets, full_grid_estimate
 
 
 class TestBasicRuns:
@@ -125,6 +125,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="budgets must name at least one budget"):
             run_known_sweep(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, [])
 
+    @pytest.mark.parametrize("budgets,bad", [([2.5, 100], "2.5"), ([100, -5], "-5"),
+                                             ([100, float("nan")], "nan"), ([0, 100], "0")])
+    def test_every_budget_is_checked(self, paper_d2, budgets, bad):
+        # only the largest was checked: 2.5 got a bracket, and -5, NaN or 0
+        # raised "budget smaller than the first level's cost"
+        with pytest.raises(ValueError, match=rf"budget must be a whole number >= 1, got {bad}$"):
+            run_known_sweep(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha,
+                            budgets)
+
     def test_budget_too_small_rejected(self, paper_d1_deep_run):
         with pytest.raises(ValueError):
             paper_d1_deep_run.bracket_for_budget(0)
@@ -166,17 +175,13 @@ class TestFullGridEquivalence:
 
 class TestPruning:
     def test_monotone_active_sets_in_lipschitz(self, paper_d1):
-        small = run_known(
-            paper_d1.f, 1.61, paper_d1.measure, paper_d1.alpha, 300, keep_active_sets=True
-        )
-        big = run_known(
-            paper_d1.f, 3.0, paper_d1.measure, paper_d1.alpha, 300, keep_active_sets=True
-        )
-        for s, b in zip(small.active_sets, big.active_sets):
+        small = frontier_sets(paper_d1.f, 1.61, paper_d1.measure, paper_d1.alpha, 300)
+        big = frontier_sets(paper_d1.f, 3.0, paper_d1.measure, paper_d1.alpha, 300)
+        for s, b in zip(small, big):
             assert set(s) <= set(b)
 
     @staticmethod
-    def _level1_run(edge_value: float):
+    def _level1_sets(edge_value: float):
         # f takes edge_value, 0.5 and 0.83 on the three level-1 cells (centers
         # 1/6, 1/2, 5/6); at alpha = 0.5 the level-1 estimate is 0.5, so the
         # level-1 band is [0.5 -/+ 2*L*delta_1] with L = 1
@@ -184,25 +189,24 @@ class TestPruning:
             t = np.asarray(x)[:, 0]
             return np.where(t < 1 / 3, edge_value, np.where(t < 2 / 3, 0.5, 0.83))
 
-        run = run_known(f, 1.0, lq.uniform_cube(1), 0.5, 10 ** 9, max_level=2,
-                        keep_active_sets=True)
-        assert run.history[1].estimate == 0.5
-        return run
+        m = lq.uniform_cube(1)
+        assert run_known(f, 1.0, m, 0.5, 10 ** 9, max_level=2).history[1].estimate == 0.5
+        return frontier_sets(f, 1.0, m, 0.5, 10 ** 9, max_level=2)
 
     def test_band_edge_survives(self):
         # value exactly on the closed band edge must survive; the level-1 band
         # test shows in the level-2 active set
         band = 2.0 * 1.0 * half_radius(1, 1)
         assert abs((0.5 - band) - 0.5) == band  # exactly on the edge in floats
-        run = self._level1_run(0.5 - band)
-        assert run.active_sets[1] == [(0,), (1,), (2,)]
-        assert run.active_sets[2][:3] == [(0,), (1,), (2,)]  # children of cell 0
-        assert len(run.active_sets[2]) == 9
+        sets = self._level1_sets(0.5 - band)
+        assert sets[1] == [(0,), (1,), (2,)]
+        assert sets[2][:3] == [(0,), (1,), (2,)]  # children of cell 0
+        assert len(sets[2]) == 9
 
     def test_hand_example_all_survive(self):
         # estimate 0.5, L=1, delta=1/6 -> band [1/6, 5/6] contains all three
-        run = self._level1_run(0.17)
-        assert run.active_sets[2] == [(b,) for b in range(9)]
+        sets = self._level1_sets(0.17)
+        assert sets[2] == [(b,) for b in range(9)]
 
     def test_mass_conservation(self, paper_d1_deep_run, paper_d2_deep_run):
         for run in (paper_d1_deep_run, paper_d2_deep_run):

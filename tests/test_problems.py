@@ -12,7 +12,6 @@ from lipquant.problems import (
     estimate_lipschitz,
     linear_d1,
     monte_carlo_quantile,
-    paper_f_d1,
     paper_f_d2,
 )
 

@@ -10,11 +10,12 @@ from lipquant.known import run_known
 from lipquant.unknown import (
     best_candidate,
     candidate_budget,
-    j_max,
     run_unknown,
     schedule,
     unknown_error_bound_check,
 )
+
+from oracles import frontier_sets
 
 
 class TestSchedule:
@@ -23,24 +24,18 @@ class TestSchedule:
         assert candidate_budget(3, 1000) == math.floor(6000 / (math.pi ** 2 * 16))
 
     def test_j_max_examples(self):
-        assert j_max(2) == 0
-        assert j_max(100) == 6
-        assert j_max(1000) == 23
+        # j_max(N), the largest candidate id, is the last of the schedule
+        assert schedule(2)[-1].j == 0
+        assert schedule(100)[-1].j == 6
+        assert schedule(1000)[-1].j == 23
 
     def test_j_max_minimum_budget(self):
         with pytest.raises(ValueError):
-            j_max(1)
+            schedule(1)
 
     def test_budgets_sum_within_global(self):
         for n in (2, 10, 100, 1000, 12345):
             assert sum(c.budget for c in schedule(n)) <= n
-
-    def test_closed_form_divergence_is_recorded(self, paper_d1):
-        run = run_unknown(paper_d1.f, paper_d1.measure, paper_d1.alpha, 100)
-        assert run.enumerated_j_max == 6
-        # the closed form floor(sqrt(6N)/pi) - 1 may differ by one; both are
-        # exposed so the divergence is visible
-        assert abs(run.enumerated_j_max - run.closed_form_j_max) <= 1
 
     def test_candidate_lipschitz_values(self):
         s = schedule(50)
@@ -123,13 +118,9 @@ class TestPooling:
         # rebuild per-level candidate sets by rerunning known-L per candidate:
         # nesting follows from band nesting, checked via active-set sizes of
         # dedicated runs with the candidate constants
-        sizes = {}
-        for j in (0, 1, 2):
-            kr = run_known(
-                paper_d1.f, 3.0 ** j, paper_d1.measure, paper_d1.alpha,
-                10 ** 9, max_level=3, keep_active_sets=True,
-            )
-            sizes[j] = kr.active_sets
+        sizes = {j: frontier_sets(paper_d1.f, 3.0 ** j, paper_d1.measure, paper_d1.alpha,
+                                  10 ** 9, max_level=3)
+                 for j in (0, 1, 2)}
         for k in range(4):
             assert set(sizes[0][k]) <= set(sizes[1][k]) <= set(sizes[2][k])
 
@@ -162,6 +153,13 @@ class TestErrorBound:
         m = lq.uniform_cube(1)
         run = run_unknown(lambda x: np.zeros(len(x)), m, 0.5, 50)
         assert unknown_error_bound_check(run, 0.0, 1.0, 1)
+
+    def test_no_bracket_without_a_constant(self, paper_d2):
+        run = run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000)
+        assert run.lipschitz is None
+        for bracket in (lambda: run.bracket, lambda: run.bracket_for_budget(1000)):
+            with pytest.raises(ValueError, match="without a known Lipschitz constant has no bracket"):
+                bracket()
 
     def test_best_candidate(self):
         assert best_candidate(1.0) == 0
