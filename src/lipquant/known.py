@@ -110,12 +110,6 @@ class Run:
                                rec.level, rec.evaluations)
 
 
-def _last(mask: np.ndarray) -> int:
-    """Index of the last True entry, -1 if there is none."""
-    idx = np.flatnonzero(mask)
-    return int(idx[-1]) if len(idx) else -1
-
-
 class Frontier:
     """The cells under refinement, scanned under J Lipschitz constants at once.
 
@@ -134,24 +128,22 @@ class Frontier:
     A row that no live band keeps leaves the frontier once, with its own
     mass, as a frozen point: eligible iff a retired band holds it (as DIRECT
     leaves a box that no constant selects in its partition), else a pruned
-    cell that only adds its mass.  The frozen points are kept as one table,
-    `frozen`, sorted by value and merged on ties, into which each level merges
-    the rows that leave once; `frozen_mass` is their running total.  Each
-    level is sorted once: `_freeze` builds the table of the rows that leave
-    from the groups of the level's table, `table` (`ValueMassTable.take`).
-    If no live band keeps a row, the frontier is empty and the run stops as
-    `settled`: with no row to refine, no later level could differ.
+    cell that only adds its mass.  The frozen points are one table, `frozen`,
+    sorted by value and merged on ties; `frozen_mass` is their running total.
+    Each level is sorted once, into `table`, from whose groups `_freeze` builds
+    the table of the rows that leave (`ValueMassTable.take`).  If no live band
+    keeps a row, the frontier is empty and the run stops as `settled`: with no
+    row to refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order; the order fixes
-    how the quantile table sums tied masses.  So digits are not stored per
-    row: row r is the child 3*block[r // fan] + offsets[r % fan] of the
-    parent digits `block`, with `fan` = 3^d rows per parent (1 at the root,
-    whose parent digits are 0), and `digits` derives them, once per level for
-    the kept rows.  Masses come from the parents too: each refinement makes
-    one `ProductMeasure.child_probabilities` call on the kept rows.  On the
-    3^d axis of the children the level loop uses slices and integer indices
-    only.
+    how the quantile table sums tied masses.  So row r is the child
+    3*block[r // fan] + offsets[r % fan] of the parent digits `block`, with
+    `fan` = 3^d rows per parent (1 at the root, whose parent digits are 0),
+    and `digits` derives the digits once per level for the kept rows.  Masses
+    come from one `ProductMeasure.child_probabilities` call on the kept rows.
+    Each level costs a fixed number of whole-array NumPy calls: no Python loop
+    runs over rows or bands.
 
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding a row are the live
@@ -169,15 +161,13 @@ class Frontier:
         self.lipschitz = np.array(lipschitz, dtype=float)
         self.slices = np.asarray(slices, dtype=np.int64)
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
-        self.center = (3 ** d - 1) // 2  # row of the all-ones offset
-        # 2*o + 1 for the non-center offsets o
-        self.odd = 2 * np.delete(self.offsets, self.center, axis=0) + 1
-        self.level = 0
-        self.evaluations = 0
+        # 2*o + 1 for the offsets o but the all-ones one, row fan // 2 of fan
+        self.odd = 2.0 * np.delete(self.offsets, len(self.offsets) // 2, axis=0) + 1.0
+        self.level = self.evaluations = 0
         self.block, self.fan = np.zeros((1, d), dtype=np.int64), 1
-        self.lowest = np.zeros(1, dtype=np.int64)
-        self.held = np.zeros(1, dtype=bool)
+        self.lowest, self.held = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
         self.live = np.ones(len(self.lipschitz), dtype=bool)
+        self.live_bands = tuple(range(len(self.lipschitz)))  # where `live` is True
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
         self.frozen: ValueMassTable | None = None
@@ -193,26 +183,23 @@ class Frontier:
             raise ValueError(f"f must map {len(points)} points to an array of shape "
                              f"({len(points)},), got shape {out.shape}")
         values = out.real.astype(float, copy=False)
-        bad = ~np.isfinite(values)
-        if np.iscomplexobj(out):  # a cast to float would drop imaginary parts
-            bad |= out.imag != 0
-        bad = np.flatnonzero(bad)
-        if len(bad):
-            raise ValueError(f"f must be real and finite, got {out[bad[0]]} at the point "
-                             f"{points[bad[0]].tolist()}")
+        # a cast to float would drop imaginary parts
+        if not np.isfinite(values).all() or out.dtype.kind == "c" and out.imag.any():
+            bad = (~np.isfinite(values) | (out.imag != 0)).argmax()
+            raise ValueError(f"f must be real and finite, got {out[bad]} at the point "
+                             f"{points[bad].tolist()}")
         return values
 
-    def digits(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The (len(rows), d) digits of the frontier rows `rows`, of every row
-        by default."""
-        if rows is None:
-            rows = np.arange(len(self.values))
-        parent, kid = np.divmod(rows, self.fan)
-        # np.take gathers rows of a 2-D array several times faster than
-        # fancy indexing does
-        digits = np.take(self.block, parent, axis=0)
+    def digits(self, kept: np.ndarray | None = None) -> np.ndarray:
+        """The (n, d) digits of the frontier rows where the mask `kept` is
+        True, of every row by default."""
+        kept = np.ones(len(self.values), dtype=bool) if kept is None else kept
+        parent, kid = kept.reshape(-1, self.fan).nonzero()
+        # take gathers rows of a 2-D array several times faster than fancy
+        # indexing does
+        digits = self.block.take(parent, axis=0)
         digits *= 3
-        digits += np.take(self.offsets, kid, axis=0)
+        digits += self.offsets.take(kid, axis=0)
         return digits
 
     def _estimate(self) -> None:
@@ -228,9 +215,8 @@ class Frontier:
         # equal in exact arithmetic; cumulative-sum rounding can flip one
         # index when the alpha boundary falls between two near-equal values
         if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
-            raise AssertionError(
-                f"sup/inf estimator mismatch at level {self.level}: {self.estimate} vs {est_inf}"
-            )
+            raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
+                                 f"{self.estimate} vs {est_inf}")
 
     def run(self, budget: int, max_level: int | None, lipschitz: float | None = None) -> Run:
         """Record each level and step to the next until the run stops: at
@@ -240,8 +226,8 @@ class Frontier:
         history: list[LevelRecord] = []
         while True:
             history.append(LevelRecord(self.level, self.estimate, self.evaluations,
-                                       len(self.values), float(np.sum(self.masses)),
-                                       self.frozen_mass, tuple(np.flatnonzero(self.live).tolist())))
+                                       len(self.values), float(self.masses.sum()),
+                                       self.frozen_mass, self.live_bands))
             if max_level is not None and self.level >= max_level:
                 stop = "max_level"
             elif self.level >= K_MAX:
@@ -259,35 +245,38 @@ class Frontier:
         """Prune this level under the live bands and, while one stays live,
         refine to the next; returns whether the frontier advanced.
 
-        Row i is kept by the live bands j >= first[i] (J means by none) and
-        held by a retired or retiring band iff hold[i].
+        Row i is kept by the live bands j >= first[i] (none if first[i] is
+        above the top live band) and held by a retired or retiring band iff
+        hold[i].
         """
-        n_bands, fan = len(self.lipschitz), self.fan
-        delta = half_radius(self.level, self.measure.dim)
-        bands = 2.0 * self.lipschitz * delta
+        n_bands, fan, top = len(self.lipschitz), self.fan, self.live_bands[-1]
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
-        # where a row has its parent's lowest
+        # where a row has its parent's lowest; no band above `top` keeps a row
+        bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
         gap = np.subtract(self.values, self.estimate)
         np.abs(gap, out=gap)
-        if n_bands == 1:  # one comparison per row beats a binary search
+        if top == 0:  # one comparison per row beats a binary search
             first = np.greater(gap, bands[0]).astype(np.int64)
         else:
-            first = np.searchsorted(bands, gap)
+            first = bands.searchsorted(gap)
         del gap
         kids = first.reshape(-1, fan)
         np.maximum(kids, self.lowest[:, None], out=kids)
-        kept_by = np.cumsum(np.bincount(first, minlength=n_bands + 1))[:n_bands]
-        self.ledgers[self.live] += (len(self.offsets) - 1) * kept_by[self.live]
+        # band j keeps the rows whose first band is at most j, and pays for
+        # the 3^d - 1 new centers of each
+        kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+        np.add(self.ledgers, (len(self.offsets) - 1) * kept_by, out=self.ledgers, where=self.live)
         retiring = self.live & (self.ledgers > self.slices)
-        for j in np.flatnonzero(retiring):
-            self.retired[int(j)] = self.level
-        self.live &= ~retiring
-        if not self.live.any():
-            return False
+        gone = retiring.nonzero()[0].tolist()
+        if gone:
+            self.retired.update(dict.fromkeys(gone, self.level))
+            self.live ^= retiring
+            self.live_bands = tuple(self.live.nonzero()[0].tolist())
+            if not self.live_bands:
+                return False
         # a band retiring now holds the rows whose lowest band is at or below
         # it; bands retired before hold the center child of each row they held
-        hold = np.empty(len(first), dtype=bool)
-        hold.reshape(-1, fan)[:] = (self.lowest <= _last(retiring))[:, None]
+        hold = (self.lowest <= (gone[-1] if gone else -1)).repeat(fan)
         hold[fan // 2::fan] |= self.held
         self._refine(first, hold)
         return True
@@ -296,48 +285,41 @@ class Frontier:
         """Replace the frontier by the children of the rows that a live band
         keeps, freeze the other rows, and estimate the next level.
 
-        The next level's columns are built one step at a time, so that one
+        The next level's columns are built one step at a time, and each
         step's temporaries are released before the next step allocates.
         """
-        kept = first <= _last(self.live)  # a band that goes on keeps the row
-        parents = np.flatnonzero(kept)
-        level = self.level + 1
-        block = self.digits(parents)
-        values = self._children(level, parents, block)
+        kept = first <= self.live_bands[-1]  # a band that goes on keeps the row
+        level, (n_kids, d), c = self.level + 1, self.offsets.shape, len(self.offsets) // 2
+        block = self.digits(kept)
+        # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every term
+        # is an integer below 2^53, so only the division rounds
+        points = (6.0 * block).repeat(n_kids - 1, axis=0).reshape(-1, n_kids - 1, d)
+        points += self.odd
+        points /= 2 * 3 ** level
+        values = np.empty((len(block), n_kids))
+        values[:, c] = self.values[kept]  # the center child's is its parent's
+        if len(block):  # f runs on the new centers
+            fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
+            values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
+            del fresh
+        del points
         # row-major: each parent's children in `itertools.product` order
         masses = self.measure.child_probabilities(level, block).ravel()
         self._freeze(~kept, hold)
-        self.block, self.fan = block, len(self.offsets)
-        self.values, self.masses = values, masses
-        self.lowest, self.held = first[parents], hold[parents]
+        self.block, self.fan = block, n_kids
+        self.values, self.masses = values.reshape(-1), masses
+        self.lowest, self.held = first[kept], hold[kept]
         self.level = level
         self._estimate()
-
-    def _children(self, level: int, parents: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """Values of the next frontier, from the digits `block` of the rows
-        `parents`; f runs on the new centers."""
-        n_kids, d = self.offsets.shape
-        c = self.center
-        points = np.empty((len(parents), n_kids - 1, d))
-        for a in range(d):
-            # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every
-            # term is an integer below 2^53, so only the division rounds
-            np.divide(6 * block[:, a, None] + self.odd[:, a], 2 * 3 ** level, out=points[:, :, a])
-        values = np.empty((len(parents), n_kids))
-        values[:, c] = self.values[parents]  # the center child's is its parent's
-        if len(parents):
-            fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
-            values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
-        return values.reshape(-1)
 
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
         """Merge the rows `leaving` into `frozen`, each with its own mass and
         eligible iff a retired band holds it."""
-        rows = np.flatnonzero(leaving)
+        rows = leaving.nonzero()[0]
         table, self.table = self.table, None
         if len(rows):
-            lost = self.masses[rows]
-            table = table.take(rows, lost, hold[rows])
+            lost = self.masses.take(rows)
+            table = table.take(rows, lost, hold.take(rows))
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
             self.frozen_mass += float(lost.sum())
 

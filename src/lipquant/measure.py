@@ -118,13 +118,15 @@ def _steps(m: Marginal, edges: np.ndarray) -> np.ndarray:
         upper = c[:-1] > 0.5
         if upper.any():
             s = m.sf(edges.ravel()).reshape(edges.shape)
-            steps[upper] = (s[:-1] - s[1:])[upper]
+            np.subtract(s[:-1], s[1:], out=steps, where=upper)
     return steps
 
 
 @dataclass(frozen=True)
 class ProductMeasure:
     marginals: tuple[Marginal, ...]
+    #: t = 0..3 of the edges (3b + t)/3^k bounding a parent's 3 children on an axis
+    _EDGE_OFFSETS = np.arange(4)[:, None]
 
     @property
     def dim(self) -> int:
@@ -155,10 +157,9 @@ class ProductMeasure:
         """
         parents = np.asarray(parents, dtype=np.int64).reshape(-1, self.dim)
         den = 3 ** level
-        t = np.arange(4)[:, None]
         out = None
         for col, m in zip(parents.T, self.marginals):
-            steps = _steps(m, (3 * col + t) / den)  # (3, n)
+            steps = _steps(m, (3 * col + self._EDGE_OFFSETS) / den)  # (3, n)
             out = steps if out is None else out[..., None, :] * steps
         return out.reshape(3 ** self.dim, -1).T
 

@@ -10,6 +10,8 @@ they coincide.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -31,31 +33,31 @@ class ValueMassTable:
             raise ValueError(f"values, masses and eligible must be 1-D of one length, got "
                              f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
         _check_masses(masses)
-        order = np.argsort(values)
-        ordered = values[order]
-        if np.isnan(ordered[-1]):  # sorted last
+        order = values.argsort()
+        ordered = values.take(order)
+        if math.isnan(ordered[-1]):  # sorted last
             raise ValueError("values must not be NaN")
         # merge ties: mass sums, eligibility is or-ed
         keep = np.empty(values.size, dtype=bool)
         keep[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-        starts = np.flatnonzero(keep)
-        self.values = ordered[starts]
+        starts = keep.nonzero()[0]
+        self.values = ordered.take(starts)
         del ordered
         # tied values are bitwise equal, but for the signs of zero: keep the
         # first row's, as a stable sort would
-        zero = np.flatnonzero(self.values == 0)
-        if len(zero):
-            self.values[zero] = values[np.argmax(values == 0)]
+        zero = self.values.searchsorted(0.0)  # the one group equal to 0, if any
+        if zero < len(self.values) and self.values[zero] == 0:
+            self.values[zero] = values[(values == 0).argmax()]
         if eligible.all():
             self.eligible = np.ones(len(starts), dtype=bool)
         else:
-            self.eligible = np.logical_or.reduceat(eligible[order], starts)
+            self.eligible = np.logical_or.reduceat(eligible.take(order), starts)
         # each row's group, in row order: bincount then sums each group
         # sequentially in row order, the order a stable sort would give
         ranks = keep.astype(np.int64)  # numpy sums int64 faster than bools
-        np.cumsum(ranks, out=ranks)
-        ranks -= 1
+        ranks[0] = 0
+        ranks.cumsum(out=ranks)
         group = np.empty(values.size, dtype=np.int64)
         group[order] = ranks
         del order, ranks
@@ -74,19 +76,18 @@ class ValueMassTable:
         """
         masses = np.asarray(masses, dtype=float)
         _check_masses(masses)
-        group = self.row_group[rows]
+        group = self.row_group.take(rows)
         present = np.zeros(len(self.values), dtype=bool)
         present[group] = True
         out = object.__new__(ValueMassTable)
         out.values = self.values[present]
-        zero = np.flatnonzero(self.values == 0)  # one group at most
-        if len(zero) and present[zero[0]]:
-            first = rows[np.argmax(group == zero[0])]
-            out.values[np.count_nonzero(present[:zero[0]])] = self.row_values[first]
+        zero = self.values.searchsorted(0.0)
+        if zero < len(self.values) and self.values[zero] == 0 and present[zero]:
+            first = rows[(group == zero).argmax()]
+            out.values[present[:zero].sum()] = self.row_values[first]
         out.masses = np.bincount(group, weights=masses, minlength=len(self.values))[present]
-        hit = np.zeros(len(self.values), dtype=bool)
-        hit[group[np.asarray(eligible, dtype=bool)]] = True
-        out.eligible = hit[present]
+        hits = np.bincount(group, weights=eligible, minlength=len(self.values))
+        out.eligible = hits[present] > 0
         return out
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
@@ -97,15 +98,16 @@ class ValueMassTable:
         tables keeps one row, whose mass is the sum of the two rows' masses
         and whose eligibility is or-ed.
         """
-        pos = np.searchsorted(self.values, other.values)
-        tied = np.zeros(len(pos), dtype=bool)
-        inside = pos < len(self.values)
-        tied[inside] = self.values[pos[inside]] == other.values[inside]
+        pos = self.values.searchsorted(other.values)
+        # a value placed past the end is above the last, which it does not tie
+        tied = self.values.take(pos, mode="clip") == other.values
         new = ~tied
+        at = new.cumsum()
+        mine = np.ones(len(self.values) + at[-1], dtype=bool)
         # other's row j lands after the self rows below it and the new other
         # rows before it; a tied row lands on its self row
-        at = pos + np.cumsum(new) - new
-        mine = np.ones(len(self.values) + int(new.sum()), dtype=bool)
+        at += pos
+        at -= new
         mine[at[new]] = False
         out = object.__new__(ValueMassTable)
         out.values = np.empty(len(mine))
@@ -120,33 +122,32 @@ class ValueMassTable:
         return out
 
 
+def _check_query(table: ValueMassTable, alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not table.eligible.any():
+        raise ValueError("table has no eligible point")
+
+
 def weighted_quantile_sup(table: ValueMassTable, alpha: float) -> float:
     """sup{ v eligible : mass of {value >= v} >= 1 - alpha }.
 
     The mass sum runs over all points; only eligible values may be returned.
     If no eligible value qualifies, returns the minimum eligible value.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _check_query(table, alpha)
     v, m, e = table.values, table.masses, table.eligible
-    if not np.any(e):
-        raise ValueError("table has no eligible point")
-    tail = np.cumsum(m[::-1])[::-1]  # tail[i] = mass of values >= v[i]
-    ok = e & (tail >= 1.0 - alpha)
-    if np.any(ok):
-        return float(v[np.flatnonzero(ok)[-1]])
-    return float(v[np.flatnonzero(e)[0]])
+    ok = m[::-1].cumsum()[::-1] >= 1.0 - alpha  # the mass of values >= v[i]
+    ok &= e
+    last = len(ok) - 1 - ok[::-1].argmax()  # the last ok row, if there is one
+    return float(v[last] if ok[last] else v[e.argmax()])
 
 
 def weighted_quantile_inf(table: ValueMassTable, alpha: float) -> float:
     """inf{ v eligible : mass of {value <= v} >= alpha }."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _check_query(table, alpha)
     v, m, e = table.values, table.masses, table.eligible
-    if not np.any(e):
-        raise ValueError("table has no eligible point")
-    head = np.cumsum(m)
-    ok = e & (head >= alpha)
-    if np.any(ok):
-        return float(v[np.flatnonzero(ok)[0]])
-    return float(v[np.flatnonzero(e)[-1]])
+    ok = m.cumsum() >= alpha
+    ok &= e
+    first = ok.argmax()  # the first ok row, if there is one
+    return float(v[first] if ok[first] else v[len(e) - 1 - e[::-1].argmax()])

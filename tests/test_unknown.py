@@ -1,5 +1,6 @@
 """Unknown-constant algorithm: schedule, pooling, retirement, error bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 import lipquant as lq
 from lipquant.known import run_known
 from lipquant.unknown import (
+    CandidateSchedule,
     best_candidate,
     candidate_budget,
+    candidate_constants,
+    candidate_slices,
     run_unknown,
     schedule,
     unknown_error_bound_check,
@@ -41,6 +45,29 @@ class TestSchedule:
         s = schedule(50)
         assert [c.lipschitz for c in s] == [3.0 ** j for j in range(len(s))]
         assert s[0].j == 0  # candidate L=1 included
+
+    def test_slices_are_candidate_budget_bit_for_bit(self):
+        # the array expression against the scalar formula, cut right after the
+        # last nonzero slice
+        for n in itertools.chain(range(2, 20_001), (10 ** 6, 10 ** 9, 10 ** 12)):
+            slices = candidate_slices(n).tolist()
+            assert slices == [candidate_budget(j, n) for j in range(len(slices))], n
+            assert candidate_budget(len(slices), n) == 0, n
+        assert candidate_slices(1e5).tolist() == candidate_slices(10 ** 5).tolist()
+
+    def test_constants_are_powers_of_three_bit_for_bit(self):
+        # as `3.0 ** j` gives them, up to the last one below the float range;
+        # NumPy's own power differs from it in the last bit on some hosts
+        got = candidate_constants(647).tolist()
+        assert [c.hex() for c in got] == [(3.0 ** j).hex() for j in range(647)]
+
+    def test_schedule_is_the_scalar_schedule(self):
+        for n in itertools.chain(range(2, 3000), (12345, 10 ** 5, 6 * 10 ** 5)):
+            want = itertools.takewhile(lambda c: c.budget >= 1, (
+                CandidateSchedule(j, 3.0 ** j, candidate_budget(j, n)) for j in itertools.count()))
+            got = schedule(n)
+            assert got == list(want), n
+            assert all(type(c.lipschitz) is float and type(c.budget) is int for c in got)
 
 
 class TestRuns:
@@ -113,11 +140,9 @@ class TestPooling:
                 break
             assert rec_u.estimate == rec_k.estimate
 
-    def test_candidate_nesting_while_live(self, paper_d1):
-        run = run_unknown(paper_d1.f, paper_d1.measure, paper_d1.alpha, 500)
-        # rebuild per-level candidate sets by rerunning known-L per candidate:
-        # nesting follows from band nesting, checked via active-set sizes of
-        # dedicated runs with the candidate constants
+    def test_single_band_frontiers_nest(self, paper_d1):
+        # the frontiers of single-band runs with the candidate constants 3^j
+        # nest at every level, as the bands of a pooled run do
         sizes = {j: frontier_sets(paper_d1.f, 3.0 ** j, paper_d1.measure, paper_d1.alpha,
                                   10 ** 9, max_level=3)
                  for j in (0, 1, 2)}
