@@ -22,7 +22,7 @@ from .bounds import (
     level_lower,
     unknown_bound,
 )
-from .known import QuantileBracket, Run, run_known, run_known_sweep
+from .known import QuantileBracket, Run, run_known
 from .measure import (
     Marginal,
     ProductMeasure,
@@ -43,7 +43,7 @@ from .problems import (
     paper_f_d2,
     reference_quantile,
 )
-from .unknown import best_candidate, candidate_budget, run_unknown
+from .unknown import best_candidate, run_unknown
 from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "build_adversary_d1",
     "build_adversary_d2",
     "calls_upper",
-    "candidate_budget",
     "estimate_level_set_M",
     "estimate_lipschitz",
     "known_bound",
@@ -75,7 +74,6 @@ __all__ = [
     "product_measure",
     "reference_quantile",
     "run_known",
-    "run_known_sweep",
     "run_unknown",
     "truncated_normal_marginal",
     "unknown_bound",

@@ -25,8 +25,8 @@ RHO_D1 = 0.5
 SLOPE_BOOST_D1 = 4.0
 
 
-def _slope_threshold_d2(d: int = 2) -> float:
-    return 5.0 ** (1.0 / d) / (6.0 ** (1.0 / d) - 5.0 ** (1.0 / d))
+def _slope_threshold_d2() -> float:
+    return 5.0 ** 0.5 / (6.0 ** 0.5 - 5.0 ** 0.5)
 
 
 #: twice the proof's lower threshold on the bump slope (strictness margin)

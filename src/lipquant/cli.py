@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import build_adversary_d1, build_adversary_d2, verify_separation
 from .bounds import ProblemConstants, known_bound, unknown_bound
-from .known import run_known_sweep
+from .known import run_known
 from .problems import (
     BUILTIN_PROBLEMS,
     MIN_RESOLUTION,
@@ -208,13 +208,13 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
 def _sweep(cfg: ExperimentConfig, p: TestProblem, constants: ProblemConstants | None) -> list[dict]:
     """The CSV rows of `run_experiment`, one per budget."""
     true_q = reference_quantile(p, cfg.resolution)
-    if cfg.algo == "known":
-        brackets = run_known_sweep(p.f, p.lipschitz, p.measure, p.alpha, cfg.budgets)
+    if cfg.algo == "known":  # one deep run answers every budget
+        deep = run_known(p.f, p.lipschitz, p.measure, p.alpha, max(cfg.budgets))
     rows: list[dict] = []
     for n in cfg.budgets:
         lower = upper = level = evals = bound = None
         if cfg.algo == "known":
-            b = brackets[n]
+            b = deep.bracket_for_budget(n)
             estimate, lower, upper = b.estimate, b.lower, b.upper
             level, evals = b.level, b.evaluations
             if constants is not None and (p.dim == 1 or n > 1):

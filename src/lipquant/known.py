@@ -12,10 +12,6 @@ algorithm: one frontier of cells held as integer digit arrays and scanned
 under several Lipschitz constants ("bands") at once, as DIRECT scans one
 partition under every constant.  `run_known` is its single-band case, whose
 retirement (the budget running out) ends the run.
-
-The refinement path does not depend on the budget: the budget only decides
-how deep the run goes.  `run_known_sweep` exploits this to answer many
-budgets from a single deep run.
 """
 
 from __future__ import annotations
@@ -98,9 +94,12 @@ class Run:
         return self.bracket_for_budget(self.budget)
 
     def bracket_for_budget(self, budget: int) -> QuantileBracket:
-        """Deepest completed level affordable within `budget` calls."""
+        """Deepest completed level affordable within `budget` calls.  The
+        refinement path does not depend on the budget, which only decides how
+        deep the run goes, so one run answers every smaller budget."""
         if self.lipschitz is None:
             raise ValueError("a run without a known Lipschitz constant has no bracket")
+        check_limits(budget, 1)
         fits = [r for r in self.history if r.evaluations <= budget]  # a prefix
         if not fits:
             raise ValueError("budget smaller than the first level's cost")
@@ -252,7 +251,9 @@ class Frontier:
         n_bands, fan, top = len(self.lipschitz), self.fan, self.live_bands[-1]
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
         # where a row has its parent's lowest; no band above `top` keeps a row
-        bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
+        # a width past the float range is inf, which keeps every row
+        with np.errstate(over="ignore"):
+            bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
         gap = np.subtract(self.values, self.estimate)
         np.abs(gap, out=gap)
         if top == 0:  # one comparison per row beats a binary search
@@ -353,24 +354,3 @@ def run_known(
     check_limits(budget, 1, max_level)
     # the one band retires when the budget cannot pay for the next level
     return Frontier(f, measure, alpha, [lipschitz], [budget]).run(budget, max_level, lipschitz)
-
-
-def run_known_sweep(
-    f,
-    lipschitz: float,
-    measure: ProductMeasure,
-    alpha: float,
-    budgets: list[int],
-) -> dict[int, QuantileBracket]:
-    """Brackets for many budgets from one deep run.
-
-    Valid because the per-level estimates and active sets never depend on the
-    budget; each budget just truncates the same run at a different level.
-    """
-    if len(budgets) == 0:
-        raise ValueError("budgets must name at least one budget, got none")
-    for n in budgets:
-        check_limits(n, 1)
-    run = run_known(f, lipschitz, measure, alpha, max(budgets))
-    return {n: run.bracket_for_budget(n) for n in budgets}
-

@@ -26,7 +26,6 @@ class Marginal:
 
     cdf: CdfFn
     kind: str
-    params: tuple[float, ...] = ()
     sf: CdfFn | None = None
 
 
@@ -76,7 +75,7 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
             return (hi - std_normal_cdf(z)) / norm
         return (std_normal_sf(z) - hi_sf) / norm
 
-    return Marginal(cdf=cdf, kind="truncated_normal", params=(mu, sigma), sf=sf)
+    return Marginal(cdf=cdf, kind="truncated_normal", sf=sf)
 
 
 #: Where `user_marginal` probes a CDF: the cell edges b/3^6 of level 6.

@@ -105,17 +105,23 @@ BUILTIN_PROBLEMS = {
 MIN_RESOLUTION = 1000
 
 
-def brute_force_quantile(p: TestProblem, resolution: int = 10 ** 6) -> float:
+def _resolution(resolution: int | None, dim: int) -> int:
+    """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for d = 2."""
+    return (10 ** 6 if dim == 1 else 3000) if resolution is None else resolution
+
+
+def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float:
     """Grid oracle for the alpha-quantile of f(X); accuracy O(L / resolution).
 
     Evaluates f at the centers of a regular grid with `resolution` cells per
-    axis, weights each cell by its probability, and returns the smallest grid
-    value whose cumulative mass reaches alpha.  d = 2 streams the grid in row
-    chunks and locates the quantile in two passes, so memory stays bounded at
-    any resolution.
+    axis (by default `_resolution`'s), weights each cell by its probability,
+    and returns the smallest grid value whose cumulative mass reaches alpha.
+    d = 2 streams the grid in row chunks and locates the quantile in two
+    passes, so memory stays bounded at any resolution.
     """
     if p.dim > 2:
         raise ValueError("grid oracle supports d <= 2 only")
+    resolution = _resolution(resolution, p.dim)
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     if p.dim == 1:
@@ -193,8 +199,6 @@ def reference_quantile(p: TestProblem, resolution: int | None = None) -> float:
     """Analytic quantile when known, otherwise the grid oracle."""
     if p.true_quantile is not None:
         return p.true_quantile
-    if resolution is None:
-        resolution = 10 ** 6 if p.dim == 1 else 3000
     return brute_force_quantile(p, resolution)
 
 
@@ -228,8 +232,7 @@ def estimate_level_set_M(
     (constant f).
     """
     q = true_quantile if true_quantile is not None else reference_quantile(p, resolution)
-    if resolution is None:
-        resolution = 10 ** 6 if p.dim == 1 else 3000
+    resolution = _resolution(resolution, p.dim)
     deltas = [3.0, 1.0, 0.3, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
     vols = []
     centers = (np.arange(resolution) + 0.5) / resolution

@@ -1,23 +1,23 @@
 """Quantile estimation without the Lipschitz constant.
 
-Candidate constants 3^j, j = 0, 1, ... of `schedule(N)`, each run the
-known-constant pruning with their own band and their own slice of the global
-budget, floor(6N / (pi^2 (j+1)^2)).  All candidates share one frontier of cells
-(`known.Frontier`, one band per candidate) and one pooled quantile per level.
-A candidate whose ledger overruns its slice is retired and refines nothing
-more.  A cell that only retired candidates hold leaves the frontier once, with
-its own mass, as an eligible frozen point, as DIRECT leaves a box that no
-constant selects in its partition.  So from the first retirement on, a
-`LevelRecord`'s `active_cells` and `active_mass` count only the cells that a
-live candidate keeps, and its `frozen_mass` includes the cells that left as
-eligible points.  The pooled estimate is returned without a bracket.
+Candidate constants 3^j, j = 0, 1, ..., each run the known-constant pruning
+with their own band and their own slice of the global budget,
+floor(6N / (pi^2 (j+1)^2)), both given as arrays by `schedule(N)`; a constant
+past the float range is `inf`, and its band keeps every cell.  All candidates
+share one frontier of cells (`known.Frontier`, one band per candidate) and one
+pooled quantile per level.  A candidate whose ledger overruns its slice is
+retired and refines nothing more.  A cell that only retired candidates hold
+leaves the frontier once, with its own mass, as an eligible frozen point, as
+DIRECT leaves a box that no constant selects in its partition.  So from the
+first retirement on, a `LevelRecord`'s `active_cells` and `active_mass` count
+only the cells that a live candidate keeps, and its `frozen_mass` includes the
+cells that left as eligible points.  The pooled estimate is returned without a
+bracket.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +27,22 @@ from .known import Frontier, Run, check_limits
 from .measure import ProductMeasure
 
 _MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
+_J_INF = 647  # the smallest j with 3^j past the float range
 
 
-def candidate_budget(j: int, budget: int) -> int:
-    """Budget slice floor(6N / (pi^2 (j+1)^2)) for candidate constant 3^j."""
-    return int(math.floor(6.0 * budget / (math.pi ** 2 * (j + 1) ** 2)))
-
-
-@dataclass(frozen=True)
-class CandidateSchedule:
-    j: int
-    lipschitz: float
-    budget: int
-
-
-def candidate_slices(budget: int) -> np.ndarray:
-    """The nonzero slices `candidate_budget(j, budget)`, j = 0, 1, ..., by its
-    operations in its order, as one array."""
+def schedule(budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates j = 0, 1, ... while their slice is nonzero, as the
+    arrays (constants, slices): constant 3^j, as `3.0 ** j` gives it (NumPy's
+    own power can differ from it in the last bit) and `inf` past the float
+    range, j >= 647; slice floor(6N / (pi^2 (j+1)^2)).
+    """
     check_limits(budget, _MIN_BUDGET)
     # (j+1)^2 <= 6N/pi^2 up to rounding, which two more j cover
     j1 = np.arange(1, int(math.sqrt(6.0 * budget) / math.pi) + 3)
     slices = np.floor(6.0 * budget / (math.pi ** 2 * j1 ** 2)).astype(np.int64)
-    return slices[slices >= 1]
-
-
-def candidate_constants(n: int) -> np.ndarray:
-    """The constants 3^j, j < n, each as `3.0 ** j` gives it: NumPy's own power
-    can differ from it in the last bit."""
-    return np.fromiter(map(pow, itertools.repeat(3.0), range(n)), float, n)
-
-
-def schedule(budget: int) -> list[CandidateSchedule]:
-    """Candidates j = 0, 1, ... with constant 3^j, while their slice is nonzero."""
-    slices = candidate_slices(budget).tolist()
-    constants = candidate_constants(len(slices)).tolist()
-    return [CandidateSchedule(j, c, n) for j, (c, n) in enumerate(zip(constants, slices))]
+    slices = slices[slices >= 1]
+    constants = [3.0 ** j if j < _J_INF else math.inf for j in range(len(slices))]
+    return np.array(constants), slices
 
 
 def run_unknown(
@@ -77,9 +58,7 @@ def run_unknown(
     Refinement stops at level K_MAX.
     """
     check_limits(budget, _MIN_BUDGET, max_level)
-    slices = candidate_slices(budget)
-    fr = Frontier(f, measure, alpha, candidate_constants(len(slices)), slices)
-    return fr.run(budget, max_level)
+    return Frontier(f, measure, alpha, *schedule(budget)).run(budget, max_level)
 
 
 def best_candidate(lipschitz_true: float) -> int:

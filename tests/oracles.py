@@ -6,13 +6,15 @@ partition identities can be checked exactly; floats only appear in
 `center`, `center_point`, `cell_bounds` and the scalar cell mass.  The
 engine (`lipquant.known.Frontier`) holds the same cells as int64 digit
 arrays; the tests compare it against these helpers, and `frontier_sets`
-reads its cells level by level.  `refined_quantile_d1` is a
+reads its cells level by level.  `candidate_budget` is the scalar slice
+formula of the unknown-constant schedule.  `refined_quantile_d1` is a
 near-machine-precision quantile oracle for smooth d = 1 problems.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -153,6 +155,20 @@ def frontier_sets(f, lipschitz: float, measure, alpha: float, budget: int,
         sets.append(list(map(tuple, fr.digits().tolist())))
         if fr.level >= max_level or not fr.step():
             return sets
+
+
+def candidate_budget(j: int, budget: int) -> int:
+    """Budget slice floor(6N / (pi^2 (j+1)^2)) of candidate constant 3^j,
+    one candidate at a time in Python floats."""
+    return int(math.floor(6.0 * budget / (math.pi ** 2 * (j + 1) ** 2)))
+
+
+def funded_candidates(budget: int) -> range:
+    """The candidates j = 0, 1, ... whose `candidate_budget` is nonzero."""
+    j = 0
+    while candidate_budget(j, budget) >= 1:
+        j += 1
+    return range(j)
 
 
 def refined_quantile_d1(p: TestProblem, coarse_resolution: int = 10 ** 5) -> float:

@@ -12,7 +12,7 @@ import pytest
 import lipquant as lq
 from lipquant.bounds import ProblemConstants, calls_upper, known_bound, unknown_bound
 from lipquant.cli import fit_slope
-from lipquant.known import run_known, run_known_sweep
+from lipquant.known import run_known
 from lipquant.unknown import best_candidate, run_unknown
 
 from conftest import random_lipschitz_problem
@@ -69,9 +69,10 @@ def test_criterion_02_d2_analytic_reproduction(paper_d2):
 def test_criterion_03_d1_reproduction_and_rate(paper_d1, paper_d1_quantile):
     grid_q = lq.brute_force_quantile(paper_d1, 10 ** 6)
     budgets = list(range(10, 501, 10))
-    swept = run_known_sweep(
-        paper_d1.f, paper_d1.lipschitz, paper_d1.measure, paper_d1.alpha, budgets
+    deep = run_known(
+        paper_d1.f, paper_d1.lipschitz, paper_d1.measure, paper_d1.alpha, max(budgets)
     )
+    swept = {n: deep.bracket_for_budget(n) for n in budgets}
     err_500 = abs(swept[500].estimate - grid_q)
     # exclude budgets whose error sits below the oracle/float noise floor
     errors = [abs(swept[n].estimate - paper_d1_quantile) for n in budgets]

@@ -183,6 +183,15 @@ class TestMain:
         assert code == 0
         assert out.read_text().startswith("n,estimate")
 
+    def test_unknown_budget_past_the_float_range(self, tmp_path, capsys):
+        # its candidates 647 and up have constants past the float range; the
+        # run used to end in an OverflowError
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "paper_d2", "--algo", "unknown",
+                     "--budgets", "690715", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert row.startswith("690715,")
+
     def test_config_error_exit_two(self, capsys):
         assert main(["run", "--problem", "nope"]) == 2
 

@@ -14,11 +14,18 @@ import pytest
 import lipquant as lq
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
-from lipquant.unknown import candidate_budget, run_unknown, schedule
+from lipquant.unknown import run_unknown
 from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
 
 from conftest import random_lipschitz_problem
-from oracles import canonical_center_key, center_point, child_digits, frontier_sets
+from oracles import (
+    canonical_center_key,
+    candidate_budget,
+    center_point,
+    child_digits,
+    frontier_sets,
+    funded_candidates,
+)
 
 CASES = [(1, 300), (2, 2000), (3, 5000)]
 
@@ -61,7 +68,7 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     d = measure.dim
     n_kids = 3 ** d
     cells = [(0,) * d]
-    sets = {j: cells for j in range(len(schedule(budget)))}
+    sets = {j: cells for j in funded_candidates(budget)}
     ledgers = dict.fromkeys(sets, 1)
     live = list(sets)
     retired: dict[int, int] = {}
@@ -198,7 +205,7 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     m = measure_for(dim)
     max_level = 12 // dim
     *_, frontiers, frozen_points = reference_unknown(f, m, 0.8, budget, max_level)
-    bands = range(len(schedule(budget)))
+    bands = funded_candidates(budget)
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
     settled = 0  # levels with eligible frozen points
     for cells, points in zip(frontiers, frozen_points):

@@ -5,7 +5,7 @@ import pytest
 
 import lipquant as lq
 from lipquant.grid import half_radius
-from lipquant.known import run_known, run_known_sweep
+from lipquant.known import run_known
 
 from conftest import random_lipschitz_problem
 from oracles import frontier_sets, full_grid_estimate
@@ -110,29 +110,28 @@ class TestBudgetAccounting:
 
 class TestSweep:
     def test_sweep_matches_scratch_runs(self, paper_d2):
+        # one deep run answers every smaller budget as a fresh run would
         budgets = [10, 33, 100, 472, 1500]
-        swept = run_known_sweep(
-            paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, budgets
+        deep = run_known(
+            paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, max(budgets)
         )
         for n in budgets:
             fresh = run_known(
                 paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, n
             ).bracket
-            assert swept[n] == fresh
-
-    def test_empty_budgets_rejected(self, paper_d2):
-        # used to surface as max()'s "arg is an empty sequence"
-        with pytest.raises(ValueError, match="budgets must name at least one budget"):
-            run_known_sweep(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, [])
+            assert deep.bracket_for_budget(n) == fresh
 
     @pytest.mark.parametrize("budgets,bad", [([2.5, 100], "2.5"), ([100, -5], "-5"),
                                              ([100, float("nan")], "nan"), ([0, 100], "0")])
-    def test_every_budget_is_checked(self, paper_d2, budgets, bad):
-        # only the largest was checked: 2.5 got a bracket, and -5, NaN or 0
-        # raised "budget smaller than the first level's cost"
-        with pytest.raises(ValueError, match=rf"budget must be a whole number >= 1, got {bad}$"):
-            run_known_sweep(paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha,
-                            budgets)
+    def test_every_budget_is_checked(self, paper_d2_deep_run, budgets, bad):
+        # each budget asked of one run is checked: 2.5 got a bracket, and -5,
+        # NaN or 0 raised "budget smaller than the first level's cost"
+        for n in budgets:
+            if n == 100:
+                assert paper_d2_deep_run.bracket_for_budget(n).evaluations <= n
+                continue
+            with pytest.raises(ValueError, match=rf"budget must be a whole number >= 1, got {bad}$"):
+                paper_d2_deep_run.bracket_for_budget(n)
 
     def test_budget_too_small_rejected(self, paper_d1_deep_run):
         with pytest.raises(ValueError):
@@ -160,6 +159,16 @@ class TestFullGridEquivalence:
         p = lq.paper_f_d2()
         with pytest.raises(ValueError):
             full_grid_estimate(p.f, p.measure, p.alpha, 11)
+
+    def test_band_past_the_float_range(self, paper_d2):
+        # 2*L overflows, so the band width is inf and keeps every cell: the
+        # run refines the full grid.  It used to warn of the overflow
+        p = paper_d2
+        run = run_known(p.f, 1e308, p.measure, p.alpha, 10 ** 9, max_level=3)
+        assert [r.active_cells for r in run.history] == [3 ** (2 * k) for k in range(4)]
+        for r in run.history:
+            assert r.estimate == full_grid_estimate(p.f, p.measure, p.alpha, r.level)
+        assert run.bracket.lower <= p.true_quantile <= run.bracket.upper
 
     def test_random_functions(self):
         rng = np.random.default_rng(99)

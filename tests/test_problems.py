@@ -86,6 +86,24 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             brute_force_quantile(linear_d1(0.5), 10)
 
+    @pytest.mark.parametrize("dim,resolution", [(1, 10 ** 6), (2, 3000)])
+    def test_one_default_resolution(self, dim, resolution):
+        # the grid oracles share one default, 10^6 cells per axis for d = 1
+        # and 3000 for d = 2, where 10^6 would cost 10^12 calls of f; a
+        # constant f costs one pass over the grid in each oracle
+        seen = []
+
+        def f(x):
+            seen.append(len(x))
+            assert sum(seen) <= 3 * resolution ** dim
+            return np.full(len(x), -1.5)
+
+        p = lq.TestProblem("const", f, dim, 1.0, lq.uniform_cube(dim), 0.9)
+        assert brute_force_quantile(p) == lq.reference_quantile(p) == -1.5
+        with pytest.raises(ValueError, match="level-set"):
+            estimate_level_set_M(p, true_quantile=-1.5)
+        assert sum(seen) == 3 * resolution ** dim
+
     def test_dimension_guard(self):
         p = lq.TestProblem(
             "d3", lambda x: np.asarray(x).sum(axis=1), 3, 2.0, lq.uniform_cube(3), 0.5

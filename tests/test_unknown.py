@@ -8,66 +8,68 @@ import pytest
 
 import lipquant as lq
 from lipquant.known import run_known
-from lipquant.unknown import (
-    CandidateSchedule,
-    best_candidate,
-    candidate_budget,
-    candidate_constants,
-    candidate_slices,
-    run_unknown,
-    schedule,
-    unknown_error_bound_check,
-)
+from lipquant.unknown import best_candidate, run_unknown, schedule, unknown_error_bound_check
 
-from oracles import frontier_sets
+from oracles import candidate_budget, frontier_sets
+
+#: the budgets around the first candidates past the float range: from 688,585
+#: the band width 2*3^646*delta overflows, from 690,715 the constant 3^647 does
+PAST_FLOAT_RANGE = (688_585, 690_714, 690_715, 10 ** 6, 10 ** 9)
 
 
 class TestSchedule:
     def test_candidate_budget_formula(self):
         assert candidate_budget(0, 100) == math.floor(600 / math.pi ** 2)
         assert candidate_budget(3, 1000) == math.floor(6000 / (math.pi ** 2 * 16))
+        assert schedule(100)[1][0] == math.floor(600 / math.pi ** 2)
+        assert schedule(1000)[1][3] == math.floor(6000 / (math.pi ** 2 * 16))
 
     def test_j_max_examples(self):
         # j_max(N), the largest candidate id, is the last of the schedule
-        assert schedule(2)[-1].j == 0
-        assert schedule(100)[-1].j == 6
-        assert schedule(1000)[-1].j == 23
+        assert len(schedule(2)[1]) - 1 == 0
+        assert len(schedule(100)[1]) - 1 == 6
+        assert len(schedule(1000)[1]) - 1 == 23
 
     def test_j_max_minimum_budget(self):
         with pytest.raises(ValueError):
             schedule(1)
 
     def test_budgets_sum_within_global(self):
-        for n in (2, 10, 100, 1000, 12345):
-            assert sum(c.budget for c in schedule(n)) <= n
+        for n in (2, 10, 100, 1000, 12345) + PAST_FLOAT_RANGE:
+            assert schedule(n)[1].sum() <= n
 
     def test_candidate_lipschitz_values(self):
-        s = schedule(50)
-        assert [c.lipschitz for c in s] == [3.0 ** j for j in range(len(s))]
-        assert s[0].j == 0  # candidate L=1 included
+        constants, slices = schedule(50)
+        assert constants.tolist() == [3.0 ** j for j in range(len(slices))]
+        assert constants[0] == 1.0  # candidate L=1 included
 
     def test_slices_are_candidate_budget_bit_for_bit(self):
         # the array expression against the scalar formula, cut right after the
         # last nonzero slice
-        for n in itertools.chain(range(2, 20_001), (10 ** 6, 10 ** 9, 10 ** 12)):
-            slices = candidate_slices(n).tolist()
+        budgets = itertools.chain(range(2, 20_001), PAST_FLOAT_RANGE, (10 ** 12,))
+        for n in budgets:
+            slices = schedule(n)[1].tolist()
             assert slices == [candidate_budget(j, n) for j in range(len(slices))], n
             assert candidate_budget(len(slices), n) == 0, n
-        assert candidate_slices(1e5).tolist() == candidate_slices(10 ** 5).tolist()
+        assert schedule(1e5)[1].tolist() == schedule(10 ** 5)[1].tolist()
 
     def test_constants_are_powers_of_three_bit_for_bit(self):
-        # as `3.0 ** j` gives them, up to the last one below the float range;
-        # NumPy's own power differs from it in the last bit on some hosts
-        got = candidate_constants(647).tolist()
+        # as `3.0 ** j` gives them, up to the last one below the float range,
+        # and inf past it; NumPy's own power differs from it in the last bit
+        # on some hosts
+        constants, slices = schedule(10 ** 6)
+        assert len(constants) == len(slices) > 647
+        got = constants[:647].tolist()
         assert [c.hex() for c in got] == [(3.0 ** j).hex() for j in range(647)]
+        assert np.isposinf(constants[647:]).all()
 
     def test_schedule_is_the_scalar_schedule(self):
         for n in itertools.chain(range(2, 3000), (12345, 10 ** 5, 6 * 10 ** 5)):
-            want = itertools.takewhile(lambda c: c.budget >= 1, (
-                CandidateSchedule(j, 3.0 ** j, candidate_budget(j, n)) for j in itertools.count()))
-            got = schedule(n)
-            assert got == list(want), n
-            assert all(type(c.lipschitz) is float and type(c.budget) is int for c in got)
+            want = list(itertools.takewhile(lambda c: c[1] >= 1, (
+                (3.0 ** j, candidate_budget(j, n)) for j in itertools.count())))
+            constants, slices = schedule(n)
+            assert list(zip(constants.tolist(), slices.tolist())) == want, n
+            assert constants.dtype == np.float64 and slices.dtype == np.int64
 
 
 class TestRuns:
@@ -107,6 +109,23 @@ class TestRuns:
             assert run.ledgers[j] > candidate_budget(j, 200)
         assert run.ledgers[0] <= candidate_budget(0, 200)
         assert run.history[-1].live == (0,)
+
+    @pytest.mark.parametrize("n", [688_585, 690_715, 10 ** 6])
+    def test_budgets_past_the_float_range(self, paper_d1, paper_d1_quantile, paper_d2, n):
+        # the band width of candidate 646 overflows from N = 688,585 on, and
+        # its constant 3^647 from N = 690,715 on: such a band is inf and keeps
+        # every cell.  These runs used to warn or raise OverflowError
+        for p, q in ((paper_d1, paper_d1_quantile), (paper_d2, paper_d2.true_quantile)):
+            run = run_unknown(p.f, p.measure, p.alpha, n)
+            _, slices = schedule(n)
+            assert run.enumerated_j_max == len(slices) - 1 >= 646
+            assert run.evaluations <= n
+            for j in run.retirement_level:
+                assert run.ledgers[j] > slices[j]
+            # a slice below 3^d cannot pay for the root's children
+            assert all(run.retirement_level[j] == 0
+                       for j in range(len(slices)) if slices[j] < 3 ** p.dim)
+            assert unknown_error_bound_check(run, q, p.lipschitz, p.dim)
 
     def test_mass_conservation(self, paper_d1, paper_d2):
         for p, n in ((paper_d1, 300), (paper_d2, 800)):
@@ -157,7 +176,7 @@ class TestSingleBand:
         # same level records as run_known with that constant and slice
         p = lq.problems.BUILTIN_PROBLEMS[name]()
         for n in range(2, 7):
-            assert len(schedule(n)) == 1
+            assert len(schedule(n)[1]) == 1
             run = run_unknown(p.f, p.measure, p.alpha, n)
             known = run_known(p.f, 1.0, p.measure, p.alpha, candidate_budget(0, n))
             assert run.history == known.history
