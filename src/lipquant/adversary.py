@@ -91,7 +91,8 @@ def build_adversary_d2(
     if len(free) < 2 * n:
         raise AssertionError("pigeonhole failure: expected >= 2N free cells")
 
-    free_arr = np.array(free)
+    free_col = np.zeros(m, dtype=bool)  # middle-column cells that carry a tent
+    free_col[list(free)] = True
     lboost = float(slope_boost)
 
     def f_bar(x: np.ndarray) -> np.ndarray:
@@ -102,7 +103,7 @@ def build_adversary_d2(
         base = t[:, 0].copy()
         i1 = np.minimum((t[:, 0] * m).astype(int), m - 1)
         i2 = np.minimum((t[:, 1] * m).astype(int), m - 1)
-        inside = (i1 == mid) & np.isin(i2, free_arr)
+        inside = (i1 == mid) & free_col[i2]
         if np.any(inside):
             x1 = t[inside, 0]
             x2 = t[inside, 1]
@@ -227,7 +228,6 @@ def verify_separation(
     problem = TestProblem(
         name="adversary_tilde",
         f=adv.f_tilde,
-        dim=dim,
         lipschitz=adv.slope_boost + 1.0,
         measure=uniform_cube(dim),
         alpha=0.5,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import build_adversary_d1, build_adversary_d2, verify_separation
 from .bounds import ProblemConstants, known_bound, unknown_bound
-from .known import run_known
+from .known import check_limits, run_known
 from .problems import (
     BUILTIN_PROBLEMS,
     MIN_RESOLUTION,
@@ -31,9 +31,12 @@ from .problems import (
     monte_carlo_quantile,
     reference_quantile,
 )
-from .unknown import run_unknown
+from .unknown import MIN_BUDGET, run_unknown
 
 CSV_HEADER = ["n", "estimate", "lower", "upper", "level", "evals", "true_q", "abs_error", "bound"]
+
+#: The algorithms of `run`, each with the least budget that its library call accepts.
+LEAST_BUDGET = {"known": 1, "unknown": MIN_BUDGET, "monte_carlo": 1}
 
 
 class ConfigError(Exception):
@@ -42,6 +45,8 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """The inputs of one `run`; the one place where bad ones are refused."""
+
     problem: str = "paper_d1"
     algo: str = "known"
     alpha: Optional[float] = None
@@ -53,9 +58,21 @@ class ExperimentConfig:
     resolution: Optional[int] = None
 
     def __post_init__(self):
+        if self.problem not in BUILTIN_PROBLEMS:
+            raise ConfigError(f"unknown problem {self.problem!r}; "
+                              f"choose from {sorted(BUILTIN_PROBLEMS)}")
+        if self.algo not in LEAST_BUDGET:
+            raise ConfigError(f"unknown algorithm {self.algo!r}")
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        for name in ("lipschitz", "level_set"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        _check_seed(self.seed)
         if self.resolution is not None and self.resolution < MIN_RESOLUTION:
             raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution}")
-        _check_seed(self.seed)
+        _check_budgets(self.budgets, LEAST_BUDGET[self.algo])
 
 
 def _check_seed(seed: int) -> None:
@@ -63,26 +80,32 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def _check_budgets(budgets: Sequence[int], least: int) -> None:
+    """At least one budget, each a whole number >= `least` as the library's
+    `check_limits` has it, in strictly increasing order."""
+    for n in budgets:
+        try:
+            check_limits(n, least)
+        except ValueError as exc:
+            raise ConfigError(f"budget {n}: {exc}") from None
+    if len(budgets) == 0 or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise ConfigError("budgets must be non-empty and strictly increasing")
+
+
 def parse_budgets(text: str) -> list[int]:
-    """Comma list ("10,100,1000") or range ("start:stop:step", inclusive)."""
+    """Comma list ("10,100,1000") or range ("start:stop:step", inclusive),
+    refused by the rules of `_check_budgets` for a budget of at least 1."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                parts.append(1)
-            if len(parts) != 3 or parts[2] <= 0:
-                raise ValueError
-            start, stop, step = parts
+            start, stop, step = parts if len(parts) == 3 else parts + [1]
             budgets = list(range(start, stop + 1, step))
         else:
             budgets = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse budgets {text!r}") from None
-    if not budgets or any(b < 1 for b in budgets):
-        raise ConfigError(f"budgets must be positive integers, got {text!r}")
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ConfigError("budgets must be strictly increasing")
+    _check_budgets(budgets, 1)
     return budgets
 
 
@@ -116,23 +139,11 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def build_problem(cfg: ExperimentConfig) -> TestProblem:
-    if cfg.problem not in BUILTIN_PROBLEMS:
-        raise ConfigError(
-            f"unknown problem {cfg.problem!r}; choose from {sorted(BUILTIN_PROBLEMS)}"
-        )
-    p = BUILTIN_PROBLEMS[cfg.problem]()
-    if cfg.alpha is not None:
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0,1), got {cfg.alpha}")
-        if cfg.problem == "paper_d2":
-            p = BUILTIN_PROBLEMS[cfg.problem](cfg.alpha)  # keeps the analytic quantile
-        else:
-            p = replace(p, alpha=cfg.alpha, true_quantile=None)
-    if cfg.lipschitz is not None:
-        if not (math.isfinite(cfg.lipschitz) and cfg.lipschitz > 0):
-            raise ConfigError(f"lipschitz must be finite and positive, got {cfg.lipschitz}")
-        p = replace(p, lipschitz=cfg.lipschitz)
-    return p
+    """The named builtin problem at `cfg.alpha`, with `cfg.lipschitz` if given;
+    f and the law stay, and so does the factory's analytic quantile."""
+    factory = BUILTIN_PROBLEMS[cfg.problem]
+    p = factory() if cfg.alpha is None else factory(cfg.alpha)
+    return p if cfg.lipschitz is None else replace(p, lipschitz=cfg.lipschitz)
 
 
 def fit_slope(ns: Sequence[float], errors: Sequence[float], mode: str) -> tuple[float, float, float]:
@@ -170,20 +181,12 @@ def _fmt(x) -> str:
 def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
     """One CSV row per budget; known-constant budgets share one deep run."""
     p = build_problem(cfg)
-    if cfg.algo not in ("known", "unknown", "monte_carlo"):
-        raise ConfigError(f"unknown algorithm {cfg.algo!r}")
-    constants = None
-    if cfg.level_set is not None:
-        try:
-            constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     try:  # before any run, so that a bad path costs nothing
         out_fh = open(cfg.out, "w", newline="") if cfg.out else stream
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}") from None
     try:
-        rows = _sweep(cfg, p, constants)
+        rows = _sweep(cfg, p)
         writer = csv.DictWriter(out_fh, CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         writer.writerows({key: _fmt(value) for key, value in r.items()} for r in rows)
@@ -205,8 +208,11 @@ def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
     return rows
 
 
-def _sweep(cfg: ExperimentConfig, p: TestProblem, constants: ProblemConstants | None) -> list[dict]:
+def _sweep(cfg: ExperimentConfig, p: TestProblem) -> list[dict]:
     """The CSV rows of `run_experiment`, one per budget."""
+    constants = None
+    if cfg.level_set is not None:
+        constants = ProblemConstants(p.dim, p.lipschitz, cfg.level_set, p.alpha)
     true_q = reference_quantile(p, cfg.resolution)
     if cfg.algo == "known":  # one deep run answers every budget
         deep = run_known(p.f, p.lipschitz, p.measure, p.alpha, max(cfg.budgets))
@@ -220,12 +226,8 @@ def _sweep(cfg: ExperimentConfig, p: TestProblem, constants: ProblemConstants | 
             if constants is not None and (p.dim == 1 or n > 1):
                 bound = known_bound(constants, n)
         elif cfg.algo == "unknown":
-            try:
-                run = run_unknown(p.f, p.measure, p.alpha, n)
-            except ValueError as exc:  # a budget too small to fund any candidate
-                raise ConfigError(f"budget {n}: {exc}") from None
-            estimate = run.estimate
-            level, evals = run.level, run.evaluations
+            run = run_unknown(p.f, p.measure, p.alpha, n)
+            estimate, level, evals = run.estimate, run.level, run.evaluations
             if constants is not None and p.lipschitz >= 1.0:
                 try:
                     bound = unknown_bound(constants, n)
@@ -339,9 +341,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             ok = adversary_report(args.dim, parse_query_counts(args.n), seed=args.seed)
             return 0 if ok else 3
         if args.command == "oracle":
-            cfg = ExperimentConfig(problem=args.problem, alpha=args.alpha,
-                                   resolution=args.resolution)
-            oracle_report(cfg)
+            oracle_report(ExperimentConfig(problem=args.problem, alpha=args.alpha,
+                                           resolution=args.resolution))
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,12 +25,11 @@ class Marginal:
     """
 
     cdf: CdfFn
-    kind: str
     sf: CdfFn | None = None
 
 
 def uniform_marginal() -> Marginal:
-    return Marginal(cdf=lambda x: np.asarray(x, dtype=float), kind="uniform")
+    return Marginal(cdf=lambda x: np.asarray(x, dtype=float))
 
 
 def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
@@ -75,7 +74,7 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
             return (hi - std_normal_cdf(z)) / norm
         return (std_normal_sf(z) - hi_sf) / norm
 
-    return Marginal(cdf=cdf, kind="truncated_normal", sf=sf)
+    return Marginal(cdf=cdf, sf=sf)
 
 
 #: Where `user_marginal` probes a CDF: the cell edges b/3^6 of level 6.
@@ -100,7 +99,7 @@ def user_marginal(cdf: CdfFn) -> Marginal:
         i = bad[0]
         raise ValueError(f"cdf must be non-decreasing, but cdf({_PROBE_GRID[i]}) = {v[i]} "
                          f"and cdf({_PROBE_GRID[i + 1]}) = {v[i + 1]}")
-    return Marginal(cdf=cdf, kind="user_cdf")
+    return Marginal(cdf=cdf)
 
 
 def _steps(m: Marginal, edges: np.ndarray) -> np.ndarray:

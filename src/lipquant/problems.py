@@ -22,33 +22,30 @@ class TestProblem:
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    dim: int
     lipschitz: float
     measure: ProductMeasure
     alpha: float
     true_quantile: Optional[float] = None  # analytic value when one exists
 
+    @property
+    def dim(self) -> int:
+        return self.measure.dim
 
-def paper_f_d1() -> TestProblem:
+
+def paper_f_d1(alpha: float = 0.999) -> TestProblem:
     """1-d benchmark: smooth bimodal-ish f under a truncated normal law.
 
     f(x) = 0.8x - 0.3 + exp(-11.534 x^1.95) + exp(-2 (x - 0.9)^2), X ~
-    N(1/5, 1/25) conditioned on [0,1], alpha = 0.999.  The quantile has no
-    closed form; use `brute_force_quantile` as the reference.
+    N(1/5, 1/25) conditioned on [0,1], by default alpha = 0.999.  The
+    quantile has no closed form; use `brute_force_quantile` as the reference.
     """
 
     def f(x: np.ndarray) -> np.ndarray:
         t = np.asarray(x, dtype=float)[:, 0]
         return 0.8 * t - 0.3 + np.exp(-11.534 * t ** 1.95) + np.exp(-2.0 * (t - 0.9) ** 2)
 
-    return TestProblem(
-        name="paper_d1",
-        f=f,
-        dim=1,
-        lipschitz=1.61,
-        measure=product_measure([truncated_normal_marginal(0.2, 0.2)]),
-        alpha=0.999,
-    )
+    measure = product_measure([truncated_normal_marginal(0.2, 0.2)])
+    return TestProblem(name="paper_d1", f=f, lipschitz=1.61, measure=measure, alpha=alpha)
 
 
 def paper_f_d2(alpha: float = 0.999) -> TestProblem:
@@ -62,19 +59,9 @@ def paper_f_d2(alpha: float = 0.999) -> TestProblem:
         t = np.asarray(x, dtype=float)
         return t[:, 0] + t[:, 1]
 
-    if alpha >= 0.5:
-        q = 2.0 - math.sqrt(2.0 * (1.0 - alpha))
-    else:
-        q = math.sqrt(2.0 * alpha)
-    return TestProblem(
-        name="paper_d2",
-        f=f,
-        dim=2,
-        lipschitz=math.sqrt(2.0),
-        measure=uniform_cube(2),
-        alpha=alpha,
-        true_quantile=q,
-    )
+    q = 2.0 - math.sqrt(2.0 * (1.0 - alpha)) if alpha >= 0.5 else math.sqrt(2.0 * alpha)
+    return TestProblem(name="paper_d2", f=f, lipschitz=math.sqrt(2.0), measure=uniform_cube(2),
+                       alpha=alpha, true_quantile=q)
 
 
 def linear_d1(alpha: float = 0.5) -> TestProblem:
@@ -83,15 +70,8 @@ def linear_d1(alpha: float = 0.5) -> TestProblem:
     def f(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)[:, 0]
 
-    return TestProblem(
-        name="linear_d1",
-        f=f,
-        dim=1,
-        lipschitz=1.0,
-        measure=uniform_cube(1),
-        alpha=alpha,
-        true_quantile=alpha,
-    )
+    return TestProblem(name="linear_d1", f=f, lipschitz=1.0, measure=uniform_cube(1),
+                       alpha=alpha, true_quantile=alpha)
 
 
 BUILTIN_PROBLEMS = {
@@ -140,6 +120,14 @@ def _grid_quantile_d1(p: TestProblem, res: int) -> float:
     return float(values[order][i])
 
 
+def _grid_rows(centers: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Rows i0..i1 of the grid of `centers` as points, x2 fixed per row."""
+    x = np.empty((i1 - i0, len(centers), 2))
+    x[:, :, 0] = centers
+    x[:, :, 1] = centers[i0:i1, None]
+    return x.reshape(-1, 2)
+
+
 def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
     edges = np.linspace(0.0, 1.0, res + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -149,9 +137,7 @@ def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
 
     def row_values(i0: int, i1: int) -> np.ndarray:
         """f on rows i0..i1 (x2 fixed per row), shape (i1-i0, res)."""
-        x1 = np.tile(centers, i1 - i0)
-        x2 = np.repeat(centers[i0:i1], res)
-        return np.asarray(p.f(np.column_stack([x1, x2])), dtype=float).reshape(i1 - i0, res)
+        return np.asarray(p.f(_grid_rows(centers, i0, i1)), dtype=float).reshape(i1 - i0, res)
 
     vmin, vmax = math.inf, -math.inf
     for i0 in range(0, res, chunk):
@@ -245,9 +231,7 @@ def estimate_level_set_M(
         counts = np.zeros(len(deltas))
         for i0 in range(0, resolution, chunk):
             i1 = min(i0 + chunk, resolution)
-            x1 = np.tile(centers, i1 - i0)
-            x2 = np.repeat(centers[i0:i1], resolution)
-            v = np.asarray(p.f(np.column_stack([x1, x2])), dtype=float)
+            v = np.asarray(p.f(_grid_rows(centers, i0, i1)), dtype=float)
             for i, delta in enumerate(deltas):
                 counts[i] += float(np.sum(np.abs(v - q) <= delta))
         vols = (counts / resolution ** 2).tolist()  # floats, not NumPy scalars

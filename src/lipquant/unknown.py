@@ -26,7 +26,7 @@ from .grid import center_child_digits, half_radius  # noqa: F401
 from .known import Frontier, Run, check_limits
 from .measure import ProductMeasure
 
-_MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
+MIN_BUDGET = 2  # smallest N with pi^2/6 <= N, i.e. with any candidate funded
 _J_INF = 647  # the smallest j with 3^j past the float range
 
 
@@ -36,7 +36,7 @@ def schedule(budget: int) -> tuple[np.ndarray, np.ndarray]:
     own power can differ from it in the last bit) and `inf` past the float
     range, j >= 647; slice floor(6N / (pi^2 (j+1)^2)).
     """
-    check_limits(budget, _MIN_BUDGET)
+    check_limits(budget, MIN_BUDGET)
     # (j+1)^2 <= 6N/pi^2 up to rounding, which two more j cover
     j1 = np.arange(1, int(math.sqrt(6.0 * budget) / math.pi) + 3)
     slices = np.floor(6.0 * budget / (math.pi ** 2 * j1 ** 2)).astype(np.int64)
@@ -57,7 +57,7 @@ def run_unknown(
     Candidate j of `schedule(budget)` is band j of one shared `Frontier`.
     Refinement stops at level K_MAX.
     """
-    check_limits(budget, _MIN_BUDGET, max_level)
+    check_limits(budget, MIN_BUDGET, max_level)
     return Frontier(f, measure, alpha, *schedule(budget)).run(budget, max_level)
 
 

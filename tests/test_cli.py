@@ -1,5 +1,6 @@
 """Command-line interface: parsing, slope fits, CSV determinism, exit codes."""
 
+import dataclasses
 import io
 import math
 
@@ -18,6 +19,7 @@ from lipquant.cli import (
     run_experiment,
 )
 from lipquant.known import run_known
+from lipquant.problems import BUILTIN_PROBLEMS, paper_f_d2
 
 
 class TestParseBudgets:
@@ -89,7 +91,7 @@ class TestConfig:
         p = build_problem(ExperimentConfig(problem="linear_d1", alpha=0.25, lipschitz=2.0))
         assert p.alpha == 0.25
         assert p.lipschitz == 2.0
-        assert p.true_quantile is None  # analytic value dropped on override
+        assert p.true_quantile == 0.25  # f and the law stay, so the analytic value stays
 
     def test_build_problem_paper_d2_alpha_keeps_analytic(self):
         p = build_problem(ExperimentConfig(problem="paper_d2", alpha=0.9))
@@ -98,6 +100,34 @@ class TestConfig:
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             build_problem(ExperimentConfig(problem="nope"))
+
+    def test_build_problem_calls_its_factory_once(self, monkeypatch):
+        # paper_d2 used to be built at its default alpha, then again at cfg.alpha
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return paper_f_d2(*args)
+
+        monkeypatch.setitem(BUILTIN_PROBLEMS, "paper_d2", counted)
+        p = build_problem(ExperimentConfig(problem="paper_d2", alpha=0.9))
+        assert calls == [(0.9,)]
+        assert p.alpha == 0.9
+
+    @pytest.mark.parametrize("algo", ["known", "unknown"])
+    @pytest.mark.parametrize("budgets", [[], [100, 50]], ids=["empty", "decreasing"])
+    def test_api_budgets_are_checked(self, algo, budgets, monkeypatch):
+        # budgets from the Python API used to go unchecked: [] died in max()
+        # for known and wrote a header-only CSV for unknown, and [100, 50]
+        # wrote its rows out of order
+        def f(x):
+            raise AssertionError("f called before the budgets were checked")
+
+        monkeypatch.setitem(BUILTIN_PROBLEMS, "paper_d2",
+                            lambda *args: dataclasses.replace(paper_f_d2(*args), f=f))
+        with pytest.raises(ConfigError, match="budgets must"):
+            run_experiment(ExperimentConfig(problem="paper_d2", algo=algo, budgets=budgets),
+                           stream=io.StringIO())
 
 
 class TestRunExperiment:
@@ -165,6 +195,12 @@ class TestReports:
         assert "analytic_quantile" in text
         assert "estimated_lipschitz" in text
 
+    def test_oracle_prints_the_analytic_quantile_under_alpha(self):
+        # `lipquant oracle --problem linear_d1 --alpha 0.3` used to drop q = alpha
+        buf = io.StringIO()
+        oracle_report(ExperimentConfig(problem="linear_d1", alpha=0.3), stream=buf)
+        assert "analytic_quantile: 0.3\n" in buf.getvalue()
+
     def test_oracle_report_prints_plain_floats(self):
         # estimated_level_set_M used to print as np.float64(0.5438...) on paper_d2
         buf = io.StringIO()
@@ -209,6 +245,19 @@ class TestMain:
 
     def test_oracle_exit_zero(self, capsys):
         assert main(["oracle", "--problem", "linear_d1", "--resolution", "10000"]) == 0
+
+    def test_alpha_keeps_the_analytic_quantile(self, tmp_path, capsys):
+        # --alpha used to swap linear_d1's exact q = alpha for the grid
+        # oracle, 0.2999995, which was also the reference of abs_error
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "linear_d1", "--alpha", "0.3",
+                     "--budgets", "10,20,40", "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) == 3
+        for r in rows:
+            row = dict(zip(header, r))
+            assert row["true_q"] == "0.3"
+            assert float(row["abs_error"]) == abs(float(row["estimate"]) - 0.3)
 
 
 class TestExitCodes:

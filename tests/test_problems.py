@@ -72,13 +72,13 @@ class TestGridOracle:
 
     def test_constant_function_d1(self):
         p = lq.TestProblem(
-            "const", lambda x: np.full(len(x), 3.25), 1, 1.0, lq.uniform_cube(1), 0.5
+            "const", lambda x: np.full(len(x), 3.25), 1.0, lq.uniform_cube(1), 0.5
         )
         assert brute_force_quantile(p, 10 ** 4) == 3.25
 
     def test_constant_function_d2(self):
         p = lq.TestProblem(
-            "const2", lambda x: np.full(len(x), -1.5), 2, 1.0, lq.uniform_cube(2), 0.9
+            "const2", lambda x: np.full(len(x), -1.5), 1.0, lq.uniform_cube(2), 0.9
         )
         assert brute_force_quantile(p, 1000) == -1.5
 
@@ -98,7 +98,7 @@ class TestGridOracle:
             assert sum(seen) <= 3 * resolution ** dim
             return np.full(len(x), -1.5)
 
-        p = lq.TestProblem("const", f, dim, 1.0, lq.uniform_cube(dim), 0.9)
+        p = lq.TestProblem("const", f, 1.0, lq.uniform_cube(dim), 0.9)
         assert brute_force_quantile(p) == lq.reference_quantile(p) == -1.5
         with pytest.raises(ValueError, match="level-set"):
             estimate_level_set_M(p, true_quantile=-1.5)
@@ -106,10 +106,20 @@ class TestGridOracle:
 
     def test_dimension_guard(self):
         p = lq.TestProblem(
-            "d3", lambda x: np.asarray(x).sum(axis=1), 3, 2.0, lq.uniform_cube(3), 0.5
+            "d3", lambda x: np.asarray(x).sum(axis=1), 2.0, lq.uniform_cube(3), 0.5
         )
         with pytest.raises(ValueError):
             brute_force_quantile(p, 2000)
+
+
+class TestDimension:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dim_follows_the_measure(self, dim):
+        # the dimension is read from the law, so the two cannot disagree
+        p = lq.TestProblem(
+            "sum", lambda x: np.asarray(x).sum(axis=1), 1.0, lq.uniform_cube(dim), 0.5
+        )
+        assert p.dim == dim
 
 
 class TestLevelSetConstant:
@@ -120,7 +130,7 @@ class TestLevelSetConstant:
 
     def test_constant_function_reports_failure(self):
         p = lq.TestProblem(
-            "const", lambda x: np.zeros(len(x)), 1, 1.0, lq.uniform_cube(1), 0.5
+            "const", lambda x: np.zeros(len(x)), 1.0, lq.uniform_cube(1), 0.5
         )
         with pytest.raises(ValueError, match="level-set"):
             estimate_level_set_M(p, true_quantile=0.0, resolution=10 ** 5)
