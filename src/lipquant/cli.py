@@ -26,6 +26,7 @@ from .problems import (
     BUILTIN_PROBLEMS,
     MIN_RESOLUTION,
     TestProblem,
+    brute_force_quantile,
     estimate_level_set_M,
     estimate_lipschitz,
     monte_carlo_quantile,
@@ -178,8 +179,11 @@ def _fmt(x) -> str:
     return str(x) if isinstance(x, int) else repr(float(x))
 
 
-def run_experiment(cfg: ExperimentConfig, stream=sys.stdout) -> list[dict]:
-    """One CSV row per budget; known-constant budgets share one deep run."""
+def run_experiment(cfg: ExperimentConfig, stream=None) -> list[dict]:
+    """One CSV row per budget; known-constant budgets share one deep run.
+    The CSV goes to `cfg.out` if set, else to `stream` (by default the
+    `sys.stdout` of the call)."""
+    stream = sys.stdout if stream is None else stream
     p = build_problem(cfg)
     try:  # before any run, so that a bad path costs nothing
         out_fh = open(cfg.out, "w", newline="") if cfg.out else stream
@@ -241,8 +245,10 @@ def _sweep(cfg: ExperimentConfig, p: TestProblem) -> list[dict]:
     return rows
 
 
-def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=sys.stdout) -> bool:
-    """Pass/fail table of the optimality constructions; True if all pass."""
+def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=None) -> bool:
+    """Pass/fail table of the optimality constructions, printed to `stream`
+    (by default the `sys.stdout` of the call); True if all pass."""
+    stream = sys.stdout if stream is None else stream
     rng = np.random.default_rng(seed)
     all_pass = True
     print("n,claimed_gap,measured_gap,agreement_residual,status", file=stream)
@@ -259,9 +265,15 @@ def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=sy
     return all_pass
 
 
-def oracle_report(cfg: ExperimentConfig, stream=sys.stdout) -> None:
+def oracle_report(cfg: ExperimentConfig, stream=None) -> None:
+    """Ground truth for a builtin problem, printed to `stream` (by default the
+    `sys.stdout` of the call): the grid oracle always, next to the analytic
+    quantile where one exists, which is then the reference of the level-set
+    constant."""
+    stream = sys.stdout if stream is None else stream
     p = build_problem(cfg)
-    q = reference_quantile(p, cfg.resolution)
+    grid = brute_force_quantile(p, cfg.resolution)
+    q = grid if p.true_quantile is None else p.true_quantile  # as reference_quantile picks it
     print(f"problem: {p.name}", file=stream)
     print(f"dimension: {p.dim}", file=stream)
     print(f"alpha: {p.alpha!r}", file=stream)
@@ -269,7 +281,7 @@ def oracle_report(cfg: ExperimentConfig, stream=sys.stdout) -> None:
     print(f"estimated_lipschitz: {estimate_lipschitz(p)!r}", file=stream)
     if p.true_quantile is not None:
         print(f"analytic_quantile: {p.true_quantile!r}", file=stream)
-    print(f"grid_oracle_quantile: {q!r}", file=stream)
+    print(f"grid_oracle_quantile: {grid!r}", file=stream)
     try:
         m = estimate_level_set_M(p, true_quantile=q, resolution=cfg.resolution)
         print(f"estimated_level_set_M: {m!r}", file=stream)

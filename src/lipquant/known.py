@@ -257,10 +257,11 @@ class Frontier:
         gap = np.subtract(self.values, self.estimate)
         np.abs(gap, out=gap)
         if top == 0:  # one comparison per row beats a binary search
-            first = np.greater(gap, bands[0]).astype(np.int64)
+            first = np.greater(gap, bands[0])
         else:
             first = bands.searchsorted(gap)
-        del gap
+        del gap  # before the comparison widens to int64
+        first = first.astype(np.int64, copy=False)
         kids = first.reshape(-1, fan)
         np.maximum(kids, self.lowest[:, None], out=kids)
         # band j keeps the rows whose first band is at most j, and pays for
@@ -280,11 +281,14 @@ class Frontier:
         hold = (self.lowest <= (gone[-1] if gone else -1)).repeat(fan)
         hold[fan // 2::fan] |= self.held
         self._refine(first, hold)
+        del first, kids, hold  # the old level's columns, before the new table
+        self._estimate()
         return True
 
     def _refine(self, first: np.ndarray, hold: np.ndarray) -> None:
         """Replace the frontier by the children of the rows that a live band
-        keeps, freeze the other rows, and estimate the next level.
+        keeps and freeze the other rows; `step` then estimates the next
+        level, once this level's columns are released.
 
         The next level's columns are built one step at a time, and each
         step's temporaries are released before the next step allocates.
@@ -297,13 +301,14 @@ class Frontier:
         points = (6.0 * block).repeat(n_kids - 1, axis=0).reshape(-1, n_kids - 1, d)
         points += self.odd
         points /= 2 * 3 ** level
+        # f runs on the new centers, if any
+        fresh = self._evaluate(points.reshape(-1, d)) if len(block) else np.empty(0)
+        fresh = fresh.reshape(-1, n_kids - 1)
+        del points  # before the next level's values are allocated
         values = np.empty((len(block), n_kids))
         values[:, c] = self.values[kept]  # the center child's is its parent's
-        if len(block):  # f runs on the new centers
-            fresh = self._evaluate(points.reshape(-1, d)).reshape(-1, n_kids - 1)
-            values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
-            del fresh
-        del points
+        values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
+        del fresh
         # row-major: each parent's children in `itertools.product` order
         masses = self.measure.child_probabilities(level, block).ravel()
         self._freeze(~kept, hold)
@@ -311,7 +316,6 @@ class Frontier:
         self.values, self.masses = values.reshape(-1), masses
         self.lowest, self.held = first[kept], hold[kept]
         self.level = level
-        self._estimate()
 
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
         """Merge the rows `leaving` into `frozen`, each with its own mass and

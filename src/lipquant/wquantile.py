@@ -42,6 +42,7 @@ class ValueMassTable:
         keep[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
         starts = keep.nonzero()[0]
+        keep[0] = False  # so that its cumsum numbers the groups from 0
         self.values = ordered.take(starts)
         del ordered
         # tied values are bitwise equal, but for the signs of zero: keep the
@@ -54,11 +55,12 @@ class ValueMassTable:
         else:
             self.eligible = np.logical_or.reduceat(eligible.take(order), starts)
         # each row's group, in row order: bincount then sums each group
-        # sequentially in row order, the order a stable sort would give
-        ranks = keep.astype(np.int64)  # numpy sums int64 faster than bools
-        ranks[0] = 0
-        ranks.cumsum(out=ranks)
-        group = np.empty(values.size, dtype=np.int64)
+        # sequentially in row order, the order a stable sort would give.
+        # int32 ids take half the memory of int64 ones while they cannot wrap
+        ids = np.int32 if values.size < 2 ** 31 else np.int64
+        ranks = keep.cumsum(dtype=ids)
+        del keep
+        group = np.empty(values.size, dtype=ids)
         group[order] = ranks
         del order, ranks
         self.masses = np.bincount(group, weights=masses)

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, slope fits, CSV determinism, exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -200,6 +201,8 @@ class TestReports:
         buf = io.StringIO()
         oracle_report(ExperimentConfig(problem="linear_d1", alpha=0.3), stream=buf)
         assert "analytic_quantile: 0.3\n" in buf.getvalue()
+        # and the grid oracle's line used to repeat it
+        assert "grid_oracle_quantile: 0.2999995\n" in buf.getvalue()
 
     def test_oracle_report_prints_plain_floats(self):
         # estimated_level_set_M used to print as np.float64(0.5438...) on paper_d2
@@ -245,6 +248,22 @@ class TestMain:
 
     def test_oracle_exit_zero(self, capsys):
         assert main(["oracle", "--problem", "linear_d1", "--resolution", "10000"]) == 0
+
+    def test_oracle_writes_to_the_stdout_of_the_call(self):
+        # the reports used to bind sys.stdout when the module was imported
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["oracle", "--problem", "linear_d1", "--alpha", "0.3"]) == 0
+        assert "analytic_quantile: 0.3\n" in buf.getvalue()
+        assert "grid_oracle_quantile: 0.2999995\n" in buf.getvalue()
+
+    def test_run_without_out_writes_to_the_stdout_of_the_call(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["run", "--problem", "linear_d1", "--budgets", "5,50"]) == 0
+        header, *rows = buf.getvalue().splitlines()
+        assert header == "n,estimate,lower,upper,level,evals,true_q,abs_error,bound"
+        assert [r.split(",")[0] for r in rows] == ["5", "50"]
 
     def test_alpha_keeps_the_analytic_quantile(self, tmp_path, capsys):
         # --alpha used to swap linear_d1's exact q = alpha for the grid

@@ -1,4 +1,6 @@
-"""Known-constant budgeted bracketing: brackets, pruning, accounting."""
+"""Known-constant budgeted bracketing: brackets, pruning, accounting, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,3 +223,20 @@ class TestPruning:
         for run in (paper_d1_deep_run, paper_d2_deep_run):
             for r in run.history:
                 assert r.active_mass + r.frozen_mass == pytest.approx(1.0, abs=1e-10)
+
+
+class TestFootprint:
+    def test_peak_bytes_per_row_of_the_deepest_level(self):
+        # the deepest level holds most of a run's rows, so the engine's peak
+        # bytes per row of it set the largest budget a machine can run; the
+        # peak counts f's own points and output too
+        p = lq.paper_f_d2()
+        tracemalloc.start()
+        try:
+            run = run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = run.history[-1].active_cells
+        assert rows == 356_490
+        assert peak / rows <= 44
