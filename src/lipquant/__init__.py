@@ -7,8 +7,7 @@ variant drops the Lipschitz constant requirement at a slower rate.
 """
 
 from .adversary import (
-    AdversaryD1,
-    AdversaryD2,
+    Adversary,
     SeparationReport,
     build_adversary_d1,
     build_adversary_d2,
@@ -47,8 +46,7 @@ from .unknown import best_candidate, run_unknown
 from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
 
 __all__ = [
-    "AdversaryD1",
-    "AdversaryD2",
+    "Adversary",
     "Marginal",
     "ProblemConstants",
     "ProductMeasure",

@@ -46,7 +46,8 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """The inputs of one `run`; the one place where bad ones are refused."""
+    """The inputs of one command (`adversary` reads only `seed`); the one
+    place where bad ones are refused."""
 
     problem: str = "paper_d1"
     algo: str = "known"
@@ -70,15 +71,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        _check_seed(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.resolution is not None and self.resolution < MIN_RESOLUTION:
             raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution}")
         _check_budgets(self.budgets, LEAST_BUDGET[self.algo])
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _check_budgets(budgets: Sequence[int], least: int) -> None:
@@ -300,39 +297,41 @@ def _make_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="key=value config file; flags override it")
     run_p.add_argument("--problem", help="paper_d1 | paper_d2 | linear_d1")
     run_p.add_argument("--algo", help="known | unknown | monte_carlo")
-    run_p.add_argument("--alpha", type=float)
+    run_p.add_argument("--alpha")
     run_p.add_argument("--budgets", help="comma list or start:stop:step")
-    run_p.add_argument("--lipschitz", type=float, help="override the Lipschitz constant")
-    run_p.add_argument("--level-set", type=float, dest="level_set",
+    run_p.add_argument("--lipschitz", help="override the Lipschitz constant")
+    run_p.add_argument("--level-set", dest="level_set",
                        help="level-set constant M, enables the bound column")
     run_p.add_argument("--out", help="CSV path (default stdout)")
-    run_p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    run_p.add_argument("--resolution", type=int, help="grid oracle resolution")
+    run_p.add_argument("--seed", help="Monte Carlo seed")
+    run_p.add_argument("--resolution", help="grid oracle resolution")
 
     adv_p = sub.add_parser("adversary", help="verify the optimality constructions")
     adv_p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     adv_p.add_argument("--n", default="", help="comma list of query counts")
-    adv_p.add_argument("--seed", type=int, default=0)
+    adv_p.add_argument("--seed")
 
     orc_p = sub.add_parser("oracle", help="print ground truth for a problem")
-    orc_p.add_argument("--problem", default="paper_d1")
-    orc_p.add_argument("--alpha", type=float)
-    orc_p.add_argument("--resolution", type=int)
+    orc_p.add_argument("--problem")
+    orc_p.add_argument("--alpha")
+    orc_p.add_argument("--resolution")
     return parser
 
 
-#: The keys of a config file or of the `run` flags, each with its parser.
+#: The keys of a config file or of the flags, each with the parser of its text.
 CONFIG_KEYS = {"problem": str, "algo": str, "alpha": float, "budgets": parse_budgets,
                "lipschitz": float, "level_set": float, "out": str, "seed": int,
                "resolution": int}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file, if any, with the flags given over it; each value is
+    parsed once, from its text, by its key's parser."""
     merged = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = str(value)
+            merged[key] = value
     for key in merged:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -349,12 +348,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_experiment(_config_from_args(args))
             return 0
         if args.command == "adversary":
-            _check_seed(args.seed)
-            ok = adversary_report(args.dim, parse_query_counts(args.n), seed=args.seed)
+            seed = _config_from_args(args).seed
+            ok = adversary_report(args.dim, parse_query_counts(args.n), seed=seed)
             return 0 if ok else 3
         if args.command == "oracle":
-            oracle_report(ExperimentConfig(problem=args.problem, alpha=args.alpha,
-                                           resolution=args.resolution))
+            oracle_report(_config_from_args(args))
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -153,8 +153,10 @@ class Frontier:
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {alpha}")
+        if not isinstance(measure, ProductMeasure):
+            raise ValueError(f"measure must be a ProductMeasure, got {measure!r}")
+        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
         d = measure.dim
         self.f, self.measure, self.alpha = f, measure, alpha
         self.lipschitz = np.array(lipschitz, dtype=float)
@@ -165,8 +167,7 @@ class Frontier:
         self.level = self.evaluations = 0
         self.block, self.fan = np.zeros((1, d), dtype=np.int64), 1
         self.lowest, self.held = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
-        self.live = np.ones(len(self.lipschitz), dtype=bool)
-        self.live_bands = tuple(range(len(self.lipschitz)))  # where `live` is True
+        self.live_bands = tuple(range(len(self.lipschitz)))  # where ledgers <= slices
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
         self.frozen: ValueMassTable | None = None
@@ -267,13 +268,16 @@ class Frontier:
         # band j keeps the rows whose first band is at most j, and pays for
         # the 3^d - 1 new centers of each
         kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
-        np.add(self.ledgers, (len(self.offsets) - 1) * kept_by, out=self.ledgers, where=self.live)
-        retiring = self.live & (self.ledgers > self.slices)
+        # a ledger starts at 1, at most any slice, and only a live band's
+        # grows: a band is live while its ledger is within its slice
+        live = self.ledgers <= self.slices
+        np.add(self.ledgers, (len(self.offsets) - 1) * kept_by, out=self.ledgers, where=live)
+        retiring = live & (self.ledgers > self.slices)
         gone = retiring.nonzero()[0].tolist()
         if gone:
             self.retired.update(dict.fromkeys(gone, self.level))
-            self.live ^= retiring
-            self.live_bands = tuple(self.live.nonzero()[0].tolist())
+            live ^= retiring
+            self.live_bands = tuple(live.nonzero()[0].tolist())
             if not self.live_bands:
                 return False
         # a band retiring now holds the rows whose lowest band is at or below
@@ -353,8 +357,8 @@ def run_known(
     pure.  The returned `Run` holds the per-level history and the bracket of
     the deepest fully affordable level.  Refinement stops at level K_MAX.
     """
-    if not (np.isfinite(lipschitz) and lipschitz > 0):
-        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
+    if not (isinstance(lipschitz, numbers.Real) and np.isfinite(lipschitz) and lipschitz > 0):
+        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
     check_limits(budget, 1, max_level)
     # the one band retires when the budget cannot pay for the next level
     return Frontier(f, measure, alpha, [lipschitz], [budget]).run(budget, max_level, lipschitz)

@@ -7,6 +7,7 @@ assumed atomless, so cell boundaries carry no mass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -185,8 +186,13 @@ class ProductMeasure:
 
 
 def product_measure(marginals: Sequence[Marginal]) -> ProductMeasure:
-    return ProductMeasure(marginals=tuple(marginals))
+    marginals = tuple(marginals)
+    if not marginals:
+        raise ValueError("marginals must hold at least one Marginal, got none")
+    return ProductMeasure(marginals=marginals)
 
 
 def uniform_cube(dim: int) -> ProductMeasure:
+    if not (isinstance(dim, numbers.Integral) and dim >= 1):
+        raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
     return product_measure([uniform_marginal() for _ in range(dim)])

@@ -113,8 +113,10 @@ class ValueMassTable:
         mine[at[new]] = False
         out = object.__new__(ValueMassTable)
         out.values = np.empty(len(mine))
-        out.values[mine] = self.values
+        # self's rows last, so that a tied zero keeps self's sign, as the
+        # table of both tables' rows would
         out.values[at] = other.values
+        out.values[mine] = self.values
         out.masses = np.zeros(len(mine))
         out.masses[mine] = self.masses
         out.masses[at] += other.masses

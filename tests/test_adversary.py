@@ -12,6 +12,7 @@ from lipquant.adversary import (
     SLOPE_BOOST_D2,
     build_adversary_d1,
     build_adversary_d2,
+    f_bar,
     verify_separation,
 )
 
@@ -29,7 +30,8 @@ class TestD2Construction:
         rng = np.random.default_rng(0)
         for n, j in ((1, 1), (3, 2), (9, 3), (10, 4), (27, 4)):
             adv = build_adversary_d2(rng.random((n, 2)))
-            assert adv.level == j
+            for (lo, hi), _ in adv.tents:  # cells of level j
+                assert round(1 / (hi - lo)) == 3 ** j
             assert 3 ** j >= 3 * n
 
     def test_exact_agreement_at_queries(self):
@@ -37,13 +39,13 @@ class TestD2Construction:
         for n in (3, 9, 27):
             q = rng.random((n, 2))
             adv = build_adversary_d2(q)
-            assert np.array_equal(adv.f_tilde(q), adv.f_bar(q))
+            assert np.array_equal(adv.f_tilde(q), f_bar(q))
 
     def test_pigeonhole_free_cells(self):
         rng = np.random.default_rng(2)
         for n in (3, 9, 27):
             adv = build_adversary_d2(rng.random((n, 2)))
-            assert len(adv.tilde_cols) >= 2 * n
+            assert len(adv.tents) >= 2 * n
 
     def test_claimed_gap_formula(self):
         adv = build_adversary_d2(np.random.default_rng(3).random((9, 2)))
@@ -53,7 +55,8 @@ class TestD2Construction:
         rng = np.random.default_rng(4)
         adv = build_adversary_d2(rng.random((3, 2)))
         est = finite_diff_lipschitz(adv.f_tilde, 2, rng)
-        assert est <= (adv.slope_boost + 1.0) * (1 + 1e-6)
+        assert adv.lipschitz == SLOPE_BOOST_D2 + 1.0
+        assert est <= adv.lipschitz * (1 + 1e-6)
 
     def test_verified_separation_n3(self):
         adv = build_adversary_d2(np.random.default_rng(5).random((3, 2)))
@@ -61,11 +64,9 @@ class TestD2Construction:
         assert rep.passed
         assert rep.agreement_residual == 0.0
         assert rep.measured_gap >= rep.claimed_gap
-        assert rep.estimator_error_lower_bound == rep.claimed_gap / 2
-
-    def test_invalid_slope_boost(self):
-        with pytest.raises(ValueError):
-            build_adversary_d2(np.zeros((2, 2)), slope_boost=1.0)
+        # the values of the construction and the grid oracle, bit for bit
+        assert rep.claimed_gap.hex() == "0x1.2f684bda12f68p-8"
+        assert rep.measured_gap.hex() == "0x1.5d11fa1563e60p-4"
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
@@ -78,7 +79,7 @@ class TestD1Construction:
         for n in range(3, 11):
             q = rng.random(n)
             adv = build_adversary_d1(q)
-            assert np.array_equal(adv.f_tilde(q[:, None]), adv.f_bar(q[:, None]))
+            assert np.array_equal(adv.f_tilde(q[:, None]), f_bar(q[:, None]))
 
     def test_claimed_gap_formula(self):
         adv = build_adversary_d1(np.random.default_rng(7).random(5))
@@ -88,15 +89,15 @@ class TestD1Construction:
         rng = np.random.default_rng(8)
         q = rng.random(6)
         adv = build_adversary_d1(q)
-        for lo, hi in adv.intervals:
+        for (lo, hi), in adv.tents:
             assert not np.any((q > lo) & (q < hi))
 
     def test_central_region_chosen_when_free(self):
         # queries far from 1/2 leave the central interval untouched
         q = np.array([0.05, 0.1, 0.9])
         adv = build_adversary_d1(q)
-        assert len(adv.intervals) == 1
-        lo, hi = adv.intervals[0]
+        assert len(adv.tents) == 1
+        (lo, hi), = adv.tents[0]
         assert hi - lo == pytest.approx(0.5 ** 3, rel=1e-12)
         assert (lo + hi) / 2 == pytest.approx(0.5, abs=1e-15)
 
@@ -104,23 +105,22 @@ class TestD1Construction:
         rng = np.random.default_rng(9)
         adv = build_adversary_d1(rng.random(4))
         est = finite_diff_lipschitz(adv.f_tilde, 1, rng)
-        assert est <= (SLOPE_BOOST_D1 + 1.0) * (1 + 1e-6)
+        assert adv.lipschitz == SLOPE_BOOST_D1 + 1.0
+        assert est <= adv.lipschitz * (1 + 1e-6)
 
     def test_full_verification_small_n(self):
+        # the measured gaps of the construction and the grid oracle, bit for bit
+        measured = ["0x1.642c7fbacb420p-4", "0x1.64388ebcc6c00p-8", "0x1.642e126202540p-6",
+                    "0x1.642bf9830e480p-7", "0x1.64388ebcc6c00p-8", "0x1.64302b40f6600p-9",
+                    "0x1.641f644955c00p-10", "0x1.6440f23897000p-11"]
         rng = np.random.default_rng(10)
-        for n in range(3, 11):
+        for n, gap in zip(range(3, 11), measured):
             adv = build_adversary_d1(rng.random(n))
             rep = verify_separation(adv)
             assert rep.passed, f"n={n}: gap {rep.measured_gap} < {rep.claimed_gap}"
-
-    def test_invalid_rho(self):
-        with pytest.raises(ValueError):
-            build_adversary_d1(np.zeros(2), rho=1.0)
-
-    def test_invalid_slope_boost(self):
-        # threshold (1+rho)/(1-rho) = 3 at rho = 1/2
-        with pytest.raises(ValueError):
-            build_adversary_d1(np.zeros(2), slope_boost=3.0)
+            assert rep.agreement_residual == 0.0
+            assert rep.claimed_gap.hex() == f"0x1.c71c53f39d1b2p-{n + 5}"
+            assert rep.measured_gap.hex() == gap
 
 
 class TestConstants:

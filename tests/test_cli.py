@@ -298,10 +298,16 @@ class TestExitCodes:
         ["run", "--algo", "monte_carlo", "--seed", "-1"],
         ["run", "--problem", "paper_d2", "--budgets", "10,20,40", "--out", "/nonexistent/x.csv"],
         ["adversary", "--dim", "1", "--n", "3", "--seed", "-1"],
+        # these four used to stop in argparse with a usage dump
+        ["run", "--alpha", "abc"],
+        ["run", "--seed", "1.5"],
+        ["oracle", "--alpha", "x"],
+        ["adversary", "--dim", "1", "--n", "3", "--seed", "x"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
             "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
             "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",
-            "adversary-seed-negative"])
+            "adversary-seed-negative", "run-alpha-abc", "run-seed-1.5", "oracle-alpha-x",
+            "adversary-seed-x"])
     def test_exit_two(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()

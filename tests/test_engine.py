@@ -303,6 +303,33 @@ def test_negative_max_level_is_refused(paper_d2):
         run_unknown(paper_d2.f, paper_d2.measure, paper_d2.alpha, 1000, max_level=-1)
 
 
+def never(x):
+    raise AssertionError("f called before the inputs were checked")
+
+
+@pytest.mark.parametrize("name, lipschitz, measure, alpha", [
+    ("lipschitz", "2", lq.uniform_cube(2), 0.5),  # a TypeError from np.isfinite
+    ("alpha", 2.0, lq.uniform_cube(2), "0.5"),  # a TypeError from <
+    ("measure", 2.0, None, 0.5),  # an AttributeError on .dim
+], ids=["lipschitz-str", "alpha-str", "measure-none"])
+def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        run_known(never, lipschitz, measure, alpha, 100)
+    if name != "lipschitz":
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            run_unknown(never, measure, alpha, 100)
+
+
+def test_numpy_scalars_are_real_inputs(paper_d2):
+    p = paper_d2
+    want = run_known(p.f, float(p.lipschitz), p.measure, 0.5, 1000).estimate
+    assert run_known(p.f, np.float64(p.lipschitz), p.measure, np.float64(0.5),
+                     np.int64(1000)).estimate == want
+    assert run_known(p.f, np.int64(2), p.measure, 0.5, 1000).stop_reason == "budget"
+    want = run_unknown(p.f, p.measure, 0.5, 1000).estimate
+    assert run_unknown(p.f, p.measure, np.float64(0.5), 1000).estimate == want
+
+
 def test_f_returning_nan_is_refused(paper_d2):
     # NaN used to be frozen silently: a "certified" bracket at level 32 with
     # stop reason "precision"

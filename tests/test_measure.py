@@ -31,6 +31,14 @@ class TestUniform:
         assert m.cdf(np.array(0.25)) == 0.25
         assert m.cdf(np.array(1.0)) == 1.0
 
+    @pytest.mark.parametrize("build, name", [(lambda: product_measure([]), "marginals"),
+                                             (lambda: uniform_cube(0), "dim")],
+                             ids=["product-of-none", "cube-of-dim-0"])
+    def test_a_cube_of_no_axes_is_refused(self, build, name):
+        # accepted, and a run on it died in "cannot reshape array of size 0"
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            build()
+
 
 class TestTruncatedNormal:
     def test_normalization(self):

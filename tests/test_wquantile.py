@@ -251,6 +251,14 @@ class TestMerge:
         assert weighted_quantile_sup(merged, alpha) == weighted_quantile_sup(whole, alpha)
         assert weighted_quantile_inf(merged, alpha) == weighted_quantile_inf(whole, alpha)
 
+    def test_a_tied_zero_keeps_the_first_tables_sign(self):
+        # as the table of all rows keeps the first row's; merge gave 0.0
+        first = ValueMassTable([-0.0, 1.0], [0.25, 0.25], [True, True])
+        merged = first.merge(ValueMassTable([0.0, 2.0], [0.25, 0.25], [True, True]))
+        whole = ValueMassTable([-0.0, 1.0, 0.0, 2.0], [0.25] * 4, [True] * 4)
+        assert np.signbit(whole.values).tolist() == [True, False, False]
+        assert np.signbit(merged.values).tolist() == [True, False, False]
+
     def test_disjoint_and_tied_rows(self):
         a = table([(0.0, 0.1, False), (2.0, 0.2, False)])
         b = table([(1.0, 0.3, True), (2.0, 0.4, True), (3.0, 0.0, True)])
