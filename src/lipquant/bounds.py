@@ -8,6 +8,7 @@ Lipschitz constant L, level-set constant M (volume of the band
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .grid import half_radius
@@ -21,14 +22,14 @@ class ProblemConstants:
     alpha: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise ValueError(f"lipschitz must be finite and positive, got {self.lipschitz}")
-        if not (math.isfinite(self.level_set) and self.level_set > 0):
-            raise ValueError(f"level_set must be finite and positive, got {self.level_set}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        for name in ("lipschitz", "level_set"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must be in (0,1), got {self.alpha!r}")
 
 
 def bracket_halfwidth(lipschitz: float, level: int, dim: int) -> float:

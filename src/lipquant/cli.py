@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -65,22 +66,27 @@ class ExperimentConfig:
                               f"choose from {sorted(BUILTIN_PROBLEMS)}")
         if self.algo not in LEAST_BUDGET:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        if self.alpha is not None and not (isinstance(self.alpha, numbers.Real)
+                                           and 0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
         for name in ("lipschitz", "level_set"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.resolution is not None and self.resolution < MIN_RESOLUTION:
-            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution}")
+            if value is not None and not (isinstance(value, numbers.Real)
+                                          and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.resolution is not None and not (isinstance(self.resolution, numbers.Integral)
+                                                and self.resolution >= MIN_RESOLUTION):
+            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution!r}")
         _check_budgets(self.budgets, LEAST_BUDGET[self.algo])
 
 
 def _check_budgets(budgets: Sequence[int], least: int) -> None:
     """At least one budget, each a whole number >= `least` as the library's
     `check_limits` has it, in strictly increasing order."""
+    if not isinstance(budgets, Sequence):
+        raise ConfigError(f"budgets must be a sequence, got {budgets!r}")
     for n in budgets:
         try:
             check_limits(n, least)

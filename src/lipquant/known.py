@@ -101,8 +101,6 @@ class Run:
             raise ValueError("a run without a known Lipschitz constant has no bracket")
         check_limits(budget, 1)
         fits = [r for r in self.history if r.evaluations <= budget]  # a prefix
-        if not fits:
-            raise ValueError("budget smaller than the first level's cost")
         rec = fits[-1]
         halfwidth = bracket_halfwidth(self.lipschitz, rec.level, self.dim)
         return QuantileBracket(rec.estimate, rec.estimate - halfwidth, rec.estimate + halfwidth,

@@ -83,6 +83,8 @@ BUILTIN_PROBLEMS = {
 
 #: Coarsest grid, in cells per axis, that the grid oracle accepts.
 MIN_RESOLUTION = 1000
+#: The bins of the d = 2 grid oracle's first pass, which finds the quantile's bin.
+_N_BINS = 4096
 
 
 def _resolution(resolution: int | None, dim: int) -> int:
@@ -128,7 +130,7 @@ def _grid_rows(centers: np.ndarray, i0: int, i1: int) -> np.ndarray:
     return x.reshape(-1, 2)
 
 
-def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
+def _grid_quantile_d2(p: TestProblem, res: int) -> float:
     edges = np.linspace(0.0, 1.0, res + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     w1 = np.diff(p.measure.marginals[0].cdf(edges))
@@ -148,8 +150,8 @@ def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
         return vmin
 
     # pass 1: weighted histogram of values; find the bin holding the quantile
-    bin_edges = np.linspace(vmin, vmax, n_bins + 1)
-    hist = np.zeros(n_bins)
+    bin_edges = np.linspace(vmin, vmax, _N_BINS + 1)
+    hist = np.zeros(_N_BINS)
     for i0 in range(0, res, chunk):
         i1 = min(i0 + chunk, res)
         v = row_values(i0, i1)
@@ -157,9 +159,9 @@ def _grid_quantile_d2(p: TestProblem, res: int, n_bins: int = 4096) -> float:
         h, _ = np.histogram(v.ravel(), bins=bin_edges, weights=w.ravel())
         hist += h
     cum = np.cumsum(hist)
-    b = min(int(np.searchsorted(cum, p.alpha, side="left")), n_bins - 1)
+    b = min(int(np.searchsorted(cum, p.alpha, side="left")), _N_BINS - 1)
     lo = bin_edges[max(b - 1, 0)]
-    hi = bin_edges[min(b + 2, n_bins)]
+    hi = bin_edges[min(b + 2, _N_BINS)]
 
     # pass 2: exact values within the window plus the mass strictly below it
     below = 0.0

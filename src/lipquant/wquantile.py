@@ -45,27 +45,22 @@ class ValueMassTable:
         keep[0] = False  # so that its cumsum numbers the groups from 0
         self.values = ordered.take(starts)
         del ordered
-        # tied values are bitwise equal, but for the signs of zero: keep the
-        # first row's, as a stable sort would
-        zero = self.values.searchsorted(0.0)  # the one group equal to 0, if any
-        if zero < len(self.values) and self.values[zero] == 0:
-            self.values[zero] = values[(values == 0).argmax()]
+        # ties are bitwise equal but for a zero's sign; -0.0 + 0.0 is +0.0
+        self.values += 0.0
         if eligible.all():
             self.eligible = np.ones(len(starts), dtype=bool)
         else:
             self.eligible = np.logical_or.reduceat(eligible.take(order), starts)
-        # each row's group, in row order: bincount then sums each group
-        # sequentially in row order, the order a stable sort would give.
-        # int32 ids take half the memory of int64 ones while they cannot wrap
+        # each row's group, in row order (`take` reads it): bincount then sums
+        # each group sequentially in row order, the order a stable sort would
+        # give.  int32 ids take half the memory of int64 ones while they cannot wrap
         ids = np.int32 if values.size < 2 ** 31 else np.int64
         ranks = keep.cumsum(dtype=ids)
         del keep
-        group = np.empty(values.size, dtype=ids)
-        group[order] = ranks
+        self.row_group = np.empty(values.size, dtype=ids)
+        self.row_group[order] = ranks
         del order, ranks
-        self.masses = np.bincount(group, weights=masses)
-        # the rows' values and groups, from which `take` builds a sub-table
-        self.row_values, self.row_group = values, group
+        self.masses = np.bincount(self.row_group, weights=masses)
 
     def take(self, rows: np.ndarray, masses, eligible) -> "ValueMassTable":
         """The table of the rows `rows` of the values this table was built
@@ -73,8 +68,7 @@ class ValueMassTable:
         eligibility `eligible`: `ValueMassTable(values[rows], masses,
         eligible)`, bit for bit, but built from this table's groups with no
         second sort.  Each group's masses are summed in the order of `rows`,
-        its eligibility is or-ed, and a zero takes the sign of the first of
-        `rows` that holds it.
+        and its eligibility is or-ed.
         """
         masses = np.asarray(masses, dtype=float)
         _check_masses(masses)
@@ -83,13 +77,10 @@ class ValueMassTable:
         present[group] = True
         out = object.__new__(ValueMassTable)
         out.values = self.values[present]
-        zero = self.values.searchsorted(0.0)
-        if zero < len(self.values) and self.values[zero] == 0 and present[zero]:
-            first = rows[(group == zero).argmax()]
-            out.values[present[:zero].sum()] = self.row_values[first]
         out.masses = np.bincount(group, weights=masses, minlength=len(self.values))[present]
-        hits = np.bincount(group, weights=eligible, minlength=len(self.values))
-        out.eligible = hits[present] > 0
+        hit = np.zeros(len(self.values), dtype=bool)
+        hit[group[eligible]] = True  # refuses an `eligible` of another length
+        out.eligible = hit[present]
         return out
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
@@ -113,8 +104,6 @@ class ValueMassTable:
         mine[at[new]] = False
         out = object.__new__(ValueMassTable)
         out.values = np.empty(len(mine))
-        # self's rows last, so that a tied zero keeps self's sign, as the
-        # table of both tables' rows would
         out.values[at] = other.values
         out.values[mine] = self.values
         out.masses = np.zeros(len(mine))

@@ -4,9 +4,11 @@ import contextlib
 import dataclasses
 import io
 import math
+from functools import partial
 
 import pytest
 
+from lipquant.bounds import ProblemConstants
 from lipquant.cli import (
     ConfigError,
     ExperimentConfig,
@@ -129,6 +131,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="budgets must"):
             run_experiment(ExperimentConfig(problem="paper_d2", algo=algo, budgets=budgets),
                            stream=io.StringIO())
+
+    @pytest.mark.parametrize("build, name, error", [
+        (partial(ExperimentConfig, alpha="0.5"), "alpha", ConfigError),
+        (partial(ExperimentConfig, seed="1"), "seed", ConfigError),
+        (partial(ExperimentConfig, lipschitz="2"), "lipschitz", ConfigError),
+        (partial(ExperimentConfig, resolution="2000"), "resolution", ConfigError),
+        (partial(ExperimentConfig, budgets=5), "budgets", ConfigError),
+        (partial(ProblemConstants, 1, "2", 1.0, 0.5), "lipschitz", ValueError),
+        (partial(ProblemConstants, 1, 1.0, 1.0, "0.5"), "alpha", ValueError),
+        (partial(ProblemConstants, "1", 1.0, 1.0, 0.5), "dim", ValueError),
+    ], ids=["config-alpha", "config-seed", "config-lipschitz", "config-resolution",
+            "config-budgets", "constants-lipschitz", "constants-alpha", "constants-dim"])
+    def test_non_numbers_are_refused_by_name(self, build, name, error):
+        # each used to raise a TypeError from a comparison or a loop
+        with pytest.raises(error, match=f"^{name} must"):
+            build()
 
 
 class TestRunExperiment:
@@ -265,6 +283,23 @@ class TestMain:
         assert header == "n,estimate,lower,upper,level,evals,true_q,abs_error,bound"
         assert [r.split(",")[0] for r in rows] == ["5", "50"]
 
+    def test_monte_carlo_rows(self, capsys):
+        assert main(["run", "--problem", "paper_d2", "--algo", "monte_carlo",
+                     "--budgets", "200,400"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(header.split(","), r.split(","))) for r in rows]
+        assert [r["evals"] for r in rows] == ["200", "400"]
+        assert all(r["lower"] == r["upper"] == r["level"] == "" for r in rows)
+
+    def test_unknown_bound_column(self, capsys):
+        # no bound below the start-up budget of the unknown-constant bound
+        assert main(["run", "--problem", "paper_d2", "--algo", "unknown",
+                     "--level-set", "0.25", "--budgets", "2,1000"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        bounds = [dict(zip(header.split(","), r.split(",")))["bound"] for r in rows]
+        assert bounds[0] == ""
+        assert float(bounds[1]) == pytest.approx(4.3630451218847695, rel=1e-12)
+
     def test_alpha_keeps_the_analytic_quantile(self, tmp_path, capsys):
         # --alpha used to swap linear_d1's exact q = alpha for the grid
         # oracle, 0.2999995, which was also the reference of abs_error
@@ -303,12 +338,16 @@ class TestExitCodes:
         ["run", "--seed", "1.5"],
         ["oracle", "--alpha", "x"],
         ["adversary", "--dim", "1", "--n", "3", "--seed", "x"],
+        ["run", "--config", "colour.cfg"],
+        ["run", "--alpha", "1.5"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
             "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
             "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",
             "adversary-seed-negative", "run-alpha-abc", "run-seed-1.5", "oracle-alpha-x",
-            "adversary-seed-x"])
-    def test_exit_two(self, argv, capsys):
+            "adversary-seed-x", "config-key-unknown", "run-alpha-1.5"])
+    def test_exit_two(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "colour.cfg").write_text("colour=red\n")
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

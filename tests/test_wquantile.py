@@ -16,7 +16,7 @@ def stable_reference(values, masses, eligible):
     """The constructor's (values, masses, eligible) by a stable argsort.
 
     A stable sort keeps tied rows in row order, so each tie's mass is summed
-    in row order and the first row's value (and sign of zero) represents it.
+    in row order and the first row's value represents it; a zero is +0.0.
     """
     values, masses, eligible = (np.asarray(a, dtype=t) for a, t in
                                 ((values, float), (masses, float), (eligible, bool)))
@@ -26,7 +26,7 @@ def stable_reference(values, masses, eligible):
     keep[0] = True
     keep[1:] = values[1:] != values[:-1]
     group = np.cumsum(keep) - 1
-    return (values[keep], np.bincount(group, weights=masses),
+    return (values[keep] + 0.0, np.bincount(group, weights=masses),
             np.bincount(group, weights=eligible) > 0)
 
 
@@ -195,10 +195,11 @@ class TestAgainstStableSort:
         self.assert_same(values, rng.random(100_000) ** 4, rng.random(100_000) < 0.5)
 
     def test_first_zero_keeps_its_sign(self):
+        # whichever zero comes first, the table stores +0.0
         for first in (-0.0, 0.0):
             values = [first, 1.0, -first, 5.0, -first]
             t = ValueMassTable(values, [0.25] * 5, [True] * 5)
-            assert t.values[0] == 0.0 and np.signbit(t.values[0]) == np.signbit(first)
+            assert t.values[0] == 0.0 and not np.signbit(t.values[0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="must not be NaN"):
@@ -252,12 +253,13 @@ class TestMerge:
         assert weighted_quantile_inf(merged, alpha) == weighted_quantile_inf(whole, alpha)
 
     def test_a_tied_zero_keeps_the_first_tables_sign(self):
-        # as the table of all rows keeps the first row's; merge gave 0.0
+        # a -0.0 row in the first table: the merged table, as the table of all
+        # rows, stores +0.0
         first = ValueMassTable([-0.0, 1.0], [0.25, 0.25], [True, True])
         merged = first.merge(ValueMassTable([0.0, 2.0], [0.25, 0.25], [True, True]))
         whole = ValueMassTable([-0.0, 1.0, 0.0, 2.0], [0.25] * 4, [True] * 4)
-        assert np.signbit(whole.values).tolist() == [True, False, False]
-        assert np.signbit(merged.values).tolist() == [True, False, False]
+        assert np.signbit(whole.values).tolist() == [False, False, False]
+        assert np.signbit(merged.values).tolist() == [False, False, False]
 
     def test_disjoint_and_tied_rows(self):
         a = table([(0.0, 0.1, False), (2.0, 0.2, False)])
@@ -299,13 +301,14 @@ class TestTake:
         assert got.eligible.tolist() == [False, True, True]
 
     def test_zero_takes_the_sign_of_the_first_row_taken(self):
-        # -0.0 comes first in the whole table, but is not taken
+        # -0.0 comes first in the whole table and among the rows taken, yet
+        # every table stores +0.0
         values = [-0.0, 1.0, 0.0, -0.0, 0.0]
-        assert np.signbit(ValueMassTable(values, [0.2] * 5, [True] * 5).values[0])
+        assert not np.signbit(ValueMassTable(values, [0.2] * 5, [True] * 5).values[0])
         got = self.assert_take(values, [1, 2, 3], [0.25, 0.25, 0.5], [True] * 5)
         assert got.values[0] == 0.0 and not np.signbit(got.values[0])
         got = self.assert_take(values, [0, 4], [0.5, 0.5], [True, False, False, False, False])
-        assert np.signbit(got.values[0]) and got.eligible.tolist() == [True]
+        assert not np.signbit(got.values[0]) and got.eligible.tolist() == [True]
 
     @given(
         st.lists(
@@ -341,3 +344,9 @@ class TestTake:
             t.take(np.array([1]), [-0.5], [False])
         with pytest.raises(ValueError, match="empty table"):
             t.take(np.array([], dtype=np.int64), [], [])
+
+    @pytest.mark.parametrize("eligible", [[True], [True, False, True]], ids=["short", "long"])
+    def test_refuses_eligible_of_another_length(self, eligible):
+        t = ValueMassTable([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [True] * 3)
+        with pytest.raises((IndexError, ValueError)):
+            t.take(np.array([0, 2]), [0.5, 0.5], eligible)
