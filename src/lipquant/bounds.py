@@ -22,11 +22,13 @@ class ProblemConstants:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim >= 1):
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         for name in ("lipschitz", "level_set"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha!r}")

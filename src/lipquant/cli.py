@@ -72,9 +72,11 @@ class ExperimentConfig:
         for name in ("lipschitz", "level_set"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, numbers.Real)
+                                          and not isinstance(value, bool)
                                           and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.resolution is not None and not (isinstance(self.resolution, numbers.Integral)
                                                 and self.resolution >= MIN_RESOLUTION):
@@ -165,14 +167,16 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float], mode: str) -> tuple[
             ys.append(math.log(err))
     if len(xs) < 3:
         raise ValueError(f"need >= 3 rows with positive error, got {len(xs)}")
-    x = np.array(xs)
-    y = np.array(ys)
-    slope, intercept = np.polyfit(x, y, 1)
+    x, y = np.array(xs), np.array(ys)
+    # the closed-form line: no BLAS or LAPACK call, whose first use grows the process
+    dx = x - x.mean()
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    intercept = float(y.mean() - slope * x.mean())
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return slope, intercept, r2
 
 
 def _fmt(x) -> str:

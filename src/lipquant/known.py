@@ -25,7 +25,8 @@ import numpy as np
 from .bounds import bracket_halfwidth
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
+from .wquantile import (ValueMassTable, weighted_quantile_inf, weighted_quantile_sup,
+                        windowed_quantiles)
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
@@ -127,8 +128,9 @@ class Frontier:
     leaves a box that no constant selects in its partition), else a pruned
     cell that only adds its mass.  The frozen points are one table, `frozen`,
     sorted by value and merged on ties; `frozen_mass` is their running total.
-    Each level is sorted once, into `table`, from whose groups `_freeze` builds
-    the table of the rows that leave (`ValueMassTable.take`).  If no live band
+    A level's estimate comes from the rows near its crossings
+    (`windowed_quantiles`), else from the whole level sorted and merged with
+    `frozen`; `_freeze` sorts the rows that leave.  If no live band
     keeps a row, the frontier is empty and the run stops as `settled`: with no
     row to refine, no later level could differ.
 
@@ -203,13 +205,14 @@ class Frontier:
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
-        table = self.frozen
-        if len(self.values):
-            self.table = ValueMassTable(self.values, self.masses,
-                                        np.ones(len(self.values), dtype=bool))
-            table = self.table if table is None else table.merge(self.table)
-        self.estimate = weighted_quantile_sup(table, self.alpha)
-        est_inf = weighted_quantile_inf(table, self.alpha)
+        both = windowed_quantiles(self.frozen, self.values, self.masses, self.alpha)
+        if both is None:
+            table = self.frozen
+            if len(self.values):
+                level = ValueMassTable(self.values, self.masses, np.ones_like(self.values, bool))
+                table = level if table is None else table.merge(level)
+            both = weighted_quantile_sup(table, self.alpha), weighted_quantile_inf(table, self.alpha)
+        self.estimate, est_inf = both
         # equal in exact arithmetic; cumulative-sum rounding can flip one
         # index when the alpha boundary falls between two near-equal values
         if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
@@ -322,22 +325,20 @@ class Frontier:
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
         """Merge the rows `leaving` into `frozen`, each with its own mass and
         eligible iff a retired band holds it."""
-        rows = leaving.nonzero()[0]
-        table, self.table = self.table, None
-        if len(rows):
-            lost = self.masses.take(rows)
-            table = table.take(rows, lost, hold.take(rows))
+        if leaving.any():
+            lost = self.masses[leaving]
+            table = ValueMassTable(self.values[leaving], lost, hold[leaving])
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
             self.frozen_mass += float(lost.sum())
 
 
 def check_limits(budget, least: int, max_level: int | None = None) -> None:
     """Refuse a budget that is not a whole number >= `least`, and a negative
-    `max_level`."""
+    `max_level`; a bool is neither."""
     whole = isinstance(budget, numbers.Integral) or isinstance(budget, float) and budget.is_integer()
-    if not (whole and budget >= least):
+    if not (whole and not isinstance(budget, bool) and budget >= least):
         raise ValueError(f"budget must be a whole number >= {least}, got {budget!r}")
-    if max_level is not None and max_level < 0:
+    if max_level is not None and (isinstance(max_level, bool) or max_level < 0):
         raise ValueError(f"max_level must be >= 0, got {max_level!r}")
 
 
@@ -355,7 +356,8 @@ def run_known(
     pure.  The returned `Run` holds the per-level history and the bracket of
     the deepest fully affordable level.  Refinement stops at level K_MAX.
     """
-    if not (isinstance(lipschitz, numbers.Real) and np.isfinite(lipschitz) and lipschitz > 0):
+    if not (isinstance(lipschitz, numbers.Real) and not isinstance(lipschitz, bool)
+            and np.isfinite(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
     check_limits(budget, 1, max_level)
     # the one band retires when the budget cannot pay for the next level

@@ -195,6 +195,6 @@ def product_measure(marginals: Sequence[Marginal]) -> ProductMeasure:
 
 
 def uniform_cube(dim: int) -> ProductMeasure:
-    if not (isinstance(dim, numbers.Integral) and dim >= 1):
+    if not (isinstance(dim, numbers.Integral) and not isinstance(dim, bool) and dim >= 1):
         raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
     return product_measure([uniform_marginal() for _ in range(dim)])

@@ -5,7 +5,8 @@ partition cell, carrying the cell's probability mass and either a freshly
 evaluated value (eligible as a quantile candidate) or a value inherited from
 a pruned ancestor (mass contributor only).  Both the sup and the inf form of
 the definition are provided; on tables coming from a full subdivision level
-they coincide.
+they coincide.  `windowed_quantiles` gives both for a large level from the
+rows near its crossings, or None where the whole table must decide.
 """
 
 from __future__ import annotations
@@ -13,13 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def _check_masses(masses: np.ndarray) -> None:
-    if masses.size == 0:
-        raise ValueError("empty table")
-    if not masses.min() >= 0:  # so that NaN fails too
-        raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
 
 
 class ValueMassTable:
@@ -32,7 +26,10 @@ class ValueMassTable:
         if not (values.ndim == 1 and values.shape == masses.shape == eligible.shape):
             raise ValueError(f"values, masses and eligible must be 1-D of one length, got "
                              f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
-        _check_masses(masses)
+        if masses.size == 0:
+            raise ValueError("empty table")
+        if not masses.min() >= 0:  # so that NaN fails too
+            raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
         order = values.argsort()
         ordered = values.take(order)
         if math.isnan(ordered[-1]):  # sorted last
@@ -51,37 +48,14 @@ class ValueMassTable:
             self.eligible = np.ones(len(starts), dtype=bool)
         else:
             self.eligible = np.logical_or.reduceat(eligible.take(order), starts)
-        # each row's group, in row order (`take` reads it): bincount then sums
-        # each group sequentially in row order, the order a stable sort would
-        # give.  int32 ids take half the memory of int64 ones while they cannot wrap
-        ids = np.int32 if values.size < 2 ** 31 else np.int64
-        ranks = keep.cumsum(dtype=ids)
+        # each row's group, in row order: bincount then sums each group
+        # sequentially in row order, the order a stable sort would give
+        ranks = keep.cumsum()
         del keep
-        self.row_group = np.empty(values.size, dtype=ids)
-        self.row_group[order] = ranks
+        group = np.empty_like(ranks)
+        group[order] = ranks
         del order, ranks
-        self.masses = np.bincount(self.row_group, weights=masses)
-
-    def take(self, rows: np.ndarray, masses, eligible) -> "ValueMassTable":
-        """The table of the rows `rows` of the values this table was built
-        from (it must not be a merged table), with masses `masses` and
-        eligibility `eligible`: `ValueMassTable(values[rows], masses,
-        eligible)`, bit for bit, but built from this table's groups with no
-        second sort.  Each group's masses are summed in the order of `rows`,
-        and its eligibility is or-ed.
-        """
-        masses = np.asarray(masses, dtype=float)
-        _check_masses(masses)
-        group = self.row_group.take(rows)
-        present = np.zeros(len(self.values), dtype=bool)
-        present[group] = True
-        out = object.__new__(ValueMassTable)
-        out.values = self.values[present]
-        out.masses = np.bincount(group, weights=masses, minlength=len(self.values))[present]
-        hit = np.zeros(len(self.values), dtype=bool)
-        hit[group[eligible]] = True  # refuses an `eligible` of another length
-        out.eligible = hit[present]
-        return out
+        self.masses = np.bincount(group, weights=masses)
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
         """The table of both tables' points, without sorting them again.
@@ -144,3 +118,71 @@ def weighted_quantile_inf(table: ValueMassTable, alpha: float) -> float:
     ok &= e
     first = ok.argmax()  # the first ok row, if there is one
     return float(v[first] if ok[first] else v[len(e) - 1 - e[::-1].argmax()])
+
+
+WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
+N_BINS = 1024  # value bins over a level's range
+CHUNK = 65536  # rows binned at a time, so that the bin map's temporaries stay small
+
+
+def _sums(masses: np.ndarray, above: float, below: float) -> tuple[np.ndarray, np.ndarray]:
+    """tail[i], `above` + the mass at and above point i; head[i], `below` + the mass below it."""
+    return (np.append(masses[::-1].cumsum()[::-1], 0.0) + above,
+            np.append(0.0, masses.cumsum()) + below)
+
+
+def windowed_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
+                       alpha: float) -> tuple[float, float] | None:
+    """(sup, inf) quantiles of `frozen` merged with the table of the rows
+    (`values`, `masses`), all eligible, or None where they are not certified.
+
+    Only the rows of the value bins around the crossings are sorted.  A sum
+    here and the merged table's cumulative sum add the same N masses >= 0 in
+    other orders, each within γ_N·S of the exact sum, S the total (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The
+    sums at the crossings and past them must clear 1 - alpha or alpha by
+    twice that, so that both tables decide alike.
+    """
+    n = len(values)
+    if n < WINDOW_FLOOR:
+        return None
+    lo, hi = float(values.min()), float(values.max())
+    scale = N_BINS / (hi - lo) if hi > lo else math.inf
+    if not 0.0 < scale < math.inf:  # a range past the float range gives 0
+        return None
+    # one monotone map of value to bin, so tied values share one
+    bins = np.empty(n, dtype=np.int16)
+    mass = np.zeros(N_BINS)
+    for start in range(0, n, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        x = values[chunk] - lo
+        x *= scale
+        np.minimum(x, N_BINS - 1, out=bins[chunk], casting="unsafe")  # truncates toward 0
+        mass += np.bincount(bins[chunk], weights=masses[chunk], minlength=N_BINS)
+    fv, fm = (np.empty(0), np.empty(0)) if frozen is None else (frozen.values, frozen.masses)
+    i0, i1 = fv.searchsorted(lo), fv.searchsorted(hi, "right")
+    fbins = np.minimum((fv[i0:i1] - lo) * scale, N_BINS - 1).astype(np.intp)
+    mass += np.bincount(fbins, weights=fm[i0:i1], minlength=N_BINS)
+    tail, head = _sums(mass, fm[i1:].sum(), fm[:i0].sum())
+    # twice γ_N·S, with room for the rounding of S and of the comparisons
+    tol = (n + len(fv)) * 2.0 ** -51 * (tail[0] + head[0])
+    # the bins of the sup and inf crossings, and one bin on either side
+    sup_bin, inf_bin = np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
+    b0, b1 = max(min(sup_bin, inf_bin) - 1, 0), min(max(sup_bin, inf_bin) + 1, N_BINS - 1)
+    rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
+    if not len(rows):
+        return None
+    window = ValueMassTable(values.take(rows), masses.take(rows), np.ones(len(rows), dtype=bool))
+    j0, j1 = i0 + fbins.searchsorted(b0), i0 + fbins.searchsorted(b1, "right")
+    if j1 > j0:
+        window = ValueMassTable(fv[j0:j1], fm[j0:j1], frozen.eligible[j0:j1]).merge(window)
+    v, e = window.values, window.eligible
+    tail, head = _sums(window.masses, tail[b1 + 1], head[b0])
+    # the last group whose tail reaches 1 - alpha, the first whose head does alpha
+    last, first = np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
+    if not (0 <= last < len(v) and 0 <= first < len(v)
+            and min(tail[last] - (1.0 - alpha), (1.0 - alpha) - tail[last + 1],
+                    head[first + 1] - alpha, alpha - head[first]) > tol
+            and e[:last + 1].any() and e[first:].any()):
+        return None
+    return float(v[last - e[last::-1].argmax()]), float(v[first + e[first:].argmax()])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lipquant as lq
+from lipquant import known
 
 
 def random_lipschitz_problem(rng: np.random.Generator, dim: int):
@@ -57,3 +58,18 @@ def paper_d2_deep_run(paper_d2):
     return lq.run_known(
         paper_d2.f, paper_d2.lipschitz, paper_d2.measure, paper_d2.alpha, 2000
     )
+
+
+@pytest.fixture
+def windowed_answers(monkeypatch):
+    """Whether each call of the engine's `windowed_quantiles` answered, in
+    call order: one call per level."""
+    windowed, answered = known.windowed_quantiles, []
+
+    def counted(*args):
+        out = windowed(*args)
+        answered.append(out is not None)
+        return out
+
+    monkeypatch.setattr(known, "windowed_quantiles", counted)
+    return answered

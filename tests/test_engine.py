@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import lipquant as lq
+from lipquant import known
+from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import run_unknown
@@ -223,6 +225,19 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     assert settled > 0
 
 
+def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch):
+    # levels 9 to 12 of this run hold 10,566 to 356,490 rows, above the floor
+    p = lq.paper_f_d2()
+    run = run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
+    assert [r.level for r in run.history] == list(range(13))
+    assert windowed_answers[9:] == [True] * 4
+    # the full table of every level gives the same run, bit for bit
+    monkeypatch.setattr(known, "windowed_quantiles", lambda *args: None)
+    full = run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
+    assert [r.estimate.hex() for r in run.history] == [r.estimate.hex() for r in full.history]
+    assert run.history == full.history
+
+
 def test_empty_frontier_goes_on_without_f():
     # band 0 stays live but keeps no cell after level 3: the frontier is
     # empty at level 4, whose estimate the frozen table alone gives, and no
@@ -305,6 +320,26 @@ def test_negative_max_level_is_refused(paper_d2):
 
 def never(x):
     raise AssertionError("f called before the inputs were checked")
+
+
+# a bool is a numbers.Integral; each of these was accepted, e.g. a run with
+# lipschitz True, a budget of one call or a 1-d cube
+@pytest.mark.parametrize("make, message", [
+    (lambda: run_known(never, True, lq.uniform_cube(2), 0.5, 100), "lipschitz must be finite"),
+    (lambda: run_known(never, 2.0, lq.uniform_cube(2), 0.5, True), "budget must be a whole number"),
+    (lambda: run_known(never, 2.0, lq.uniform_cube(2), 0.5, 100, max_level=True), "max_level must"),
+    (lambda: run_unknown(never, lq.uniform_cube(2), 0.5, 100, max_level=True), "max_level must"),
+    (lambda: lq.uniform_cube(True), "dim must be a whole number"),
+    (lambda: lq.ProblemConstants(True, 1.0, 1.0, 0.5), "dim must be >= 1"),
+    (lambda: lq.ProblemConstants(2, True, 1.0, 0.5), "lipschitz must be finite"),
+    (lambda: ExperimentConfig(problem="paper_d2", seed=True), "seed must be >= 0"),
+    (lambda: ExperimentConfig(problem="paper_d2", budgets=[True, 5]), "budget True: budget must"),
+    (lambda: ExperimentConfig(problem="paper_d2", lipschitz=True), "lipschitz must be finite"),
+], ids=["lipschitz", "budget", "max_level", "unknown-max_level", "uniform_cube", "constants-dim",
+        "constants-lipschitz", "config-seed", "config-budgets", "config-lipschitz"])
+def test_a_bool_is_not_a_number(make, message):
+    with pytest.raises((ValueError, ConfigError), match=f"^{message}"):
+        make()
 
 
 @pytest.mark.parametrize("name, lipschitz, measure, alpha", [

@@ -6,9 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lipquant.wquantile import (
+    WINDOW_FLOOR,
     ValueMassTable,
     weighted_quantile_inf,
     weighted_quantile_sup,
+    windowed_quantiles,
 )
 
 
@@ -270,83 +272,90 @@ class TestMerge:
         assert t.eligible.tolist() == [False, True, True, True]
 
 
-class TestTake:
-    """The table of some rows, built from the groups of the table of all
-    rows, equals the table built from those rows alone, bit for bit."""
+def full_table_quantiles(frozen, values, masses, alpha):
+    """(sup, inf) over `frozen` merged with the table of every row."""
+    table = ValueMassTable(values, masses, np.ones(len(values), dtype=bool))
+    if frozen is not None:
+        table = frozen.merge(table)
+    return weighted_quantile_sup(table, alpha), weighted_quantile_inf(table, alpha)
+
+
+class TestWindowed:
+    """The windowed quantiles are None or the full table's, bit for bit."""
 
     @staticmethod
-    def assert_take(values, rows, masses, eligible):
-        """Take `rows` of `values` with `masses` and their flags of `eligible`,
-        from a table of all rows in which every row is eligible."""
-        values = np.asarray(values, dtype=float)
-        rows = np.asarray(rows, dtype=np.int64)
-        eligible = np.asarray(eligible, dtype=bool)
-        whole = ValueMassTable(values, np.ones(len(values)), np.ones(len(values), dtype=bool))
-        got = whole.take(rows, masses, eligible[rows])
-        want = ValueMassTable(values[rows], masses, eligible[rows])
-        for a, b in ((got.values, want.values), (got.masses, want.masses),
-                     (got.eligible, want.eligible)):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
-        return got
-
-    def test_ties_and_a_zero_mass_row(self):
-        values = [2.0, 1.0, 2.0, 3.0, 1.0, 2.0]
-        got = self.assert_take(values, [0, 2, 3, 4, 5], [0.125, 0.0, 0.25, 0.5, 0.125],
-                               [False, True, False, True, False, True])
-        assert got.values.tolist() == [1.0, 2.0, 3.0]
-        assert got.masses.tolist() == [0.5, 0.25, 0.25]
-        # a group is eligible iff one of its rows taken is
-        assert got.eligible.tolist() == [False, True, True]
-
-    def test_zero_takes_the_sign_of_the_first_row_taken(self):
-        # -0.0 comes first in the whole table and among the rows taken, yet
-        # every table stores +0.0
-        values = [-0.0, 1.0, 0.0, -0.0, 0.0]
-        assert not np.signbit(ValueMassTable(values, [0.2] * 5, [True] * 5).values[0])
-        got = self.assert_take(values, [1, 2, 3], [0.25, 0.25, 0.5], [True] * 5)
-        assert got.values[0] == 0.0 and not np.signbit(got.values[0])
-        got = self.assert_take(values, [0, 4], [0.5, 0.5], [True, False, False, False, False])
-        assert not np.signbit(got.values[0]) and got.eligible.tolist() == [True]
+    def level(rng, n, distinct):
+        """n rows over `distinct` values (all distinct for None), with -0.0
+        and +0.0 both among them, and masses of several scales summing to
+        about 0.9."""
+        if distinct is None:
+            values = rng.normal(size=n)
+        else:
+            values = (rng.integers(0, distinct, n) - distinct // 2) / 7
+        values[rng.random(n) < 0.01] = -0.0
+        values[rng.random(n) < 0.01] = 0.0
+        masses = rng.random(n) ** 4
+        masses[rng.random(n) < 0.05] = 0.0
+        masses *= 0.9 / masses.sum()
+        return values, masses
 
     @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1 / 3, 2.0, 7.0]),  # heavy ties
-                st.booleans(),  # eligible if taken
-                st.booleans(),  # taken
-                st.sampled_from([0.0, 0.1, 1 / 3, 0.7]),
-            ),
-            min_size=1,
-            max_size=120,
-        )
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(WINDOW_FLOOR, 3 * WINDOW_FLOOR),
+        st.sampled_from([2, 5, 24, 300, None]),
+        st.integers(0, 300),  # frozen groups
+        st.floats(0.001, 0.999),
     )
-    def test_random_tables(self, points):
-        values, eligible, taken, masses = map(np.array, zip(*points))
-        assume(taken.any())
-        rows = np.flatnonzero(taken)
-        self.assert_take(values, rows, masses[rows], eligible)
+    def test_none_or_the_full_tables_pair(self, seed, n, distinct, n_frozen, alpha):
+        rng = np.random.default_rng(seed)
+        values, masses = self.level(rng, n, distinct)
+        frozen = None
+        if n_frozen:
+            # inside and outside the level's range, some tied with its values
+            fv = np.concatenate([rng.normal(0.0, 2.0, n_frozen), rng.choice(values, n_frozen // 3)])
+            frozen = ValueMassTable(fv, rng.random(len(fv)) * 0.2 / len(fv),
+                                    rng.random(len(fv)) < 0.3)
+        got = windowed_quantiles(frozen, values, masses, alpha)
+        if got is not None:
+            want = full_table_quantiles(frozen, values, masses, alpha)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    @pytest.mark.parametrize("distinct", [24, 100_000])
-    def test_large_tables(self, distinct):
-        rng = np.random.default_rng(distinct)
-        values = (rng.integers(0, distinct, 100_000) - distinct // 2) / 7
-        values[rng.random(100_000) < 0.01] = -0.0
-        rows = np.flatnonzero(rng.random(100_000) < 0.3)
-        self.assert_take(values, rows, rng.random(len(rows)) ** 4, rng.random(100_000) < 0.1)
+    @pytest.mark.parametrize("distinct", [24, None])
+    def test_a_large_level_is_answered(self, distinct):
+        rng = np.random.default_rng(3)
+        values, masses = self.level(rng, 100_000, distinct)
+        # frozen groups inside the level's range, so that it holds both crossings
+        frozen = ValueMassTable(rng.uniform(-1.0, 1.0, 50), np.full(50, 0.002),
+                                rng.random(50) < 0.5)
+        for alpha in (0.01, 0.3, 0.999):
+            got = windowed_quantiles(frozen, values, masses, alpha)
+            assert got == full_table_quantiles(frozen, values, masses, alpha)
 
-    def test_refuses_bad_masses(self):
-        t = ValueMassTable([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [True] * 3)
-        with pytest.raises(ValueError, match="masses must be >= 0, got nan"):
-            t.take(np.array([0, 2]), [0.5, np.nan], [False, False])
-        with pytest.raises(ValueError, match="masses must be >= 0, got -0.5"):
-            t.take(np.array([1]), [-0.5], [False])
-        with pytest.raises(ValueError, match="empty table"):
-            t.take(np.array([], dtype=np.int64), [], [])
+    # masses of 2^-12 and a frozen group on either side: every sum is exact,
+    # and one tail or head is 1/2, within the error bound of the sum that
+    # alpha = 1/2 -/+ 1e-13 compares with it
+    @pytest.mark.parametrize("above, below, alpha", [
+        (1 / 8, 2 ** -13, 0.5 + 1e-13),  # the tail of the sup crossing
+        (1 / 8, 2 ** -13, 0.5 - 1e-13),  # the tail of the group past it
+        (2 ** -13, 1 / 8, 0.5 - 1e-13),  # the head of the inf crossing
+        (2 ** -13, 1 / 8, 0.5 + 1e-13),  # the head of the group before it
+    ])
+    def test_a_sum_within_the_error_bound_is_not_certified(self, above, below, alpha):
+        values, masses = np.arange(4096.0), np.full(4096, 2.0 ** -12)
+        frozen = ValueMassTable([-1.0, 5000.0], [below, above], [False, False])
+        assert windowed_quantiles(frozen, values, masses, alpha) is None
+        # with the sums clear of the bound, the pair is certified
+        for alpha in (0.5 - 2 ** -14, 0.5 + 2 ** -14):
+            got = windowed_quantiles(frozen, values, masses, alpha)
+            assert got == full_table_quantiles(frozen, values, masses, alpha)
 
-    @pytest.mark.parametrize("eligible", [[True], [True, False, True]], ids=["short", "long"])
-    def test_refuses_eligible_of_another_length(self, eligible):
-        t = ValueMassTable([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [True] * 3)
-        with pytest.raises((IndexError, ValueError)):
-            t.take(np.array([0, 2]), [0.5, 0.5], eligible)
+    def test_none_below_the_floor_and_on_a_range_it_cannot_bin(self):
+        values, masses = np.arange(4095.0), np.full(4095, 1 / 4095)
+        assert windowed_quantiles(None, values, masses, 0.5) is None
+        masses = np.full(5000, 2e-4)
+        assert windowed_quantiles(None, np.ones(5000), masses, 0.5) is None
+        # a width past the float range or below it; neither may warn
+        values = np.repeat([-1e308, 1e308], 2500)
+        assert windowed_quantiles(None, values, masses, 0.5) is None
+        values = np.repeat([0.0, 5e-324], 2500)
+        assert windowed_quantiles(None, values, masses, 0.5) is None
