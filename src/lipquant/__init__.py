@@ -43,7 +43,7 @@ from .problems import (
     reference_quantile,
 )
 from .unknown import best_candidate, run_unknown
-from .wquantile import ValueMassTable, weighted_quantile_inf, weighted_quantile_sup
+from .wquantile import ValueMassTable
 
 __all__ = [
     "Adversary",
@@ -79,8 +79,6 @@ __all__ = [
     "uniform_marginal",
     "user_marginal",
     "verify_separation",
-    "weighted_quantile_inf",
-    "weighted_quantile_sup",
 ]
 
 __version__ = "0.1.0"

@@ -34,6 +34,22 @@ class ProblemConstants:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha!r}")
 
 
+def _whole(x, least: float) -> bool:
+    """Whether x is a whole number >= `least`; a bool is not one."""
+    return ((isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer())
+            and not isinstance(x, bool) and x >= least)
+
+
+def check_limits(budget, least: int, max_level: int | None = None) -> None:
+    """Refuse a budget that is not a whole number >= `least`, and a
+    `max_level` that is not one >= 0."""
+    if not _whole(budget, least):
+        raise ValueError(f"budget must be a whole number >= {least}, got {budget!r}")
+    if max_level is not None and not _whole(max_level, 0):
+        what = ">= 0" if _whole(max_level, -math.inf) else "a whole number"
+        raise ValueError(f"max_level must be {what}, got {max_level!r}")
+
+
 def bracket_halfwidth(lipschitz: float, level: int, dim: int) -> float:
     """Deterministic bracket half-width L * sqrt(d) / (2 * 3^k)."""
     return lipschitz * half_radius(level, dim)
@@ -42,14 +58,11 @@ def bracket_halfwidth(lipschitz: float, level: int, dim: int) -> float:
 def known_bound(c: ProblemConstants, budget: int) -> float:
     """Worst-case error of the known-constant algorithm at budget N."""
     d, L, M = c.dim, c.lipschitz, c.level_set
+    check_limits(budget, 1 if d == 1 else 2)
     if d == 1:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
         big_c = 0.5 * L * 3.0 ** (1.0 + 1.0 / (4.0 * M * L))
         rho = 3.0 ** (-1.0 / (4.0 * M * L))
         return big_c * rho ** budget
-    if budget <= 1:
-        raise ValueError("budget must be > 1 for d > 1")
     big_c = 1.5 * L * math.sqrt(d) * (3.0 ** d * M * L * math.sqrt(d)) ** (1.0 / (d - 1))
     return big_c * (budget - 1) ** (-1.0 / (d - 1))
 
@@ -57,10 +70,11 @@ def known_bound(c: ProblemConstants, budget: int) -> float:
 def unknown_bound(c: ProblemConstants, budget: int) -> float:
     """Worst-case error of the unknown-constant algorithm at budget N.
 
-    Requires L >= 1; for d > 1 the budget must exceed the start-up cost
-    (pi^2/3) * (log3(L) + 2)^2.
+    Requires L >= 1 and a whole budget >= 1, which for d > 1 must exceed the
+    start-up cost (pi^2/3) * (log3(L) + 2)^2.
     """
     d, L, M = c.dim, c.lipschitz, c.level_set
+    check_limits(budget, 1)
     if L < 1.0:
         raise ValueError(f"unknown-constant bound needs lipschitz >= 1, got {L}")
     g = math.log(L) / math.log(3.0) + 2.0
@@ -82,8 +96,8 @@ def unknown_bound(c: ProblemConstants, budget: int) -> float:
 
 def calls_upper(c: ProblemConstants, level: int) -> float:
     """Upper bound on the calls needed to complete subdivision level k."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if not _whole(level, 0):
+        raise ValueError(f"level must be a whole number >= 0, got {level!r}")
     d, L, M = c.dim, c.lipschitz, c.level_set
     if d == 1:
         return 1.0 + 4.0 * M * L * level
@@ -95,12 +109,9 @@ def calls_upper(c: ProblemConstants, level: int) -> float:
 def level_lower(c: ProblemConstants, budget: int) -> int:
     """Lower bound on the level reached with budget N."""
     d, L, M = c.dim, c.lipschitz, c.level_set
+    check_limits(budget, 1 if d == 1 else 2)
     if d == 1:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
         return int(math.floor((budget - 1) / (4.0 * M * L)))
-    if budget <= 1:
-        raise ValueError("budget must be > 1 for d > 1")
     return int(
         math.floor(
             (math.log(budget - 1) - math.log(3.0 ** d * M * L * math.sqrt(d)))

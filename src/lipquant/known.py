@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bracket_halfwidth
+from .bounds import bracket_halfwidth, check_limits
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import (ValueMassTable, weighted_quantile_inf, weighted_quantile_sup,
-                        windowed_quantiles)
+from .wquantile import ValueMassTable, level_quantiles
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
@@ -128,9 +127,8 @@ class Frontier:
     leaves a box that no constant selects in its partition), else a pruned
     cell that only adds its mass.  The frozen points are one table, `frozen`,
     sorted by value and merged on ties; `frozen_mass` is their running total.
-    A level's estimate comes from the rows near its crossings
-    (`windowed_quantiles`), else from the whole level sorted and merged with
-    `frozen`; `_freeze` sorts the rows that leave.  If no live band
+    A level's estimate is the sup form of `level_quantiles` over the level's
+    rows and `frozen`; `_freeze` sorts the rows that leave.  If no live band
     keeps a row, the frontier is empty and the run stops as `settled`: with no
     row to refine, no later level could differ.
 
@@ -205,14 +203,7 @@ class Frontier:
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
-        both = windowed_quantiles(self.frozen, self.values, self.masses, self.alpha)
-        if both is None:
-            table = self.frozen
-            if len(self.values):
-                level = ValueMassTable(self.values, self.masses, np.ones_like(self.values, bool))
-                table = level if table is None else table.merge(level)
-            both = weighted_quantile_sup(table, self.alpha), weighted_quantile_inf(table, self.alpha)
-        self.estimate, est_inf = both
+        self.estimate, est_inf = level_quantiles(self.frozen, self.values, self.masses, self.alpha)
         # equal in exact arithmetic; cumulative-sum rounding can flip one
         # index when the alpha boundary falls between two near-equal values
         if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
@@ -330,16 +321,6 @@ class Frontier:
             table = ValueMassTable(self.values[leaving], lost, hold[leaving])
             self.frozen = table if self.frozen is None else self.frozen.merge(table)
             self.frozen_mass += float(lost.sum())
-
-
-def check_limits(budget, least: int, max_level: int | None = None) -> None:
-    """Refuse a budget that is not a whole number >= `least`, and a negative
-    `max_level`; a bool is neither."""
-    whole = isinstance(budget, numbers.Integral) or isinstance(budget, float) and budget.is_integer()
-    if not (whole and not isinstance(budget, bool) and budget >= least):
-        raise ValueError(f"budget must be a whole number >= {least}, got {budget!r}")
-    if max_level is not None and (isinstance(max_level, bool) or max_level < 0):
-        raise ValueError(f"max_level must be >= 0, got {max_level!r}")
 
 
 def run_known(

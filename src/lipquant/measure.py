@@ -39,8 +39,9 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
     The only user of SciPy on the algorithms' path: it is imported here, so
     that the package and every other marginal load NumPy alone.
     """
-    if not (np.isfinite(mu) and np.isfinite(sigma)):
-        raise ValueError(f"mu and sigma must be finite, got mu={mu}, sigma={sigma}")
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
+               for x in (mu, sigma)):
+        raise ValueError(f"mu and sigma must be finite, got mu={mu!r}, sigma={sigma!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     from scipy.special import erfc
@@ -89,6 +90,8 @@ def user_marginal(cdf: CdfFn) -> Marginal:
     is non-decreasing on `_PROBE_GRID`, since cell masses must be nonnegative
     and sum to one.
     """
+    if not callable(cdf):
+        raise ValueError(f"cdf must be callable, got {cdf!r}")
     v = np.asarray(cdf(_PROBE_GRID), dtype=float)
     if v.shape != _PROBE_GRID.shape:
         raise ValueError(f"cdf must map an array of shape {_PROBE_GRID.shape} to one of "
@@ -189,8 +192,9 @@ class ProductMeasure:
 
 def product_measure(marginals: Sequence[Marginal]) -> ProductMeasure:
     marginals = tuple(marginals)
-    if not marginals:
-        raise ValueError("marginals must hold at least one Marginal, got none")
+    if not (marginals and all(isinstance(m, Marginal) for m in marginals)):
+        raise ValueError(f"marginals must be one or more Marginal, got "
+                         f"{[type(m).__name__ for m in marginals]}")
     return ProductMeasure(marginals=marginals)
 
 

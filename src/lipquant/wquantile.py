@@ -4,9 +4,9 @@ The level-k estimator is a quantile of a discrete table: one point per
 partition cell, carrying the cell's probability mass and either a freshly
 evaluated value (eligible as a quantile candidate) or a value inherited from
 a pruned ancestor (mass contributor only).  Both the sup and the inf form of
-the definition are provided; on tables coming from a full subdivision level
-they coincide.  `windowed_quantiles` gives both for a large level from the
-rows near its crossings, or None where the whole table must decide.
+the definition are read at once by `level_quantiles`, from the rows near the
+crossings of a large level where a bound on summation error certifies them,
+else from the whole table; on a full subdivision level's table they coincide.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class ValueMassTable:
         del ordered
         # ties are bitwise equal but for a zero's sign; -0.0 + 0.0 is +0.0
         self.values += 0.0
-        if eligible.all():
-            self.eligible = np.ones(len(starts), dtype=bool)
-        else:
-            self.eligible = np.logical_or.reduceat(eligible.take(order), starts)
         # each row's group, in row order: bincount then sums each group
         # sequentially in row order, the order a stable sort would give
         ranks = keep.cumsum()
@@ -56,6 +52,7 @@ class ValueMassTable:
         group[order] = ranks
         del order, ranks
         self.masses = np.bincount(group, weights=masses)
+        self.eligible = np.bincount(group, weights=eligible) > 0
 
     def merge(self, other: "ValueMassTable") -> "ValueMassTable":
         """The table of both tables' points, without sorting them again.
@@ -89,85 +86,88 @@ class ValueMassTable:
         return out
 
 
-def _check_query(table: ValueMassTable, alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not table.eligible.any():
-        raise ValueError("table has no eligible point")
-
-
-def weighted_quantile_sup(table: ValueMassTable, alpha: float) -> float:
-    """sup{ v eligible : mass of {value >= v} >= 1 - alpha }.
-
-    The mass sum runs over all points; only eligible values may be returned.
-    If no eligible value qualifies, returns the minimum eligible value.
-    """
-    _check_query(table, alpha)
-    v, m, e = table.values, table.masses, table.eligible
-    ok = m[::-1].cumsum()[::-1] >= 1.0 - alpha  # the mass of values >= v[i]
-    ok &= e
-    last = len(ok) - 1 - ok[::-1].argmax()  # the last ok row, if there is one
-    return float(v[last] if ok[last] else v[e.argmax()])
-
-
-def weighted_quantile_inf(table: ValueMassTable, alpha: float) -> float:
-    """inf{ v eligible : mass of {value <= v} >= alpha }."""
-    _check_query(table, alpha)
-    v, m, e = table.values, table.masses, table.eligible
-    ok = m.cumsum() >= alpha
-    ok &= e
-    first = ok.argmax()  # the first ok row, if there is one
-    return float(v[first] if ok[first] else v[len(e) - 1 - e[::-1].argmax()])
-
-
 WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
 N_BINS = 1024  # value bins over a level's range
-CHUNK = 65536  # rows binned at a time, so that the bin map's temporaries stay small
 
 
-def _sums(masses: np.ndarray, above: float, below: float) -> tuple[np.ndarray, np.ndarray]:
-    """tail[i], `above` + the mass at and above point i; head[i], `below` + the mass below it."""
-    return (np.append(masses[::-1].cumsum()[::-1], 0.0) + above,
-            np.append(0.0, masses.cumsum()) + below)
+def level_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
+                    alpha: float) -> tuple[float, float]:
+    """The (sup, inf) quantiles of `frozen` merged with the table of the rows
+    (`values`, `masses`), all eligible.  A level of `WINDOW_FLOOR` rows or
+    more is read from the rows near its crossings where that is certified
+    (`_windowed`), any other from the whole table, with the same result."""
+    if len(values) >= WINDOW_FLOOR:
+        both = _windowed(frozen, values, masses, alpha)
+        if both is not None:
+            return both
+    table = frozen
+    if len(values):
+        level = ValueMassTable(values, masses, np.ones(len(values), dtype=bool))
+        table = level if table is None else table.merge(level)
+    return _read(table, alpha)
 
 
-def windowed_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
-                       alpha: float) -> tuple[float, float] | None:
-    """(sup, inf) quantiles of `frozen` merged with the table of the rows
-    (`values`, `masses`), all eligible, or None where they are not certified.
+def _crossings(masses: np.ndarray, alpha: float, above: float, below: float):
+    """tail[i], `above` + the mass at and above point i; head[i], `below` +
+    the mass below it; the last i whose tail reaches 1 - alpha and the last
+    whose head does not reach alpha."""
+    tail, head = np.zeros(len(masses) + 1), np.zeros(len(masses) + 1)
+    masses[::-1].cumsum(out=tail[:-1][::-1])
+    masses.cumsum(out=head[1:])
+    tail += above
+    head += below
+    return tail, head, np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
 
-    Only the rows of the value bins around the crossings are sorted.  A sum
-    here and the merged table's cumulative sum add the same N masses >= 0 in
-    other orders, each within γ_N·S of the exact sum, S the total (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The
-    sums at the crossings and past them must clear 1 - alpha or alpha by
-    twice that, so that both tables decide alike.
-    """
-    n = len(values)
-    if n < WINDOW_FLOOR:
+
+def _read(table: ValueMassTable, alpha: float, above: float = 0.0, below: float = 0.0,
+          tol: float | None = None) -> tuple[float, float] | None:
+    """sup{v eligible : mass of {value >= v} >= 1 - alpha}, else the least
+    eligible v, and inf{v eligible : mass of {value <= v} >= alpha}, else the
+    greatest, over `table` and the mass `above` and `below` its values.
+    Without `tol`, `table` is whole; with it, a window of a larger table, and
+    the pair is None unless both answers lie in it and every sum that decides
+    clears 1 - alpha or alpha by more than `tol`."""
+    v, e = table.values, table.eligible
+    tail, head, last, first = _crossings(table.masses, alpha, above, below)
+    sup_in, inf_in = e[:last + 1].any(), e[first:].any()  # an eligible point at or past each
+    if tol is None:
+        if not e.any():
+            raise ValueError("table has no eligible point")
+    elif not (0 <= last < len(v) and 0 <= first < len(v) and sup_in and inf_in
+              and min(tail[last] - (1.0 - alpha), (1.0 - alpha) - tail[last + 1],
+                      head[first + 1] - alpha, alpha - head[first]) > tol):
         return None
+    return (float(v[last - e[last::-1].argmax()] if sup_in else v[e.argmax()]),
+            float(v[first + e[first:].argmax()] if inf_in else v[len(e) - 1 - e[::-1].argmax()]))
+
+
+def _bins(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    """The bins of the values x >= lo: one monotone map, so tied values share one."""
+    x = x - lo
+    x *= scale
+    return np.minimum(x, N_BINS - 1, out=x).astype(np.int16)  # truncates toward 0
+
+
+def _windowed(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
+              alpha: float) -> tuple[float, float] | None:
+    """`level_quantiles` from the rows of the value bins around the
+    crossings, or None where it is not certified.  A sum here and the merged
+    table's cumulative sum add the same N masses >= 0 in other orders, each
+    within γ_N·S of the exact sum, S the total (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The sums at the
+    crossings and past them must clear 1 - alpha or alpha by twice that, so
+    that both tables decide alike."""
     lo, hi = float(values.min()), float(values.max())
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
     if not 0.0 < scale < math.inf:  # a range past the float range gives 0
         return None
-    # one monotone map of value to bin, so tied values share one
-    bins = np.empty(n, dtype=np.int16)
-    mass = np.zeros(N_BINS)
-    for start in range(0, n, CHUNK):
-        chunk = slice(start, start + CHUNK)
-        x = values[chunk] - lo
-        x *= scale
-        np.minimum(x, N_BINS - 1, out=bins[chunk], casting="unsafe")  # truncates toward 0
-        mass += np.bincount(bins[chunk], weights=masses[chunk], minlength=N_BINS)
     fv, fm = (np.empty(0), np.empty(0)) if frozen is None else (frozen.values, frozen.masses)
     i0, i1 = fv.searchsorted(lo), fv.searchsorted(hi, "right")
-    fbins = np.minimum((fv[i0:i1] - lo) * scale, N_BINS - 1).astype(np.intp)
+    bins, fbins = _bins(values, lo, scale), _bins(fv[i0:i1], lo, scale)
+    mass = np.bincount(bins, weights=masses, minlength=N_BINS)
     mass += np.bincount(fbins, weights=fm[i0:i1], minlength=N_BINS)
-    tail, head = _sums(mass, fm[i1:].sum(), fm[:i0].sum())
-    # twice γ_N·S, with room for the rounding of S and of the comparisons
-    tol = (n + len(fv)) * 2.0 ** -51 * (tail[0] + head[0])
     # the bins of the sup and inf crossings, and one bin on either side
-    sup_bin, inf_bin = np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
+    tail, head, sup_bin, inf_bin = _crossings(mass, alpha, fm[i1:].sum(), fm[:i0].sum())
     b0, b1 = max(min(sup_bin, inf_bin) - 1, 0), min(max(sup_bin, inf_bin) + 1, N_BINS - 1)
     rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
     if not len(rows):
@@ -176,13 +176,6 @@ def windowed_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses
     j0, j1 = i0 + fbins.searchsorted(b0), i0 + fbins.searchsorted(b1, "right")
     if j1 > j0:
         window = ValueMassTable(fv[j0:j1], fm[j0:j1], frozen.eligible[j0:j1]).merge(window)
-    v, e = window.values, window.eligible
-    tail, head = _sums(window.masses, tail[b1 + 1], head[b0])
-    # the last group whose tail reaches 1 - alpha, the first whose head does alpha
-    last, first = np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
-    if not (0 <= last < len(v) and 0 <= first < len(v)
-            and min(tail[last] - (1.0 - alpha), (1.0 - alpha) - tail[last + 1],
-                    head[first + 1] - alpha, alpha - head[first]) > tol
-            and e[:last + 1].any() and e[first:].any()):
-        return None
-    return float(v[last - e[last::-1].argmax()]), float(v[first + e[first:].argmax()])
+    # twice γ_N·S, with room for the rounding of S and of the comparisons
+    tol = (len(values) + len(fv)) * 2.0 ** -51 * (tail[0] + head[0])
+    return _read(window, alpha, tail[b1 + 1], head[b0], tol)

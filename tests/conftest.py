@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lipquant as lq
-from lipquant import known
+from lipquant import wquantile
 
 
 def random_lipschitz_problem(rng: np.random.Generator, dim: int):
@@ -62,14 +62,14 @@ def paper_d2_deep_run(paper_d2):
 
 @pytest.fixture
 def windowed_answers(monkeypatch):
-    """Whether each call of the engine's `windowed_quantiles` answered, in
-    call order: one call per level."""
-    windowed, answered = known.windowed_quantiles, []
+    """Whether each window read of `wquantile.level_quantiles` answered, in
+    call order: one call per level of at least `WINDOW_FLOOR` rows."""
+    windowed, answered = wquantile._windowed, []
 
     def counted(*args):
         out = windowed(*args)
         answered.append(out is not None)
         return out
 
-    monkeypatch.setattr(known, "windowed_quantiles", counted)
+    monkeypatch.setattr(wquantile, "_windowed", counted)
     return answered

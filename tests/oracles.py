@@ -6,9 +6,12 @@ partition identities can be checked exactly; floats only appear in
 `center`, `center_point`, `cell_bounds` and the scalar cell mass.  The
 engine (`lipquant.known.Frontier`) holds the same cells as int64 digit
 arrays; the tests compare it against these helpers, and `frontier_sets`
-reads its cells level by level.  `candidate_budget` is the scalar slice
-formula of the unknown-constant schedule.  `refined_quantile_d1` is a
-near-machine-precision quantile oracle for smooth d = 1 problems.
+reads its cells level by level.  `weighted_quantile_sup` and
+`weighted_quantile_inf` read one form each of a table's weighted quantile:
+the reference for `lipquant.wquantile.level_quantiles`.  `candidate_budget`
+is the scalar slice formula of the unknown-constant schedule.
+`refined_quantile_d1` is a near-machine-precision quantile oracle for smooth
+d = 1 problems.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from lipquant.known import K_MAX, Frontier
 from lipquant.problems import TestProblem
-from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
+from lipquant.wquantile import ValueMassTable
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,37 @@ def cell_probability(measure, idx: MultiIndex) -> float:
     for m, a, b in zip(measure.marginals, lo, hi):
         p *= float(m.cdf(np.array(b)) - m.cdf(np.array(a)))
     return p
+
+
+def _check_query(table: ValueMassTable, alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not table.eligible.any():
+        raise ValueError("table has no eligible point")
+
+
+def weighted_quantile_sup(table: ValueMassTable, alpha: float) -> float:
+    """sup{ v eligible : mass of {value >= v} >= 1 - alpha }.
+
+    The mass sum runs over all points; only eligible values may be returned.
+    If no eligible value qualifies, returns the minimum eligible value.
+    """
+    _check_query(table, alpha)
+    v, m, e = table.values, table.masses, table.eligible
+    ok = m[::-1].cumsum()[::-1] >= 1.0 - alpha  # the mass of values >= v[i]
+    ok &= e
+    last = len(ok) - 1 - ok[::-1].argmax()  # the last ok row, if there is one
+    return float(v[last] if ok[last] else v[e.argmax()])
+
+
+def weighted_quantile_inf(table: ValueMassTable, alpha: float) -> float:
+    """inf{ v eligible : mass of {value <= v} >= alpha }."""
+    _check_query(table, alpha)
+    v, m, e = table.values, table.masses, table.eligible
+    ok = m.cumsum() >= alpha
+    ok &= e
+    first = ok.argmax()  # the first ok row, if there is one
+    return float(v[first] if ok[first] else v[len(e) - 1 - e[::-1].argmax()])
 
 
 def full_grid_estimate(f, measure, alpha: float, level: int) -> float:

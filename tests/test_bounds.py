@@ -117,6 +117,22 @@ class TestLevelLower:
             assert level_lower(c, n) >= k - 1
 
 
+C1, C2 = ProblemConstants(1, 1.0, 2.0, 0.5), ProblemConstants(2, 1.0, 1.0, 0.5)
+
+
+# each raised a TypeError, or returned 1.5, nan and 11.0 (True, nan, 2.5)
+@pytest.mark.parametrize("bound, c, n, name", [
+    (known_bound, C1, "10", "budget"), (known_bound, C1, True, "budget"),
+    (known_bound, C2, math.nan, "budget"), (unknown_bound, C1, "500", "budget"),
+    (level_lower, C1, "100", "budget"), (calls_upper, C1, "3", "level"),
+    (calls_upper, C1, 2.5, "level"),
+], ids=["known-str", "known-bool", "known-nan", "unknown-str", "level_lower-str",
+        "calls_upper-str", "calls_upper-2.5"])
+def test_a_budget_or_level_must_be_a_whole_number(bound, c, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number >= "):
+        bound(c, n)
+
+
 class TestBracketHalfwidth:
     def test_examples(self):
         assert bracket_halfwidth(1.0, 0, 1) == 0.5

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import lipquant as lq
-from lipquant import known
+from lipquant import wquantile
 from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import run_unknown
-from lipquant.wquantile import ValueMassTable, weighted_quantile_sup
+from lipquant.wquantile import ValueMassTable
 
 from conftest import random_lipschitz_problem
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     child_digits,
     frontier_sets,
     funded_candidates,
+    weighted_quantile_sup,
 )
 
 CASES = [(1, 300), (2, 2000), (3, 5000)]
@@ -226,13 +227,14 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
 
 
 def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch):
-    # levels 9 to 12 of this run hold 10,566 to 356,490 rows, above the floor
+    # levels 9 to 12 of this run hold 10,566 to 356,490 rows, above the
+    # floor, and only they try the window
     p = lq.paper_f_d2()
     run = run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
     assert [r.level for r in run.history] == list(range(13))
-    assert windowed_answers[9:] == [True] * 4
+    assert windowed_answers == [True] * 4
     # the full table of every level gives the same run, bit for bit
-    monkeypatch.setattr(known, "windowed_quantiles", lambda *args: None)
+    monkeypatch.setattr(wquantile, "_windowed", lambda *args: None)
     full = run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
     assert [r.estimate.hex() for r in run.history] == [r.estimate.hex() for r in full.history]
     assert run.history == full.history
@@ -342,17 +344,21 @@ def test_a_bool_is_not_a_number(make, message):
         make()
 
 
-@pytest.mark.parametrize("name, lipschitz, measure, alpha", [
-    ("lipschitz", "2", lq.uniform_cube(2), 0.5),  # a TypeError from np.isfinite
-    ("alpha", 2.0, lq.uniform_cube(2), "0.5"),  # a TypeError from <
-    ("measure", 2.0, None, 0.5),  # an AttributeError on .dim
-], ids=["lipschitz-str", "alpha-str", "measure-none"])
-def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha):
+@pytest.mark.parametrize("name, lipschitz, measure, alpha, max_level", [
+    ("lipschitz", "2", lq.uniform_cube(2), 0.5, None),  # a TypeError from np.isfinite
+    ("alpha", 2.0, lq.uniform_cube(2), "0.5", None),  # a TypeError from <
+    ("measure", 2.0, None, 0.5, None),  # an AttributeError on .dim
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, "3"),  # a TypeError from <
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, 2.5),  # a run that stopped at level 3
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, np.nan),  # ignored: the run went on to the budget
+], ids=["lipschitz-str", "alpha-str", "measure-none", "max_level-str", "max_level-2.5",
+        "max_level-nan"])
+def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha, max_level):
     with pytest.raises(ValueError, match=f"^{name} must "):
-        run_known(never, lipschitz, measure, alpha, 100)
+        run_known(never, lipschitz, measure, alpha, 100, max_level)
     if name != "lipschitz":
         with pytest.raises(ValueError, match=f"^{name} must "):
-            run_unknown(never, measure, alpha, 100)
+            run_unknown(never, measure, alpha, 100, max_level)
 
 
 def test_numpy_scalars_are_real_inputs(paper_d2):

@@ -33,10 +33,12 @@ class TestUniform:
         assert m.cdf(np.array(1.0)) == 1.0
 
     @pytest.mark.parametrize("build, name", [(lambda: product_measure([]), "marginals"),
-                                             (lambda: uniform_cube(0), "dim")],
-                             ids=["product-of-none", "cube-of-dim-0"])
+                                             (lambda: uniform_cube(0), "dim"),
+                                             (lambda: product_measure([0.5]), "marginals")],
+                             ids=["product-of-none", "cube-of-dim-0", "product-of-a-float"])
     def test_a_cube_of_no_axes_is_refused(self, build, name):
-        # accepted, and a run on it died in "cannot reshape array of size 0"
+        # accepted, and a run on it died in "cannot reshape array of size 0",
+        # or on a float axis in "'float' object has no attribute 'cdf'"
         with pytest.raises(ValueError, match=f"^{name} must "):
             build()
 
@@ -82,11 +84,13 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal_marginal(0.2, 0.0)
 
+    # a string raised a TypeError from np.isfinite, and sigma True was 1
     @pytest.mark.parametrize("mu, sigma", [(np.nan, 0.2), (np.inf, 0.2), (-np.inf, 0.2),
-                                           (0.2, np.nan), (0.2, np.inf)])
+                                           (0.2, np.nan), (0.2, np.inf), ("0.2", 0.2),
+                                           (0.2, True)])
     def test_rejects_non_finite_parameters(self, mu, sigma):
         with pytest.raises(ValueError, match=r"mu and sigma must be finite, got "
-                                             rf"mu={mu}, sigma={sigma}"):
+                                             rf"mu={mu!r}, sigma={sigma!r}"):
             truncated_normal_marginal(mu, sigma)
 
     @pytest.mark.parametrize("mu", [40.0, -40.0])
@@ -287,6 +291,7 @@ class TestUserMarginalContract:
         (lambda x: np.where(np.asarray(x) < 0.5, np.asarray(x), 1.5 * np.asarray(x) - 0.5),
          r"non-decreasing"),
         (lambda x: 0.5, r"same shape"),
+        (0.5, r"^cdf must be callable"),  # a TypeError
     ])
     def test_rejects_non_cdf(self, cdf, message):
         with pytest.raises(ValueError, match=message):

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lipquant.wquantile import (
-    WINDOW_FLOOR,
-    ValueMassTable,
-    weighted_quantile_inf,
-    weighted_quantile_sup,
-    windowed_quantiles,
-)
+from lipquant import wquantile
+from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, level_quantiles
+
+from oracles import weighted_quantile_inf, weighted_quantile_sup
 
 
 def stable_reference(values, masses, eligible):
@@ -38,33 +35,44 @@ def table(points):
     return ValueMassTable(values, masses, eligible)
 
 
+def quantiles(points, alpha):
+    """The (sup, inf) pair of the oracles on the table of `points`, which
+    `level_quantiles` must give too, with the ineligible points as the
+    frozen table and the eligible ones as the level's rows."""
+    t = table(points)
+    want = weighted_quantile_sup(t, alpha), weighted_quantile_inf(t, alpha)
+    frozen = [p for p in points if not p[2]]
+    level = np.array([p[:2] for p in points if p[2]]).reshape(-1, 2)
+    got = level_quantiles(table(frozen) if frozen else None, level[:, 0], level[:, 1], alpha)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    return want
+
+
 class TestSup:
     def test_two_point_tie_at_alpha(self):
         # both candidates qualify (tail masses 0.5 and 1.0 >= 0.5); sup is 1
-        t = table([(0.0, 0.5, True), (1.0, 0.5, True)])
-        assert weighted_quantile_sup(t, 0.5) == 1.0
+        assert quantiles([(0.0, 0.5, True), (1.0, 0.5, True)], 0.5)[0] == 1.0
 
     def test_single_point(self):
-        t = table([(3.0, 1.0, True)])
         for alpha in (0.01, 0.5, 0.999):
-            assert weighted_quantile_sup(t, alpha) == 3.0
+            assert quantiles([(3.0, 1.0, True)], alpha)[0] == 3.0
 
     def test_tail_quantile(self):
-        t = table([(0.0, 0.9, True), (1.0, 0.1, True)])
-        assert weighted_quantile_sup(t, 0.999) == 1.0
+        assert quantiles([(0.0, 0.9, True), (1.0, 0.1, True)], 0.999)[0] == 1.0
 
     def test_sup_empty_convention(self):
         # no eligible value has enough tail mass: fall back to min eligible
-        t = table([(5.0, 0.001, True), (0.0, 0.999, False)])
-        assert weighted_quantile_sup(t, 0.5) == 5.0
+        assert quantiles([(5.0, 0.001, True), (0.0, 0.999, False)], 0.5)[0] == 5.0
 
     def test_frozen_mass_counts_in_sums(self):
         # the frozen point cannot be returned but its mass moves the answer
-        t = table([(0.0, 0.3, True), (0.5, 0.5, False), (1.0, 0.2, True)])
+        points = [(0.0, 0.3, True), (0.5, 0.5, False), (1.0, 0.2, True)]
         # tail(1.0)=0.2 < 0.25, tail(0.0)=1.0 >= 0.25 -> sup of qualifiers is 0
-        assert weighted_quantile_sup(t, 0.75) == 0.0
+        assert quantiles(points, 0.75)[0] == 0.0
 
     def test_invalid_alpha(self):
+        # the oracle's refusal; the engine refuses such an alpha in `Frontier`
+        # before `level_quantiles` reads a level
         t = table([(0.0, 1.0, True)])
         with pytest.raises(ValueError):
             weighted_quantile_sup(t, 0.0)
@@ -75,26 +83,27 @@ class TestSup:
         t = table([(0.0, 1.0, False)])
         with pytest.raises(ValueError):
             weighted_quantile_sup(t, 0.5)
+        with pytest.raises(ValueError, match="table has no eligible point"):
+            level_quantiles(t, np.empty(0), np.empty(0), 0.5)
 
 
 class TestInf:
     def test_two_point_tie_at_alpha(self):
         # head mass at 0 is exactly 0.5 >= 0.5, so inf is 0 (differs from sup
         # on this exact-tie table; the two forms agree on full-level tables)
-        t = table([(0.0, 0.5, True), (1.0, 0.5, True)])
-        assert weighted_quantile_inf(t, 0.5) == 0.0
+        assert quantiles([(0.0, 0.5, True), (1.0, 0.5, True)], 0.5)[1] == 0.0
 
     def test_single_point(self):
-        assert weighted_quantile_inf(table([(3.0, 1.0, True)]), 0.5) == 3.0
+        assert quantiles([(3.0, 1.0, True)], 0.5)[1] == 3.0
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=20)
         m = rng.random(20)
         m /= m.sum()
-        t = ValueMassTable(v, m, np.ones(20, dtype=bool))
+        points = list(zip(v, m, [True] * 20))
         alphas = np.linspace(0.01, 0.99, 50)
-        vals = [weighted_quantile_inf(t, a) for a in alphas]
+        vals = [quantiles(points, a)[1] for a in alphas]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -280,24 +289,70 @@ def full_table_quantiles(frozen, values, masses, alpha):
     return weighted_quantile_sup(table, alpha), weighted_quantile_inf(table, alpha)
 
 
-class TestWindowed:
-    """The windowed quantiles are None or the full table's, bit for bit."""
+def level(rng, n, distinct, total=0.9):
+    """n rows over `distinct` values (all distinct for None), with -0.0 and
+    +0.0 both among them, and masses of several scales summing to about
+    `total`."""
+    if distinct is None:
+        values = rng.normal(size=n)
+    else:
+        values = (rng.integers(0, distinct, n) - distinct // 2) / 7
+    values[rng.random(n) < 0.01] = -0.0
+    values[rng.random(n) < 0.01] = 0.0
+    masses = rng.random(n) ** 4
+    masses[rng.random(n) < 0.05] = 0.0
+    masses[0] += not masses.any()  # a row of mass 0 alone
+    masses *= total / masses.sum()
+    return values, masses
 
-    @staticmethod
-    def level(rng, n, distinct):
-        """n rows over `distinct` values (all distinct for None), with -0.0
-        and +0.0 both among them, and masses of several scales summing to
-        about 0.9."""
-        if distinct is None:
-            values = rng.normal(size=n)
-        else:
-            values = (rng.integers(0, distinct, n) - distinct // 2) / 7
-        values[rng.random(n) < 0.01] = -0.0
-        values[rng.random(n) < 0.01] = 0.0
-        masses = rng.random(n) ** 4
-        masses[rng.random(n) < 0.05] = 0.0
-        masses *= 0.9 / masses.sum()
-        return values, masses
+
+def frozen_table(rng, values, n_frozen, eligible=0.3):
+    """`n_frozen` groups inside and outside the range of `values`, a third
+    as many tied with them, of mass 0.2 in all, each eligible with
+    probability `eligible`; None for none."""
+    if not n_frozen:
+        return None
+    fv = np.concatenate([rng.normal(0.0, 2.0, n_frozen), rng.choice(values, n_frozen // 3)])
+    return ValueMassTable(fv, rng.random(len(fv)) * 0.2 / len(fv), rng.random(len(fv)) < eligible)
+
+
+class TestLevelQuantiles:
+    """`level_quantiles` is the oracles' pair, bit for bit, on every input."""
+
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.one_of(st.integers(1, 50), st.integers(WINDOW_FLOOR, 2 * WINDOW_FLOOR)),
+        st.sampled_from([1, 2, 5, 24, 300, None]),  # 1 and 2: heavy ties, with the zeros
+        st.integers(0, 300),  # frozen groups
+        st.sampled_from([0.0, 0.3, 1.0]),  # the chance that a frozen group is eligible
+        st.sampled_from([0.2, 0.9]),  # the level's mass: totals below alpha or 1 - alpha
+        st.floats(0.001, 0.999),
+    )
+    def test_equals_the_oracles(self, seed, n, distinct, n_frozen, eligible, total, alpha):
+        rng = np.random.default_rng(seed)
+        values, masses = level(rng, n, distinct, total)
+        frozen = frozen_table(rng, values, n_frozen, eligible)
+        got = level_quantiles(frozen, values, masses, alpha)
+        want = full_table_quantiles(frozen, values, masses, alpha)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_no_eligible_point_at_or_past_a_crossing(self, windowed_answers):
+        # ineligible frozen mass 0.9 below the level holds the sup crossing of
+        # alpha = 0.05, so the sup is the least eligible value; alone, the
+        # level's mass 0.1 reaches neither crossing of alpha = 0.5, so the sup
+        # is the least eligible value and the inf the greatest
+        values, masses = level(np.random.default_rng(0), 2 * WINDOW_FLOOR, None, 0.1)
+        below = ValueMassTable(np.linspace(-9.0, -8.0, 100), np.full(100, 0.009),
+                               np.zeros(100, dtype=bool))
+        for frozen, alpha, want in ((below, 0.05, (values.min(), values.min())),
+                                    (None, 0.5, (values.min(), values.max()))):
+            got = level_quantiles(frozen, values, masses, alpha)
+            assert got == full_table_quantiles(frozen, values, masses, alpha) == want
+        assert windowed_answers == [False, False]
+
+
+class TestWindowed:
+    """The window read `_windowed` is None or the full table's pair, bit for bit."""
 
     @given(
         st.integers(0, 2 ** 32 - 1),
@@ -308,28 +363,24 @@ class TestWindowed:
     )
     def test_none_or_the_full_tables_pair(self, seed, n, distinct, n_frozen, alpha):
         rng = np.random.default_rng(seed)
-        values, masses = self.level(rng, n, distinct)
-        frozen = None
-        if n_frozen:
-            # inside and outside the level's range, some tied with its values
-            fv = np.concatenate([rng.normal(0.0, 2.0, n_frozen), rng.choice(values, n_frozen // 3)])
-            frozen = ValueMassTable(fv, rng.random(len(fv)) * 0.2 / len(fv),
-                                    rng.random(len(fv)) < 0.3)
-        got = windowed_quantiles(frozen, values, masses, alpha)
+        values, masses = level(rng, n, distinct)
+        frozen = frozen_table(rng, values, n_frozen)
+        got = wquantile._windowed(frozen, values, masses, alpha)
         if got is not None:
             want = full_table_quantiles(frozen, values, masses, alpha)
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
     @pytest.mark.parametrize("distinct", [24, None])
-    def test_a_large_level_is_answered(self, distinct):
+    def test_a_large_level_is_answered(self, distinct, windowed_answers):
         rng = np.random.default_rng(3)
-        values, masses = self.level(rng, 100_000, distinct)
+        values, masses = level(rng, 100_000, distinct)
         # frozen groups inside the level's range, so that it holds both crossings
         frozen = ValueMassTable(rng.uniform(-1.0, 1.0, 50), np.full(50, 0.002),
                                 rng.random(50) < 0.5)
         for alpha in (0.01, 0.3, 0.999):
-            got = windowed_quantiles(frozen, values, masses, alpha)
+            got = level_quantiles(frozen, values, masses, alpha)
             assert got == full_table_quantiles(frozen, values, masses, alpha)
+        assert windowed_answers == [True] * 3
 
     # masses of 2^-12 and a frozen group on either side: every sum is exact,
     # and one tail or head is 1/2, within the error bound of the sum that
@@ -343,19 +394,23 @@ class TestWindowed:
     def test_a_sum_within_the_error_bound_is_not_certified(self, above, below, alpha):
         values, masses = np.arange(4096.0), np.full(4096, 2.0 ** -12)
         frozen = ValueMassTable([-1.0, 5000.0], [below, above], [False, False])
-        assert windowed_quantiles(frozen, values, masses, alpha) is None
+        assert wquantile._windowed(frozen, values, masses, alpha) is None
+        assert level_quantiles(frozen, values, masses, alpha) == \
+            full_table_quantiles(frozen, values, masses, alpha)
         # with the sums clear of the bound, the pair is certified
         for alpha in (0.5 - 2 ** -14, 0.5 + 2 ** -14):
-            got = windowed_quantiles(frozen, values, masses, alpha)
+            got = wquantile._windowed(frozen, values, masses, alpha)
             assert got == full_table_quantiles(frozen, values, masses, alpha)
 
-    def test_none_below_the_floor_and_on_a_range_it_cannot_bin(self):
+    def test_none_below_the_floor_and_on_a_range_it_cannot_bin(self, windowed_answers):
         values, masses = np.arange(4095.0), np.full(4095, 1 / 4095)
-        assert windowed_quantiles(None, values, masses, 0.5) is None
+        assert level_quantiles(None, values, masses, 0.5) == \
+            full_table_quantiles(None, values, masses, 0.5)
+        assert windowed_answers == []  # below the floor, no window is tried
         masses = np.full(5000, 2e-4)
-        assert windowed_quantiles(None, np.ones(5000), masses, 0.5) is None
-        # a width past the float range or below it; neither may warn
-        values = np.repeat([-1e308, 1e308], 2500)
-        assert windowed_quantiles(None, values, masses, 0.5) is None
-        values = np.repeat([0.0, 5e-324], 2500)
-        assert windowed_quantiles(None, values, masses, 0.5) is None
+        # one value, and a width past the float range or below it; none may warn
+        for values in (np.ones(5000), np.repeat([-1e308, 1e308], 2500),
+                       np.repeat([0.0, 5e-324], 2500)):
+            assert level_quantiles(None, values, masses, 0.5) == \
+                full_table_quantiles(None, values, masses, 0.5)
+        assert windowed_answers == [False] * 3
