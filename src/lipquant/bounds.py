@@ -27,11 +27,15 @@ class ProblemConstants:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         for name in ("lipschitz", "level_set"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
+            if not (finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha!r}")
+
+
+def finite_real(x) -> bool:
+    """Whether x is a finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _whole(x, least: float) -> bool:

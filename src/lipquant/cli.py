@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversary import build_adversary_d1, build_adversary_d2, verify_separation
-from .bounds import ProblemConstants, known_bound, unknown_bound
+from .bounds import ProblemConstants, finite_real, known_bound, unknown_bound
 from .known import check_limits, run_known
 from .problems import (
     BUILTIN_PROBLEMS,
@@ -71,9 +71,7 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
         for name in ("lipschitz", "level_set"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, numbers.Real)
-                                          and not isinstance(value, bool)
-                                          and math.isfinite(value) and value > 0):
+            if value is not None and not (finite_real(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bracket_halfwidth, check_limits
+from .bounds import bracket_halfwidth, check_limits, finite_real
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import ValueMassTable, level_quantiles
+from .wquantile import ValueMassTable, joined, level_quantiles
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
@@ -128,9 +128,10 @@ class Frontier:
     cell that only adds its mass.  The frozen points are one table, `frozen`,
     sorted by value and merged on ties; `frozen_mass` is their running total.
     A level's estimate is the sup form of `level_quantiles` over the level's
-    rows and `frozen`; `_freeze` sorts the rows that leave.  If no live band
-    keeps a row, the frontier is empty and the run stops as `settled`: with no
-    row to refine, no later level could differ.
+    rows and `frozen`; `_freeze` sorts the rows that leave, placed first, with
+    the frozen groups into the next `frozen`.  If no live band keeps a row,
+    the frontier is empty and the run stops as `settled`: with no row to
+    refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order; the order fixes
@@ -314,13 +315,12 @@ class Frontier:
         self.level = level
 
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
-        """Merge the rows `leaving` into `frozen`, each with its own mass and
-        eligible iff a retired band holds it."""
+        """Join the rows `leaving` to `frozen` by one sort, each with its own
+        mass and eligible iff a retired band holds it."""
         if leaving.any():
-            lost = self.masses[leaving]
-            table = ValueMassTable(self.values[leaving], lost, hold[leaving])
-            self.frozen = table if self.frozen is None else self.frozen.merge(table)
-            self.frozen_mass += float(lost.sum())
+            values, masses, eligible = joined(leaving, self.values, self.masses, hold, self.frozen)
+            self.frozen_mass += float(masses[:leaving.sum()].sum())  # the rows come first
+            self.frozen = ValueMassTable(values, masses, eligible)
 
 
 def run_known(
@@ -337,8 +337,7 @@ def run_known(
     pure.  The returned `Run` holds the per-level history and the bracket of
     the deepest fully affordable level.  Refinement stops at level K_MAX.
     """
-    if not (isinstance(lipschitz, numbers.Real) and not isinstance(lipschitz, bool)
-            and np.isfinite(lipschitz) and lipschitz > 0):
+    if not (finite_real(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
     check_limits(budget, 1, max_level)
     # the one band retires when the budget cannot pay for the next level

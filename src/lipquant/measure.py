@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import finite_real
+
 CdfFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -39,11 +41,11 @@ def truncated_normal_marginal(mu: float, sigma: float) -> Marginal:
     The only user of SciPy on the algorithms' path: it is imported here, so
     that the package and every other marginal load NumPy alone.
     """
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
-               for x in (mu, sigma)):
+    if not (finite_real(mu) and finite_real(sigma)):
         raise ValueError(f"mu and sigma must be finite, got mu={mu!r}, sigma={sigma!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    mu, sigma = float(mu), float(sigma)  # a Fraction would make object arrays
     from scipy.special import erfc
 
     def std_normal_cdf(z: np.ndarray) -> np.ndarray:

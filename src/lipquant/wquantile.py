@@ -7,6 +7,7 @@ a pruned ancestor (mass contributor only).  Both the sup and the inf form of
 the definition are read at once by `level_quantiles`, from the rows near the
 crossings of a large level where a bound on summation error certifies them,
 else from the whole table; on a full subdivision level's table they coincide.
+Every table is one sort of its rows and the frozen groups they join.
 """
 
 from __future__ import annotations
@@ -54,36 +55,24 @@ class ValueMassTable:
         self.masses = np.bincount(group, weights=masses)
         self.eligible = np.bincount(group, weights=eligible) > 0
 
-    def merge(self, other: "ValueMassTable") -> "ValueMassTable":
-        """The table of both tables' points, without sorting them again.
 
-        Each of `other`'s values is placed by one `searchsorted` into this
-        table: O(len(self) + len(other) * log len(self)).  A value in both
-        tables keeps one row, whose mass is the sum of the two rows' masses
-        and whose eligibility is or-ed.
-        """
-        pos = self.values.searchsorted(other.values)
-        # a value placed past the end is above the last, which it does not tie
-        tied = self.values.take(pos, mode="clip") == other.values
-        new = ~tied
-        at = new.cumsum()
-        mine = np.ones(len(self.values) + at[-1], dtype=bool)
-        # other's row j lands after the self rows below it and the new other
-        # rows before it; a tied row lands on its self row
-        at += pos
-        at -= new
-        mine[at[new]] = False
-        out = object.__new__(ValueMassTable)
-        out.values = np.empty(len(mine))
-        out.values[at] = other.values
-        out.values[mine] = self.values
-        out.masses = np.zeros(len(mine))
-        out.masses[mine] = self.masses
-        out.masses[at] += other.masses
-        out.eligible = np.zeros(len(mine), dtype=bool)
-        out.eligible[mine] = self.eligible
-        out.eligible[at] |= other.eligible
-        return out
+def joined(rows, values, masses, eligible, frozen: ValueMassTable | None,
+           groups: slice = slice(None)) -> tuple[np.ndarray, ...]:
+    """The columns of the table of the `rows` (a mask, indices or a slice) of
+    `values`, `masses` and `eligible` (None for all eligible), placed first,
+    then the `groups` of `frozen`.  The constructor sums a tie in row order:
+    its mass is the rows' sum plus the frozen group's, where the group first
+    would give (f + r1) + r2, which can round otherwise."""
+    fv, fm, fe = (column[groups] for column in _columns(frozen))
+    values, masses = np.concatenate((values[rows], fv)), np.concatenate((masses[rows], fm))
+    head = np.ones(len(values) - len(fv), dtype=bool) if eligible is None else eligible[rows]
+    return values, masses, np.concatenate((head, fe))
+
+
+def _columns(frozen: ValueMassTable | None) -> tuple[np.ndarray, ...]:
+    """`frozen`'s values, masses and eligibility, empty for None."""
+    return ((np.empty(0), np.empty(0), np.empty(0, dtype=bool)) if frozen is None
+            else (frozen.values, frozen.masses, frozen.eligible))
 
 
 WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
@@ -92,19 +81,15 @@ N_BINS = 1024  # value bins over a level's range
 
 def level_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
                     alpha: float) -> tuple[float, float]:
-    """The (sup, inf) quantiles of `frozen` merged with the table of the rows
-    (`values`, `masses`), all eligible.  A level of `WINDOW_FLOOR` rows or
-    more is read from the rows near its crossings where that is certified
+    """The (sup, inf) quantiles of the rows (`values`, `masses`), all
+    eligible, joined to `frozen`.  A level of `WINDOW_FLOOR` rows or more is
+    read from the rows near its crossings where that is certified
     (`_windowed`), any other from the whole table, with the same result."""
     if len(values) >= WINDOW_FLOOR:
         both = _windowed(frozen, values, masses, alpha)
         if both is not None:
             return both
-    table = frozen
-    if len(values):
-        level = ValueMassTable(values, masses, np.ones(len(values), dtype=bool))
-        table = level if table is None else table.merge(level)
-    return _read(table, alpha)
+    return _read(ValueMassTable(*joined(slice(None), values, masses, None, frozen)), alpha)
 
 
 def _crossings(masses: np.ndarray, alpha: float, above: float, below: float):
@@ -151,7 +136,7 @@ def _bins(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
 def _windowed(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
               alpha: float) -> tuple[float, float] | None:
     """`level_quantiles` from the rows of the value bins around the
-    crossings, or None where it is not certified.  A sum here and the merged
+    crossings, or None where it is not certified.  A sum here and the whole
     table's cumulative sum add the same N masses >= 0 in other orders, each
     within γ_N·S of the exact sum, S the total (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The sums at the
@@ -161,7 +146,7 @@ def _windowed(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndar
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
     if not 0.0 < scale < math.inf:  # a range past the float range gives 0
         return None
-    fv, fm = (np.empty(0), np.empty(0)) if frozen is None else (frozen.values, frozen.masses)
+    fv, fm, _ = _columns(frozen)
     i0, i1 = fv.searchsorted(lo), fv.searchsorted(hi, "right")
     bins, fbins = _bins(values, lo, scale), _bins(fv[i0:i1], lo, scale)
     mass = np.bincount(bins, weights=masses, minlength=N_BINS)
@@ -172,10 +157,8 @@ def _windowed(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndar
     rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
     if not len(rows):
         return None
-    window = ValueMassTable(values.take(rows), masses.take(rows), np.ones(len(rows), dtype=bool))
     j0, j1 = i0 + fbins.searchsorted(b0), i0 + fbins.searchsorted(b1, "right")
-    if j1 > j0:
-        window = ValueMassTable(fv[j0:j1], fm[j0:j1], frozen.eligible[j0:j1]).merge(window)
+    window = ValueMassTable(*joined(rows, values, masses, None, frozen, slice(j0, j1)))
     # twice γ_N·S, with room for the rounding of S and of the comparisons
     tol = (len(values) + len(fv)) * 2.0 ** -51 * (tail[0] + head[0])
     return _read(window, alpha, tail[b1 + 1], head[b0], tol)

@@ -1,6 +1,7 @@
 """Closed-form theoretical bounds and budget/level laws."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ class TestProblemConstants:
         with pytest.raises(ValueError):
             ProblemConstants(1, 1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, Fraction(-1)])
     def test_non_finite_constants_are_refused(self, bad):
         # both used to be accepted, and the bounds came out nan or inf
         with pytest.raises(ValueError, match="lipschitz must be finite"):

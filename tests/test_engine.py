@@ -7,6 +7,8 @@ that walks the cells in the engine's order.
 """
 
 import ast
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,6 +242,22 @@ def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch
     assert run.history == full.history
 
 
+@pytest.mark.parametrize("alpha, rows", [(0.99, 105_948), (0.999, 100_512)])
+def test_tie_free_levels_read_whole_beside_a_large_frozen_table(alpha, rows, windowed_answers):
+    # f = x1 + phi*x2 ties no two centers; its quantile is exact for
+    # alpha >= 1 - 1/(2*phi).  The window declines the last level, whose rows
+    # are read whole, joined to a third as many frozen groups
+    phi = (1 + math.sqrt(5)) / 2
+    q = 1 + phi - math.sqrt(2 * phi * (1 - alpha))
+    run = run_known(lambda x: x[:, 0] + phi * x[:, 1], math.sqrt(1 + phi ** 2),
+                    lq.uniform_cube(2), alpha, 3 * 10 ** 5)
+    assert run.history[-1].active_cells == rows
+    assert windowed_answers == [True, True, False]
+    for r in run.history:
+        b = run.bracket_for_budget(r.evaluations)
+        assert b.level == r.level and b.lower <= q <= b.upper
+
+
 def test_empty_frontier_goes_on_without_f():
     # band 0 stays live but keeps no cell after level 3: the frontier is
     # empty at level 4, whose estimate the frozen table alone gives, and no
@@ -351,8 +369,9 @@ def test_a_bool_is_not_a_number(make, message):
     ("max_level", 2.0, lq.uniform_cube(2), 0.5, "3"),  # a TypeError from <
     ("max_level", 2.0, lq.uniform_cube(2), 0.5, 2.5),  # a run that stopped at level 3
     ("max_level", 2.0, lq.uniform_cube(2), 0.5, np.nan),  # ignored: the run went on to the budget
+    ("lipschitz", Fraction(-3, 2), lq.uniform_cube(2), 0.5, None),  # a TypeError from np.isfinite
 ], ids=["lipschitz-str", "alpha-str", "measure-none", "max_level-str", "max_level-2.5",
-        "max_level-nan"])
+        "max_level-nan", "lipschitz-fraction"])
 def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha, max_level):
     with pytest.raises(ValueError, match=f"^{name} must "):
         run_known(never, lipschitz, measure, alpha, 100, max_level)
@@ -369,6 +388,16 @@ def test_numpy_scalars_are_real_inputs(paper_d2):
     assert run_known(p.f, np.int64(2), p.measure, 0.5, 1000).stop_reason == "budget"
     want = run_unknown(p.f, p.measure, 0.5, 1000).estimate
     assert run_unknown(p.f, p.measure, np.float64(0.5), 1000).estimate == want
+
+
+def test_fractions_are_real_inputs(paper_d2):
+    # np.isfinite raised a TypeError on a Fraction
+    p = paper_d2
+    want = run_known(p.f, 1.5, p.measure, 0.5, 1000).bracket
+    assert run_known(p.f, Fraction(3, 2), p.measure, Fraction(1, 2), 1000).bracket == want
+    # the other checks of a finite real took it already
+    lq.ProblemConstants(2, Fraction(3, 2), Fraction(1), Fraction(1, 2))
+    ExperimentConfig(problem="paper_d2", alpha=Fraction(1, 2), lipschitz=Fraction(3, 2))
 
 
 def test_f_returning_nan_is_refused(paper_d2):

@@ -1,6 +1,7 @@
 """Product measures: CDFs, cell probabilities, mass conservation."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ class TestTruncatedNormal:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             truncated_normal_marginal(0.2, 0.0)
+
+    def test_fractions_are_real_parameters(self):
+        # np.isfinite raised a TypeError on a Fraction
+        x = np.linspace(0, 1, 11)
+        m = truncated_normal_marginal(Fraction(1, 5), Fraction(1, 5))
+        assert np.array_equal(m.cdf(x), truncated_normal_marginal(0.2, 0.2).cdf(x))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            truncated_normal_marginal(Fraction(1, 5), Fraction(-1, 5))
 
     # a string raised a TypeError from np.isfinite, and sigma True was 1
     @pytest.mark.parametrize("mu, sigma", [(np.nan, 0.2), (np.inf, 0.2), (-np.inf, 0.2),

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lipquant import wquantile
-from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, level_quantiles
+from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, joined, level_quantiles
 
 from oracles import weighted_quantile_inf, weighted_quantile_sup
 
@@ -27,6 +27,28 @@ def stable_reference(values, masses, eligible):
     group = np.cumsum(keep) - 1
     return (values[keep] + 0.0, np.bincount(group, weights=masses),
             np.bincount(group, weights=eligible) > 0)
+
+
+def assert_stable(t, values, masses, eligible):
+    """`t` is the stable-sort reference's table of the rows, bit for bit."""
+    want = stable_reference(values, masses, eligible)
+    for got, ref in zip((t.values, t.masses, t.eligible), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(t.values), np.signbit(want[0]))
+
+
+def join(rows, values, masses, eligible, frozen):
+    """The table of the `rows` (a mask or a slice) joined to `frozen`,
+    checked bit for bit against the stable-sort reference of the rows
+    followed by the frozen groups."""
+    t = ValueMassTable(*joined(rows, values, masses, eligible, frozen))
+    parts = [np.asarray(c)[rows] for c in (values, masses, eligible)]
+    if frozen is not None:
+        parts = [np.concatenate(p) for p in
+                 zip(parts, (frozen.values, frozen.masses, frozen.eligible))]
+    assert_stable(t, *parts)
+    return t
 
 
 def table(points):
@@ -166,12 +188,7 @@ class TestAgainstStableSort:
 
     @staticmethod
     def assert_same(values, masses, eligible):
-        t = ValueMassTable(values, masses, eligible)
-        want = stable_reference(values, masses, eligible)
-        for got, ref in zip((t.values, t.masses, t.eligible), want):
-            assert got.dtype == ref.dtype
-            assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(t.values), np.signbit(want[0]))
+        assert_stable(ValueMassTable(values, masses, eligible), values, masses, eligible)
 
     @given(
         st.lists(
@@ -225,7 +242,9 @@ class TestAgainstStableSort:
 
 
 class TestMerge:
-    """Merging sorted, tie-merged parts equals building the table at once."""
+    """Joining each part's rows to the table of the parts before it equals
+    building the table at once; each join is its rows, then the table's
+    groups, summed in that order."""
 
     @given(
         st.lists(
@@ -247,11 +266,9 @@ class TestMerge:
         e = np.array([p[2] for p in points])
         part = np.array([p[3] for p in points])
         whole = ValueMassTable(v, m, e)
-        parts = [ValueMassTable(v[part == i], m[part == i], e[part == i])
-                 for i in np.unique(part)]
-        merged = parts[0]
-        for t in parts[1:]:
-            merged = merged.merge(t)
+        merged = None
+        for i in np.unique(part):
+            merged = join(part == i, v, m, e, merged)
         np.testing.assert_array_equal(merged.values, whole.values)
         np.testing.assert_array_equal(merged.eligible, whole.eligible)
         np.testing.assert_allclose(merged.masses, whole.masses, rtol=1e-13, atol=0)
@@ -264,28 +281,36 @@ class TestMerge:
         assert weighted_quantile_inf(merged, alpha) == weighted_quantile_inf(whole, alpha)
 
     def test_a_tied_zero_keeps_the_first_tables_sign(self):
-        # a -0.0 row in the first table: the merged table, as the table of all
+        # a -0.0 row in the first table: the joined table, as the table of all
         # rows, stores +0.0
         first = ValueMassTable([-0.0, 1.0], [0.25, 0.25], [True, True])
-        merged = first.merge(ValueMassTable([0.0, 2.0], [0.25, 0.25], [True, True]))
+        merged = join(slice(None), np.array([0.0, 2.0]), np.array([0.25, 0.25]),
+                      np.array([True, True]), first)
         whole = ValueMassTable([-0.0, 1.0, 0.0, 2.0], [0.25] * 4, [True] * 4)
         assert np.signbit(whole.values).tolist() == [False, False, False]
         assert np.signbit(merged.values).tolist() == [False, False, False]
 
     def test_disjoint_and_tied_rows(self):
         a = table([(0.0, 0.1, False), (2.0, 0.2, False)])
-        b = table([(1.0, 0.3, True), (2.0, 0.4, True), (3.0, 0.0, True)])
-        t = a.merge(b)
+        t = join(slice(None), np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.4, 0.0]),
+                 np.ones(3, dtype=bool), a)
         assert t.values.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert t.masses.tolist() == [0.1, 0.3, 0.2 + 0.4, 0.0]
         assert t.eligible.tolist() == [False, True, True, True]
 
+    def test_a_ties_rows_are_summed_before_its_frozen_group(self):
+        # (2^-53 + 2^-53) + 1 is 1 + 2^-52; with the frozen group first, each
+        # 1 + 2^-53 rounds to 1
+        frozen = ValueMassTable([0.5], [1.0], [False])
+        for eligible in (None, np.ones(2, dtype=bool)):
+            t = ValueMassTable(*joined(slice(None), np.full(2, 0.5), np.full(2, 2.0 ** -53),
+                                       eligible, frozen))
+            assert [m.hex() for m in t.masses] == ["0x1.0000000000001p+0"]
+
 
 def full_table_quantiles(frozen, values, masses, alpha):
-    """(sup, inf) over `frozen` merged with the table of every row."""
-    table = ValueMassTable(values, masses, np.ones(len(values), dtype=bool))
-    if frozen is not None:
-        table = frozen.merge(table)
+    """(sup, inf) over the table of every row joined to `frozen`."""
+    table = ValueMassTable(*joined(slice(None), values, masses, None, frozen))
     return weighted_quantile_sup(table, alpha), weighted_quantile_inf(table, alpha)
 
 
