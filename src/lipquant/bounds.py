@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .grid import half_radius
@@ -34,8 +35,10 @@ class ProblemConstants:
 
 
 def finite_real(x) -> bool:
-    """Whether x is a finite real number; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether x is a real number within the float range; a bool is not one.
+    The comparison is exact, so an int past the float range fails it where
+    `math.isfinite` would raise an OverflowError."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _whole(x, least: float) -> bool:
@@ -49,6 +52,8 @@ def check_limits(budget, least: int, max_level: int | None = None) -> None:
     `max_level` that is not one >= 0."""
     if not _whole(budget, least):
         raise ValueError(f"budget must be a whole number >= {least}, got {budget!r}")
+    if budget >= 2 ** 63:  # the engine counts calls in int64
+        raise ValueError(f"budget must be below 2^63, got {budget!r}")
     if max_level is not None and not _whole(max_level, 0):
         what = ">= 0" if _whole(max_level, -math.inf) else "a whole number"
         raise ValueError(f"max_level must be {what}, got {max_level!r}")

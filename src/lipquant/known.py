@@ -154,10 +154,12 @@ class Frontier:
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
         if not isinstance(measure, ProductMeasure):
             raise ValueError(f"measure must be a ProductMeasure, got {measure!r}")
-        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0 and 0.0 < float(alpha) < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
         d = measure.dim
-        self.f, self.measure, self.alpha = f, measure, alpha
+        # read as a float once: a Fraction would make every comparison of the
+        # quantile tables go through object arrays, and may round to 0 or 1
+        self.f, self.measure, self.alpha = f, measure, float(alpha)
         self.lipschitz = np.array(lipschitz, dtype=float)
         self.slices = np.asarray(slices, dtype=np.int64)
         self.offsets = np.array(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.int64)
@@ -205,11 +207,15 @@ class Frontier:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
         self.estimate, est_inf = level_quantiles(self.frozen, self.values, self.masses, self.alpha)
-        # equal in exact arithmetic; cumulative-sum rounding can flip one
-        # index when the alpha boundary falls between two near-equal values
+        # the forms differ where the cumulative mass meets alpha exactly (a flat
+        # CDF), both then quantiles of the table, which holds no mass between
+        # them; mass between them means the crossing fell on an ineligible point
         if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
-            raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
-                                 f"{self.estimate} vs {est_inf}")
+            lo, hi = sorted((self.estimate, est_inf))
+            values, masses, _ = joined(slice(None), self.values, self.masses, None, self.frozen)
+            if (masses[(values > lo) & (values < hi)] > 0).any():
+                raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
+                                     f"{self.estimate} vs {est_inf}")
 
     def run(self, budget: int, max_level: int | None, lipschitz: float | None = None) -> Run:
         """Record each level and step to the next until the run stops: at

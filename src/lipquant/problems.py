@@ -7,6 +7,7 @@ algorithms, so they can serve as references in tests without circularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -83,13 +84,45 @@ BUILTIN_PROBLEMS = {
 
 #: Coarsest grid, in cells per axis, that the grid oracle accepts.
 MIN_RESOLUTION = 1000
-#: The bins of the d = 2 grid oracle's first pass, which finds the quantile's bin.
+#: The bins of the grid oracle's histogram pass, which finds the quantile's bin.
 _N_BINS = 4096
 
 
 def _resolution(resolution: int | None, dim: int) -> int:
     """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for d = 2."""
+    if dim > 2:
+        raise ValueError("grid oracle supports d <= 2 only")
     return (10 ** 6 if dim == 1 else 3000) if resolution is None else resolution
+
+
+def _grid(p: TestProblem, res: int):
+    """The walk over the grid of `res` cells per axis: `walk(with_masses)`
+    yields, for each chunk of at most 10^7 cells (rows of x2 for d = 2, the
+    one row for d = 1), f at the chunk's cell centers and, if `with_masses`,
+    the cells' probabilities, else None, both flat.  A grid of one chunk is
+    evaluated once and then walked from memory."""
+    edges = np.linspace(0.0, 1.0, res + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    n_rows, step = res ** (p.dim - 1), max(1, 10 ** 7 // res)
+    chunks = [(i0, min(i0 + step, n_rows)) for i0 in range(0, n_rows, step)]
+
+    def values(i0: int, i1: int) -> np.ndarray:
+        x = np.empty((i1 - i0, res, p.dim))
+        x[..., 0] = centers
+        x[..., 1:] = centers[i0:i1, None, None]  # x2, fixed per row; d = 1 has none
+        return np.asarray(p.f(x.reshape(-1, p.dim)), dtype=float)
+
+    def masses(i0: int, i1: int) -> np.ndarray:
+        w = [np.diff(m.cdf(edges)) for m in p.measure.marginals]
+        return w[0] if p.dim == 1 else np.outer(w[1][i0:i1], w[0]).ravel()
+
+    if len(chunks) == 1:
+        values, masses = functools.cache(values), functools.cache(masses)
+
+    def walk(with_masses: bool = False):
+        for i0, i1 in chunks:
+            yield values(i0, i1), masses(i0, i1) if with_masses else None
+    return walk
 
 
 def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float:
@@ -98,85 +131,35 @@ def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float
     Evaluates f at the centers of a regular grid with `resolution` cells per
     axis (by default `_resolution`'s), weights each cell by its probability,
     and returns the smallest grid value whose cumulative mass reaches alpha.
-    d = 2 streams the grid in row chunks and locates the quantile in two
-    passes, so memory stays bounded at any resolution.
+    One chunked walk over the grid serves three passes: the value range, the
+    histogram bin that holds the quantile, and the values of a window around
+    that bin plus the mass below it.  Memory stays bounded by one chunk; on a
+    grid of one chunk, as at the default resolutions, f runs once per cell.
     """
-    if p.dim > 2:
-        raise ValueError("grid oracle supports d <= 2 only")
     resolution = _resolution(resolution, p.dim)
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    if p.dim == 1:
-        return _grid_quantile_d1(p, resolution)
-    return _grid_quantile_d2(p, resolution)
-
-
-def _grid_quantile_d1(p: TestProblem, res: int) -> float:
-    edges = np.linspace(0.0, 1.0, res + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    values = np.asarray(p.f(centers[:, None]), dtype=float)
-    weights = np.diff(p.measure.marginals[0].cdf(edges))
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    i = min(int(np.searchsorted(cum, p.alpha, side="left")), res - 1)
-    return float(values[order][i])
-
-
-def _grid_rows(centers: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Rows i0..i1 of the grid of `centers` as points, x2 fixed per row."""
-    x = np.empty((i1 - i0, len(centers), 2))
-    x[:, :, 0] = centers
-    x[:, :, 1] = centers[i0:i1, None]
-    return x.reshape(-1, 2)
-
-
-def _grid_quantile_d2(p: TestProblem, res: int) -> float:
-    edges = np.linspace(0.0, 1.0, res + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    w1 = np.diff(p.measure.marginals[0].cdf(edges))
-    w2 = np.diff(p.measure.marginals[1].cdf(edges))
-    chunk = max(1, 10 ** 7 // res)
-
-    def row_values(i0: int, i1: int) -> np.ndarray:
-        """f on rows i0..i1 (x2 fixed per row), shape (i1-i0, res)."""
-        return np.asarray(p.f(_grid_rows(centers, i0, i1)), dtype=float).reshape(i1 - i0, res)
-
+    walk = _grid(p, resolution)
     vmin, vmax = math.inf, -math.inf
-    for i0 in range(0, res, chunk):
-        v = row_values(i0, min(i0 + chunk, res))
-        vmin = min(vmin, float(v.min()))
-        vmax = max(vmax, float(v.max()))
+    for v, _ in walk():
+        vmin, vmax = min(vmin, float(v.min())), max(vmax, float(v.max()))
     if vmax - vmin < 1e-12:
         return vmin
 
     # pass 1: weighted histogram of values; find the bin holding the quantile
-    bin_edges = np.linspace(vmin, vmax, _N_BINS + 1)
-    hist = np.zeros(_N_BINS)
-    for i0 in range(0, res, chunk):
-        i1 = min(i0 + chunk, res)
-        v = row_values(i0, i1)
-        w = np.outer(w2[i0:i1], w1)
-        h, _ = np.histogram(v.ravel(), bins=bin_edges, weights=w.ravel())
-        hist += h
-    cum = np.cumsum(hist)
+    bin_edges = np.linspace(vmin, vmax, _N_BINS + 1)  # as np.histogram makes them
+    cum = np.cumsum(sum(np.histogram(v, bins=_N_BINS, range=(vmin, vmax), weights=w)[0]
+                        for v, w in walk(with_masses=True)))
     b = min(int(np.searchsorted(cum, p.alpha, side="left")), _N_BINS - 1)
-    lo = bin_edges[max(b - 1, 0)]
-    hi = bin_edges[min(b + 2, _N_BINS)]
+    lo, hi = bin_edges[max(b - 1, 0)], bin_edges[min(b + 2, _N_BINS)]
 
     # pass 2: exact values within the window plus the mass strictly below it
-    below = 0.0
-    in_vals: list[np.ndarray] = []
-    in_wts: list[np.ndarray] = []
-    for i0 in range(0, res, chunk):
-        i1 = min(i0 + chunk, res)
-        v = row_values(i0, i1).ravel()
-        w = np.outer(w2[i0:i1], w1).ravel()
+    below, window = 0.0, []
+    for v, w in walk(with_masses=True):
         below += float(np.sum(w[v < lo]))
         inside = (v >= lo) & (v <= hi)
-        in_vals.append(v[inside])
-        in_wts.append(w[inside])
-    values = np.concatenate(in_vals)
-    weights = np.concatenate(in_wts)
+        window.append((v[inside], w[inside]))
+    values, weights = (np.concatenate(column) for column in zip(*window))
     order = np.argsort(values, kind="stable")
     cum = below + np.cumsum(weights[order])
     i = min(int(np.searchsorted(cum, p.alpha, side="left")), values.size - 1)
@@ -219,24 +202,14 @@ def estimate_level_set_M(
     shrink as delta becomes small, i.e. the level-set assumption fails
     (constant f).
     """
-    q = true_quantile if true_quantile is not None else reference_quantile(p, resolution)
     resolution = _resolution(resolution, p.dim)
+    q = true_quantile if true_quantile is not None else reference_quantile(p, resolution)
     deltas = [3.0, 1.0, 0.3, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
-    vols = []
-    centers = (np.arange(resolution) + 0.5) / resolution
-    if p.dim == 1:
-        v = np.asarray(p.f(centers[:, None]), dtype=float)
-        for delta in deltas:
-            vols.append(float(np.mean(np.abs(v - q) <= delta)))
-    else:
-        chunk = max(1, 10 ** 7 // resolution)
-        counts = np.zeros(len(deltas))
-        for i0 in range(0, resolution, chunk):
-            i1 = min(i0 + chunk, resolution)
-            v = np.asarray(p.f(_grid_rows(centers, i0, i1)), dtype=float)
-            for i, delta in enumerate(deltas):
-                counts[i] += float(np.sum(np.abs(v - q) <= delta))
-        vols = (counts / resolution ** 2).tolist()  # floats, not NumPy scalars
+    counts = np.zeros(len(deltas))
+    for v, _ in _grid(p, resolution)():
+        gap = np.abs(v - q)
+        counts += [np.count_nonzero(gap <= delta) for delta in deltas]
+    vols = (counts / resolution ** p.dim).tolist()  # floats, not NumPy scalars
     # shrink test on the small-delta tail only: a wide band at delta ~ 1 is
     # normal, but the volume must vanish as delta -> 0
     if vols[-1] > 0.5 * vols[deltas.index(1e-1)]:

@@ -6,8 +6,10 @@ evaluated value (eligible as a quantile candidate) or a value inherited from
 a pruned ancestor (mass contributor only).  Both the sup and the inf form of
 the definition are read at once by `level_quantiles`, from the rows near the
 crossings of a large level where a bound on summation error certifies them,
-else from the whole table; on a full subdivision level's table they coincide.
-Every table is one sort of its rows and the frozen groups they join.
+else from the whole table.  On a full subdivision level's table they coincide
+unless the cumulative mass meets alpha exactly (a flat CDF), where both are
+quantiles of the table.  Every table is one sort of its rows and the frozen
+groups they join.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ class TestProblemConstants:
         with pytest.raises(ValueError):
             ProblemConstants(1, 1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, Fraction(-1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, Fraction(-1),
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_non_finite_constants_are_refused(self, bad):
-        # both used to be accepted, and the bounds came out nan or inf
+        # both used to be accepted, and the bounds came out nan or inf; an int
+        # past the float range raised an OverflowError from math.isfinite
         with pytest.raises(ValueError, match="lipschitz must be finite"):
             ProblemConstants(1, bad, 1.0, 0.5)
         with pytest.raises(ValueError, match="level_set must be finite"):

@@ -141,8 +141,16 @@ class TestConfig:
         (partial(ProblemConstants, 1, "2", 1.0, 0.5), "lipschitz", ValueError),
         (partial(ProblemConstants, 1, 1.0, 1.0, "0.5"), "alpha", ValueError),
         (partial(ProblemConstants, "1", 1.0, 1.0, 0.5), "dim", ValueError),
+        # and these, past the float or int64 range, an OverflowError
+        (partial(ExperimentConfig, lipschitz=10 ** 400), "lipschitz", ConfigError),
+        (partial(ExperimentConfig, level_set=-10 ** 400), "level_set", ConfigError),
+        (partial(ExperimentConfig, budgets=[10 ** 400]), f"budget {10 ** 400}: budget",
+         ConfigError),
+        (partial(ProblemConstants, 1, 10 ** 400, 1.0, 0.5), "lipschitz", ValueError),
     ], ids=["config-alpha", "config-seed", "config-lipschitz", "config-resolution",
-            "config-budgets", "constants-lipschitz", "constants-alpha", "constants-dim"])
+            "config-budgets", "constants-lipschitz", "constants-alpha", "constants-dim",
+            "config-lipschitz-huge-int", "config-level_set-huge-int", "config-budgets-huge-int",
+            "constants-lipschitz-huge-int"])
     def test_non_numbers_are_refused_by_name(self, build, name, error):
         # each used to raise a TypeError from a comparison or a loop
         with pytest.raises(error, match=f"^{name} must"):

@@ -362,22 +362,34 @@ def test_a_bool_is_not_a_number(make, message):
         make()
 
 
-@pytest.mark.parametrize("name, lipschitz, measure, alpha, max_level", [
-    ("lipschitz", "2", lq.uniform_cube(2), 0.5, None),  # a TypeError from np.isfinite
-    ("alpha", 2.0, lq.uniform_cube(2), "0.5", None),  # a TypeError from <
-    ("measure", 2.0, None, 0.5, None),  # an AttributeError on .dim
-    ("max_level", 2.0, lq.uniform_cube(2), 0.5, "3"),  # a TypeError from <
-    ("max_level", 2.0, lq.uniform_cube(2), 0.5, 2.5),  # a run that stopped at level 3
-    ("max_level", 2.0, lq.uniform_cube(2), 0.5, np.nan),  # ignored: the run went on to the budget
-    ("lipschitz", Fraction(-3, 2), lq.uniform_cube(2), 0.5, None),  # a TypeError from np.isfinite
+@pytest.mark.parametrize("name, lipschitz, measure, alpha, max_level, budget", [
+    ("lipschitz", "2", lq.uniform_cube(2), 0.5, None, 100),  # a TypeError from np.isfinite
+    ("alpha", 2.0, lq.uniform_cube(2), "0.5", None, 100),  # a TypeError from <
+    ("measure", 2.0, None, 0.5, None, 100),  # an AttributeError on .dim
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, "3", 100),  # a TypeError from <
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, 2.5, 100),  # a run that stopped at level 3
+    # ignored: the run went on to the budget
+    ("max_level", 2.0, lq.uniform_cube(2), 0.5, np.nan, 100),
+    # a TypeError from np.isfinite
+    ("lipschitz", Fraction(-3, 2), lq.uniform_cube(2), 0.5, None, 100),
+    # an OverflowError from math.isfinite
+    ("lipschitz", 10 ** 400, lq.uniform_cube(2), 0.5, None, 100),
+    # an OverflowError where the int64 budget slices were built
+    ("budget", 2.0, lq.uniform_cube(2), 0.5, None, 10 ** 400),
+    ("budget", 2.0, lq.uniform_cube(2), 0.5, None, 2 ** 63),
+    ("budget", 2.0, lq.uniform_cube(2), 0.5, None, 1e300),
+    # as a float, which the engine reads, it is 0.0
+    ("alpha", 2.0, lq.uniform_cube(2), Fraction(1, 10 ** 400), None, 100),
 ], ids=["lipschitz-str", "alpha-str", "measure-none", "max_level-str", "max_level-2.5",
-        "max_level-nan", "lipschitz-fraction"])
-def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha, max_level):
+        "max_level-nan", "lipschitz-fraction", "lipschitz-huge-int", "budget-huge-int",
+        "budget-2**63", "budget-1e300", "alpha-tiny-fraction"])
+def test_bad_input_is_refused_by_name_before_f(name, lipschitz, measure, alpha, max_level,
+                                               budget):
     with pytest.raises(ValueError, match=f"^{name} must "):
-        run_known(never, lipschitz, measure, alpha, 100, max_level)
+        run_known(never, lipschitz, measure, alpha, budget, max_level)
     if name != "lipschitz":
         with pytest.raises(ValueError, match=f"^{name} must "):
-            run_unknown(never, measure, alpha, 100, max_level)
+            run_unknown(never, measure, alpha, budget, max_level)
 
 
 def test_numpy_scalars_are_real_inputs(paper_d2):
@@ -398,6 +410,49 @@ def test_fractions_are_real_inputs(paper_d2):
     # the other checks of a finite real took it already
     lq.ProblemConstants(2, Fraction(3, 2), Fraction(1), Fraction(1, 2))
     ExperimentConfig(problem="paper_d2", alpha=Fraction(1, 2), lipschitz=Fraction(3, 2))
+
+
+def test_a_fraction_alpha_is_read_as_a_float(paper_d2, monkeypatch):
+    # the quantile tables compared their sums with the Fraction itself,
+    # through object arrays, at about 1.3 times the time of a float alpha
+    p, seen = paper_d2, []
+
+    def spy(frozen, values, masses, alpha):
+        seen.append(type(alpha))
+        return wquantile.level_quantiles(frozen, values, masses, alpha)
+
+    want = run_known(p.f, p.lipschitz, p.measure, 0.5, 10 ** 5)
+    monkeypatch.setattr("lipquant.known.level_quantiles", spy)
+    got = run_known(p.f, p.lipschitz, p.measure, Fraction(1, 2), 10 ** 5)
+    assert got.history == want.history and got.bracket == want.bracket
+    assert seen and set(seen) == {float}
+
+
+# the reduced k/3^j, j <= 4: on paper_d2 a level's cumulative mass meets 20
+# of them exactly, where the run raised "sup/inf estimator mismatch at level
+# 1: 1.0 vs 0.6666666666666666" (alpha 1/3)
+FLAT_ALPHAS = [k / 3 ** j for j in range(1, 5) for k in range(1, 3 ** j) if k % 3]
+
+
+def test_a_flat_level_cdf_is_not_a_mismatch():
+    # both forms are then quantiles of the table, the table holds no mass
+    # between them, and the estimate is the sup form
+    assert len(FLAT_ALPHAS) == 80
+    for alpha in FLAT_ALPHAS:
+        p = lq.paper_f_d2(alpha)
+        run = run_known(p.f, p.lipschitz, p.measure, alpha, 10 ** 4)
+        for r in run.history:
+            b = run.bracket_for_budget(r.evaluations)
+            assert b.lower <= p.true_quantile <= b.upper, (alpha, r.level)
+        run_unknown(p.f, p.measure, alpha, 10 ** 4)
+
+
+def test_a_crossing_on_a_pruned_point_is_a_mismatch():
+    # with 5% of the constant of sin(5x), the cell of the quantile is pruned
+    # at level 1, and at level 2 the crossing falls on its frozen value,
+    # which is not eligible: mass lies between the two forms
+    with pytest.raises(AssertionError, match="sup/inf estimator mismatch at level 2: "):
+        run_known(lambda x: np.sin(5.0 * x[:, 0]), 0.25, lq.uniform_cube(1), 0.7, 1000)
 
 
 def test_f_returning_nan_is_refused(paper_d2):

@@ -93,10 +93,13 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError, match="sigma must be positive"):
             truncated_normal_marginal(Fraction(1, 5), Fraction(-1, 5))
 
-    # a string raised a TypeError from np.isfinite, and sigma True was 1
+    # a string raised a TypeError from np.isfinite, sigma True was 1, and an
+    # int past the float range raised an OverflowError from math.isfinite
     @pytest.mark.parametrize("mu, sigma", [(np.nan, 0.2), (np.inf, 0.2), (-np.inf, 0.2),
                                            (0.2, np.nan), (0.2, np.inf), ("0.2", 0.2),
-                                           (0.2, True)])
+                                           (0.2, True),
+                                           pytest.param(10 ** 400, 0.2, id="huge-int-mu"),
+                                           pytest.param(0.2, -10 ** 400, id="huge-int-sigma")])
     def test_rejects_non_finite_parameters(self, mu, sigma):
         with pytest.raises(ValueError, match=r"mu and sigma must be finite, got "
                                              rf"mu={mu!r}, sigma={sigma!r}"):

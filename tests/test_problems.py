@@ -1,5 +1,6 @@
 """Test problems and ground-truth oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,34 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="level-set"):
             estimate_level_set_M(p, true_quantile=-1.5)
         assert sum(seen) == 3 * resolution ** dim
+
+    @pytest.mark.parametrize("problem, resolution", [(linear_d1(0.3), 10 ** 6),
+                                                     (paper_f_d2(0.999), 3000)],
+                             ids=["d1", "d2"])
+    def test_a_grid_of_one_chunk_calls_f_once_per_cell(self, problem, resolution):
+        # d = 2 called f three times per cell, once in each pass
+        seen = []
+
+        def f(x):
+            seen.append(len(x))
+            return problem.f(x)
+
+        q = brute_force_quantile(dataclasses.replace(problem, f=f))
+        assert q == pytest.approx(problem.true_quantile, abs=2e-3)
+        assert seen == [resolution ** problem.dim]
+
+    def test_a_grid_of_several_chunks_is_walked_in_each_pass(self):
+        # 10^7 // 3163 = 3161 rows per chunk, so two chunks, each evaluated
+        # again in each of the three passes
+        p, seen = paper_f_d2(0.999), []
+
+        def f(x):
+            seen.append(len(x))
+            return p.f(x)
+
+        q = brute_force_quantile(dataclasses.replace(p, f=f), 3163)
+        assert q == pytest.approx(p.true_quantile, abs=2e-3)
+        assert seen == [3161 * 3163, 2 * 3163] * 3
 
     def test_dimension_guard(self):
         p = lq.TestProblem(
