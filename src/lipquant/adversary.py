@@ -10,7 +10,6 @@ least half the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,6 +26,9 @@ SLOPE_BOOST_D1 = 4.0
 #: the d = 2 tent slope: twice the proof's lower threshold
 #: sqrt(5) / (sqrt(6) - sqrt(5)), a margin for strictness
 SLOPE_BOOST_D2 = 2.0 * (5.0 ** 0.5 / (6.0 ** 0.5 - 5.0 ** 0.5))
+#: the most queries of a d = 1 construction: its grid of 2^(N+4) cells is one
+#: chunk of the grid oracle, held in memory: 1.2 GB at N = 21, doubling with N
+MAX_QUERIES_D1 = 21
 
 
 def f_bar(x: np.ndarray) -> np.ndarray:
@@ -39,76 +41,66 @@ def f_bar(x: np.ndarray) -> np.ndarray:
 class Adversary:
     """A median-fooling pair (`f_bar`, `f_tilde`) for the queries `query_points`.
 
-    f_tilde is f_bar plus a tent of slope `lipschitz - 1` on each box of
-    `tents` (one (lo, hi) per axis), which is 0 outside the box's interior,
-    where no query lies.  `resolution` is the grid on which the builder knows
-    the grid oracle samples the tents without smearing.
+    `tents` holds boxes (one (lo, hi) per axis), disjoint along the last axis,
+    whose interiors hold no query.  `resolution` is the grid on which the
+    builder knows the grid oracle samples the tents without smearing.
     """
 
     query_points: np.ndarray  # (N, d)
     tents: tuple[tuple[tuple[float, float], ...], ...]
-    f_tilde: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     resolution: int
     claimed_gap: float
+
+    def f_tilde(self, x: np.ndarray) -> np.ndarray:
+        """f_bar plus, on each box of `tents`, a tent of slope `lipschitz - 1`
+        in the sup-norm distance to the box's complement: 0 on and outside
+        the box's faces, so f_tilde = f_bar at every query."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = np.array(sorted(self.tents, key=lambda b: b[-1])).T  # (d, boxes) each
+        out = x[:, 0].copy()
+        # the points inside the boxes' hull, and the one box that can hold each
+        i = np.flatnonzero(np.logical_and.reduce(
+            [(c > l.min()) & (c < h.max()) for c, l, h in zip(x.T, lo, hi)]))
+        k = np.searchsorted(lo[-1], x[i, -1]) - 1
+        tent = np.min([np.minimum(c - l[k], h[k] - c) for c, l, h in zip(x[i].T, lo, hi)], axis=0)
+        out[i] += (self.lipschitz - 1.0) * np.maximum(tent, 0.0)
+        return out
+
+
+def _queries(query_points: np.ndarray, dim: int) -> np.ndarray:
+    """The queries as an (N, dim) array, refused by name unless non-empty and in [0,1]^dim."""
+    q = np.asarray(query_points, dtype=float)
+    q = q[:, None] if dim == 1 and q.ndim == 1 else np.atleast_2d(q)
+    if q.ndim != 2 or q.shape[1] != dim or q.shape[0] == 0:
+        raise ValueError(f"query points must be a non-empty (N, {dim}) array, got shape {q.shape}")
+    outside = q[~np.all((q >= 0.0) & (q <= 1.0), axis=1)]  # NaN included
+    if outside.size:
+        raise ValueError(f"query points must lie in [0,1]^{dim}, got {outside[0].tolist()}")
+    return q
 
 
 def build_adversary_d2(query_points: np.ndarray) -> Adversary:
     """Median-fooling pair in d = 2: f_bar(x) = x1, alpha = 1/2, X uniform.
 
     At the smallest level j with 3^j >= 3N, the middle column of cells meets
-    the hyperplane x1 = 1/2; at least 2N of them contain no query point.
-    f_tilde adds a tent of slope `SLOPE_BOOST_D2` (sup-norm distance to the
-    cell complement) on each free cell, which vanishes on cell boundaries and
-    at every query.
+    the hyperplane x1 = 1/2; at least 2N of them contain no query point, and
+    each of those is a tent box of slope `SLOPE_BOOST_D2`.
     """
-    q = np.atleast_2d(np.asarray(query_points, dtype=float))
-    if q.shape[1] != 2:
-        raise ValueError(f"query points must have 2 columns, got {q.shape}")
-    n = q.shape[0]
-    j = 1
-    while 3 ** j < 3 * n:
-        j += 1
-    m = 3 ** j
+    q = _queries(query_points, 2)
+    n, m = q.shape[0], 3
+    while m < 3 * n:
+        m *= 3
     mid = (m - 1) // 2  # the column of cells straddling x1 = 1/2
-
-    # x2 indices of middle-column cells containing a query in their interior
-    hit = set()
-    for x1, x2 in q:
-        i1 = min(int(x1 * m), m - 1)
-        i2 = min(int(x2 * m), m - 1)
-        if i1 == mid:
-            hit.add(i2)
-        # a query on the shared edge of two cells lies in both closures,
-        # but the tent vanishes there, so only the containing cell matters
-    free = [i for i in range(m) if i not in hit]
+    # each query's cell [i/m, (i+1)/m) per axis by the bounds `tents` holds (the
+    # floor of x * m can round across one); a tent vanishes on a shared edge
+    i1, i2 = np.minimum(np.searchsorted(np.arange(m + 1) / m, q, side="right") - 1, m - 1).T
+    free = np.setdiff1d(np.arange(m), i2[i1 == mid]).tolist()
     if len(free) < 2 * n:
         raise AssertionError("pigeonhole failure: expected >= 2N free cells")
-
-    free_col = np.zeros(m, dtype=bool)  # middle-column cells that carry a tent
-    free_col[free] = True
-
-    def f_tilde(x: np.ndarray) -> np.ndarray:
-        t = np.asarray(x, dtype=float)
-        base = t[:, 0].copy()
-        i1 = np.minimum((t[:, 0] * m).astype(int), m - 1)
-        i2 = np.minimum((t[:, 1] * m).astype(int), m - 1)
-        inside = (i1 == mid) & free_col[i2]
-        if np.any(inside):
-            x1 = t[inside, 0]
-            x2 = t[inside, 1]
-            lo1 = mid / m
-            lo2 = i2[inside] / m
-            tent = np.minimum(
-                np.minimum(x1 - lo1, lo1 + 1.0 / m - x1),
-                np.minimum(x2 - lo2, lo2 + 1.0 / m - x2),
-            )
-            base[inside] += SLOPE_BOOST_D2 * np.maximum(tent, 0.0)
-        return base
-
     tents = tuple(((mid / m, (mid + 1) / m), (i / m, (i + 1) / m)) for i in free)
     # a grid aligned to the cells, so that each cell holds whole grid cells
-    return Adversary(q, tents, f_tilde, SLOPE_BOOST_D2 + 1.0, m * max(1, round(4500 / m)),
+    return Adversary(q, tents, SLOPE_BOOST_D2 + 1.0, m * max(1, round(4500 / m)),
                      GAP_CONSTANT_D2 / n)
 
 
@@ -117,40 +109,28 @@ def build_adversary_d1(query_points: np.ndarray) -> Adversary:
 
     N + 1 disjoint candidate regions shrink geometrically toward 1/2: the
     central interval of width rho^N and, for j = 1..N, the symmetric pair at
-    distance ~rho^j from 1/2, with rho = `RHO_D1`.  N queries cannot touch
-    the interior of all of them; f_tilde adds a tent of slope
-    `SLOPE_BOOST_D1` on one free region.
+    distance ~rho^j from 1/2, with rho = `RHO_D1`.  N <= `MAX_QUERIES_D1`
+    queries cannot touch the interior of all of them; the tent boxes, of
+    slope `SLOPE_BOOST_D1`, are one free region.
     """
-    q = np.asarray(query_points, dtype=float).reshape(-1, 1)
-    n, rho = len(q), RHO_D1
-
-    def region(j: int) -> tuple[tuple[float, float], ...]:
-        if j == n + 1:
-            return ((0.5 * (1 - rho ** n), 0.5 * (1 + rho ** n)),)
-        return (
-            (0.5 * (1 - rho ** (j - 1)), 0.5 * (1 - rho ** j)),
-            (0.5 * (1 + rho ** j), 0.5 * (1 + rho ** (j - 1))),
-        )
-
+    q = _queries(query_points, 1)
+    n, rho, x = len(q), RHO_D1, q[:, 0]
+    if n > MAX_QUERIES_D1:
+        raise ValueError(f"d = 1 takes at most MAX_QUERIES_D1 = {MAX_QUERIES_D1} queries, got {n}")
+    regions = [((0.5 * (1 - rho ** (j - 1)), 0.5 * (1 - rho ** j)),
+                (0.5 * (1 + rho ** j), 0.5 * (1 + rho ** (j - 1)))) for j in range(1, n + 1)]
+    regions.append(((0.5 * (1 - rho ** n), 0.5 * (1 + rho ** n)),))
     # prefer the central interval: it carries the smallest margin over the
     # claimed gap, making the verification as strict as possible
-    for j in range(n + 1, 0, -1):
-        parts = region(j)
-        if not any(lo < x < hi for x in q[:, 0] for lo, hi in parts):
+    for parts in reversed(regions):
+        if not any(np.any((lo < x) & (x < hi)) for lo, hi in parts):
             break
     else:
         raise AssertionError("pigeonhole failure: some region must be query-free")
 
-    def f_tilde(x: np.ndarray) -> np.ndarray:
-        t = np.asarray(x, dtype=float)[:, 0]
-        out = t.copy()
-        for lo, hi in parts:
-            tent = np.maximum(np.minimum(t - lo, hi - t), 0.0)
-            out += SLOPE_BOOST_D1 * tent
-        return out
-
-    return Adversary(q, tuple((part,) for part in parts), f_tilde, SLOPE_BOOST_D1 + 1.0,
-                     10 ** 6, GAP_CONSTANT_D1 * rho ** n)
+    # 16 grid cells at least across the central interval, 10^6 up to N = 15
+    return Adversary(q, tuple((part,) for part in parts), SLOPE_BOOST_D1 + 1.0,
+                     max(10 ** 6, 2 ** (n + 4)), GAP_CONSTANT_D1 * rho ** n)
 
 
 @dataclass(frozen=True)

@@ -255,11 +255,14 @@ def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=No
     (by default the `sys.stdout` of the call); True if all pass."""
     stream = sys.stdout if stream is None else stream
     rng = np.random.default_rng(seed)
+    build = build_adversary_d2 if dim == 2 else build_adversary_d1
+    try:  # every construction, so that a refused one stops the report before any grid
+        advs = [build(rng.random((n, dim))) for n in n_values]
+    except ValueError as exc:
+        raise ConfigError(f"--n: {exc}") from None
     all_pass = True
     print("n,claimed_gap,measured_gap,agreement_residual,status", file=stream)
-    for n in n_values:
-        queries = rng.random((n, dim))
-        adv = build_adversary_d2(queries) if dim == 2 else build_adversary_d1(queries)
+    for n, adv in zip(n_values, advs):
         rep = verify_separation(adv)
         all_pass &= rep.passed
         print(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -89,10 +90,16 @@ _N_BINS = 4096
 
 
 def _resolution(resolution: int | None, dim: int) -> int:
-    """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for d = 2."""
+    """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for
+    d = 2, else an integer >= `MIN_RESOLUTION`; a bool is not one."""
     if dim > 2:
         raise ValueError("grid oracle supports d <= 2 only")
-    return (10 ** 6 if dim == 1 else 3000) if resolution is None else resolution
+    if resolution is None:
+        return 10 ** 6 if dim == 1 else 3000
+    if not (isinstance(resolution, numbers.Integral) and not isinstance(resolution, bool)
+            and resolution >= MIN_RESOLUTION):
+        raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got {resolution!r}")
+    return int(resolution)
 
 
 def _grid(p: TestProblem, res: int):
@@ -137,8 +144,6 @@ def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float
     grid of one chunk, as at the default resolutions, f runs once per cell.
     """
     resolution = _resolution(resolution, p.dim)
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     walk = _grid(p, resolution)
     vmin, vmax = math.inf, -math.inf
     for v, _ in walk():

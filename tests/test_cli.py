@@ -348,11 +348,13 @@ class TestExitCodes:
         ["adversary", "--dim", "1", "--n", "3", "--seed", "x"],
         ["run", "--config", "colour.cfg"],
         ["run", "--alpha", "1.5"],
+        # refused before the construction of N = 3 runs its grid oracle
+        ["adversary", "--dim", "1", "--n", "3,22"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
             "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
             "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",
             "adversary-seed-negative", "run-alpha-abc", "run-seed-1.5", "oracle-alpha-x",
-            "adversary-seed-x", "config-key-unknown", "run-alpha-1.5"])
+            "adversary-seed-x", "config-key-unknown", "run-alpha-1.5", "adversary-n-above-cap"])
     def test_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "colour.cfg").write_text("colour=red\n")

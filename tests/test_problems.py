@@ -87,6 +87,14 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             brute_force_quantile(linear_d1(0.5), 10)
 
+    @pytest.mark.parametrize("resolution", [10, 999, 1000.5, 2.5, 2000.0, True],
+                             ids=["10", "999", "1000.5", "2.5", "2000.0", "bool"])
+    @pytest.mark.parametrize("oracle", [brute_force_quantile, estimate_level_set_M])
+    def test_both_oracles_refuse_a_resolution_by_name(self, oracle, resolution):
+        # estimate_level_set_M returned 2.0 at 10, and both raised TypeError on floats
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1000"):
+            oracle(linear_d1(0.3), resolution=resolution)
+
     @pytest.mark.parametrize("dim,resolution", [(1, 10 ** 6), (2, 3000)])
     def test_one_default_resolution(self, dim, resolution):
         # the grid oracles share one default, 10^6 cells per axis for d = 1
