@@ -25,11 +25,11 @@ from .bounds import ProblemConstants, finite_real, known_bound, unknown_bound
 from .known import check_limits, run_known
 from .problems import (
     BUILTIN_PROBLEMS,
-    MIN_RESOLUTION,
     TestProblem,
     brute_force_quantile,
     estimate_level_set_M,
     estimate_lipschitz,
+    grid_resolution,
     monte_carlo_quantile,
     reference_quantile,
 )
@@ -76,9 +76,10 @@ class ExperimentConfig:
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.resolution is not None and not (isinstance(self.resolution, numbers.Integral)
-                                                and self.resolution >= MIN_RESOLUTION):
-            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution!r}")
+        try:  # the grid oracles' one rule, alike for every builtin problem's d <= 2
+            grid_resolution(self.resolution, 1)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         _check_budgets(self.budgets, LEAST_BUDGET[self.algo])
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import bracket_halfwidth, check_limits, finite_real
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import ValueMassTable, joined, level_quantiles
+from .wquantile import DeferredTable, joined, level_quantiles
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
@@ -126,12 +126,13 @@ class Frontier:
     mass, as a frozen point: eligible iff a retired band holds it (as DIRECT
     leaves a box that no constant selects in its partition), else a pruned
     cell that only adds its mass.  The frozen points are one table, `frozen`,
-    sorted by value and merged on ties; `frozen_mass` is their running total.
-    A level's estimate is the sup form of `level_quantiles` over the level's
-    rows and `frozen`; `_freeze` sorts the rows that leave, placed first, with
-    the frozen groups into the next `frozen`.  If no live band keeps a row,
-    the frontier is empty and the run stops as `settled`: with no row to
-    refine, no later level could differ.
+    a `DeferredTable`; `frozen_mass` is their running total.  A level's
+    estimate is the sup form of `level_quantiles` over the level's rows and
+    `frozen`; `_freeze` joins the rows that leave, placed first, to `frozen`
+    without a sort.  They are sorted and merged on ties with the frozen groups
+    only when a whole table is read, and a window reads them in place.  If no
+    live band keeps a row, the frontier is empty and the run stops as
+    `settled`: with no row to refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order; the order fixes
@@ -171,7 +172,7 @@ class Frontier:
         self.live_bands = tuple(range(len(self.lipschitz)))  # where ledgers <= slices
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
-        self.frozen: ValueMassTable | None = None
+        self.frozen: DeferredTable | None = None
         self.frozen_mass = 0.0
         self.values = self._evaluate(np.full((1, d), 0.5))
         self.masses = measure.cell_probabilities(0, self.block)
@@ -263,10 +264,14 @@ class Frontier:
         del gap  # before the comparison widens to int64
         first = first.astype(np.int64, copy=False)
         kids = first.reshape(-1, fan)
-        np.maximum(kids, self.lowest[:, None], out=kids)
+        if self.lowest.any():
+            np.maximum(kids, self.lowest[:, None], out=kids)
         # band j keeps the rows whose first band is at most j, and pays for
-        # the 3^d - 1 new centers of each
-        kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+        # the 3^d - 1 new centers of each; only a live band's count is read
+        if top == 0:
+            kept_by = len(first) - np.count_nonzero(first)
+        else:
+            kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
         # a ledger starts at 1, at most any slice, and only a live band's
         # grows: a band is live while its ledger is within its slice
         live = self.ledgers <= self.slices
@@ -321,12 +326,12 @@ class Frontier:
         self.level = level
 
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
-        """Join the rows `leaving` to `frozen` by one sort, each with its own
-        mass and eligible iff a retired band holds it."""
+        """Join the rows `leaving` to `frozen`, unsorted until a column is
+        read, each with its own mass and eligible iff a retired band holds it."""
         if leaving.any():
-            values, masses, eligible = joined(leaving, self.values, self.masses, hold, self.frozen)
-            self.frozen_mass += float(masses[:leaving.sum()].sum())  # the rows come first
-            self.frozen = ValueMassTable(values, masses, eligible)
+            masses = self.masses[leaving]
+            self.frozen_mass += float(masses.sum())
+            self.frozen = DeferredTable(self.frozen, self.values[leaving], masses, hold[leaving])
 
 
 def run_known(

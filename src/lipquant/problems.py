@@ -89,7 +89,7 @@ MIN_RESOLUTION = 1000
 _N_BINS = 4096
 
 
-def _resolution(resolution: int | None, dim: int) -> int:
+def grid_resolution(resolution: int | None, dim: int) -> int:
     """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for
     d = 2, else an integer >= `MIN_RESOLUTION`; a bool is not one."""
     if dim > 2:
@@ -136,14 +136,14 @@ def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float
     """Grid oracle for the alpha-quantile of f(X); accuracy O(L / resolution).
 
     Evaluates f at the centers of a regular grid with `resolution` cells per
-    axis (by default `_resolution`'s), weights each cell by its probability,
+    axis (by default `grid_resolution`'s), weights each cell by its probability,
     and returns the smallest grid value whose cumulative mass reaches alpha.
     One chunked walk over the grid serves three passes: the value range, the
     histogram bin that holds the quantile, and the values of a window around
     that bin plus the mass below it.  Memory stays bounded by one chunk; on a
     grid of one chunk, as at the default resolutions, f runs once per cell.
     """
-    resolution = _resolution(resolution, p.dim)
+    resolution = grid_resolution(resolution, p.dim)
     walk = _grid(p, resolution)
     vmin, vmax = math.inf, -math.inf
     for v, _ in walk():
@@ -207,7 +207,7 @@ def estimate_level_set_M(
     shrink as delta becomes small, i.e. the level-set assumption fails
     (constant f).
     """
-    resolution = _resolution(resolution, p.dim)
+    resolution = grid_resolution(resolution, p.dim)
     q = true_quantile if true_quantile is not None else reference_quantile(p, resolution)
     deltas = [3.0, 1.0, 0.3, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
     counts = np.zeros(len(deltas))

@@ -9,7 +9,9 @@ crossings of a large level where a bound on summation error certifies them,
 else from the whole table.  On a full subdivision level's table they coincide
 unless the cumulative mass meets alpha exactly (a flat CDF), where both are
 quantiles of the table.  Every table is one sort of its rows and the frozen
-groups they join.
+groups they join.  The rows that join the frozen table are kept apart, in a
+`DeferredTable`, until a column of the table is read: a window reads them in
+place, so a run whose large levels the window answers never sorts them.
 """
 
 from __future__ import annotations
@@ -58,20 +60,53 @@ class ValueMassTable:
         self.eligible = np.bincount(group, weights=eligible) > 0
 
 
-def joined(rows, values, masses, eligible, frozen: ValueMassTable | None,
+class DeferredTable:
+    """The table `frozen` (a `ValueMassTable`, a `DeferredTable` or None)
+    with the rows (`values`, `masses`, `eligible`) joined to it, placed
+    first, but not merged: `table` is the merged table (None for none) and
+    `joins` the rows of each join not yet merged, oldest first.
+
+    Its columns are those of a `ValueMassTable`.  The first read of one
+    replays each join, oldest first, as `joined` places it: its rows, then
+    the table so far.  So every tie sums as its rows, then the older group,
+    and the columns are those of the tables built one join at a time, bit
+    for bit.
+    """
+
+    def __init__(self, frozen, values, masses, eligible):
+        self.table, self.joins = _parts(frozen)
+        self.joins += ((values, masses, eligible),)
+
+    def merged(self) -> ValueMassTable:
+        for rows in self.joins:
+            self.table = ValueMassTable(*joined(slice(None), *rows, self.table))
+        self.joins = ()
+        return self.table
+
+    values = property(lambda self: self.merged().values)
+    masses = property(lambda self: self.merged().masses)
+    eligible = property(lambda self: self.merged().eligible)
+
+
+def _parts(frozen: ValueMassTable | DeferredTable | None) -> tuple[ValueMassTable | None, tuple]:
+    """`frozen`'s merged table and its joins not yet merged."""
+    return (frozen.table, frozen.joins) if isinstance(frozen, DeferredTable) else (frozen, ())
+
+
+def joined(rows, values, masses, eligible, frozen: ValueMassTable | DeferredTable | None,
            groups: slice = slice(None)) -> tuple[np.ndarray, ...]:
     """The columns of the table of the `rows` (a mask, indices or a slice) of
     `values`, `masses` and `eligible` (None for all eligible), placed first,
-    then the `groups` of `frozen`.  The constructor sums a tie in row order:
-    its mass is the rows' sum plus the frozen group's, where the group first
-    would give (f + r1) + r2, which can round otherwise."""
+    then the `groups` of `frozen`, merged.  The constructor sums a tie in
+    row order: its mass is the rows' sum plus the frozen group's, where the
+    group first would give (f + r1) + r2, which can round otherwise."""
     fv, fm, fe = (column[groups] for column in _columns(frozen))
     values, masses = np.concatenate((values[rows], fv)), np.concatenate((masses[rows], fm))
     head = np.ones(len(values) - len(fv), dtype=bool) if eligible is None else eligible[rows]
     return values, masses, np.concatenate((head, fe))
 
 
-def _columns(frozen: ValueMassTable | None) -> tuple[np.ndarray, ...]:
+def _columns(frozen: ValueMassTable | DeferredTable | None) -> tuple[np.ndarray, ...]:
     """`frozen`'s values, masses and eligibility, empty for None."""
     return ((np.empty(0), np.empty(0), np.empty(0, dtype=bool)) if frozen is None
             else (frozen.values, frozen.masses, frozen.eligible))
@@ -81,12 +116,13 @@ WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy call
 N_BINS = 1024  # value bins over a level's range
 
 
-def level_quantiles(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
-                    alpha: float) -> tuple[float, float]:
+def level_quantiles(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
+                    masses: np.ndarray, alpha: float) -> tuple[float, float]:
     """The (sup, inf) quantiles of the rows (`values`, `masses`), all
     eligible, joined to `frozen`.  A level of `WINDOW_FLOOR` rows or more is
     read from the rows near its crossings where that is certified
-    (`_windowed`), any other from the whole table, with the same result."""
+    (`_windowed`), any other from the whole table, which merges `frozen`,
+    with the same result."""
     if len(values) >= WINDOW_FLOOR:
         both = _windowed(frozen, values, masses, alpha)
         if both is not None:
@@ -135,32 +171,46 @@ def _bins(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
     return np.minimum(x, N_BINS - 1, out=x).astype(np.int16)  # truncates toward 0
 
 
-def _windowed(frozen: ValueMassTable | None, values: np.ndarray, masses: np.ndarray,
-              alpha: float) -> tuple[float, float] | None:
+def _windowed(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
+              masses: np.ndarray, alpha: float) -> tuple[float, float] | None:
     """`level_quantiles` from the rows of the value bins around the
     crossings, or None where it is not certified.  A sum here and the whole
     table's cumulative sum add the same N masses >= 0 in other orders, each
     within γ_N·S of the exact sum, S the total (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The sums at the
     crossings and past them must clear 1 - alpha or alpha by twice that, so
-    that both tables decide alike."""
+    that both tables decide alike.  The rows of `frozen`'s joins not yet
+    merged are read in place, one join at a time, each of them a summand."""
     lo, hi = float(values.min()), float(values.max())
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
     if not 0.0 < scale < math.inf:  # a range past the float range gives 0
         return None
-    fv, fm, _ = _columns(frozen)
+    table, joins = _parts(frozen)
+    fv, fm, _ = _columns(table)
     i0, i1 = fv.searchsorted(lo), fv.searchsorted(hi, "right")
     bins, fbins = _bins(values, lo, scale), _bins(fv[i0:i1], lo, scale)
     mass = np.bincount(bins, weights=masses, minlength=N_BINS)
     mass += np.bincount(fbins, weights=fm[i0:i1], minlength=N_BINS)
+    above, below, inside, n = fm[i1:].sum(), fm[:i0].sum(), [], len(values) + len(fv)
+    for v, m, _ in joins:  # each join's rows in [lo, hi] and their bins
+        jrows = ((v >= lo) & (v <= hi)).nonzero()[0]
+        jbins = _bins(v[jrows], lo, scale)
+        mass += np.bincount(jbins, weights=m[jrows], minlength=N_BINS)
+        above, below = above + m[v > hi].sum(), below + m[v < lo].sum()
+        inside.append((jrows, jbins))
+        n += len(v)
     # the bins of the sup and inf crossings, and one bin on either side
-    tail, head, sup_bin, inf_bin = _crossings(mass, alpha, fm[i1:].sum(), fm[:i0].sum())
+    tail, head, sup_bin, inf_bin = _crossings(mass, alpha, above, below)
     b0, b1 = max(min(sup_bin, inf_bin) - 1, 0), min(max(sup_bin, inf_bin) + 1, N_BINS - 1)
     rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
     if not len(rows):
         return None
     j0, j1 = i0 + fbins.searchsorted(b0), i0 + fbins.searchsorted(b1, "right")
-    window = ValueMassTable(*joined(rows, values, masses, None, frozen, slice(j0, j1)))
+    parts = [joined(rows, values, masses, None, table, slice(j0, j1))]
+    for (v, m, e), (jrows, jbins) in zip(joins, inside):
+        jrows = jrows[(jbins >= b0) & (jbins <= b1)]
+        parts.append((v[jrows], m[jrows], e[jrows]))
+    window = ValueMassTable(*map(np.concatenate, zip(*parts)))
     # twice γ_N·S, with room for the rounding of S and of the comparisons
-    tol = (len(values) + len(fv)) * 2.0 ** -51 * (tail[0] + head[0])
+    tol = n * 2.0 ** -51 * (tail[0] + head[0])
     return _read(window, alpha, tail[b1 + 1], head[b0], tol)

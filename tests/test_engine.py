@@ -242,6 +242,29 @@ def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch
     assert run.history == full.history
 
 
+def test_windows_read_the_unmerged_frozen_rows(windowed_answers, monkeypatch):
+    # levels 8 to 10 of this run are read from windows, beside 1,791 to
+    # 14,121 frozen rows whose joins are not merged yet, 198 to 7,843 of
+    # them eligible
+    p, eligible = lq.paper_f_d2(), []
+    counted = wquantile._windowed
+
+    def spy(frozen, *args):
+        eligible.append(sum(int(e.sum()) for *_, e in frozen.joins))
+        return counted(frozen, *args)
+
+    monkeypatch.setattr(wquantile, "_windowed", spy)
+    run = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
+    assert windowed_answers == [True] * 3
+    assert eligible == [198, 7257, 7843]
+    # the full table of every level gives the same run, bit for bit
+    monkeypatch.setattr(wquantile, "_windowed", lambda *args: None)
+    full = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
+    assert [r.estimate.hex() for r in run.history] == [r.estimate.hex() for r in full.history]
+    assert (run.history, run.ledgers, run.retirement_level) == \
+        (full.history, full.ledgers, full.retirement_level)
+
+
 @pytest.mark.parametrize("alpha, rows", [(0.99, 105_948), (0.999, 100_512)])
 def test_tie_free_levels_read_whole_beside_a_large_frozen_table(alpha, rows, windowed_answers):
     # f = x1 + phi*x2 ties no two centers; its quantile is exact for

@@ -6,7 +6,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lipquant import wquantile
-from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, joined, level_quantiles
+from lipquant.wquantile import (WINDOW_FLOOR, DeferredTable, ValueMassTable, joined,
+                                level_quantiles)
 
 from oracles import weighted_quantile_inf, weighted_quantile_sup
 
@@ -439,3 +440,83 @@ class TestWindowed:
             assert level_quantiles(None, values, masses, 0.5) == \
                 full_table_quantiles(None, values, masses, 0.5)
         assert windowed_answers == [False] * 3
+
+
+def bits(column):
+    """A column's bytes: equal columns of floats are equal bit for bit."""
+    return column.dtype, column.tobytes()
+
+
+class TestDeferred:
+    """A chain of joins kept unmerged reads as the tables built one join at a
+    time, and a window reads their rows in place."""
+
+    @given(
+        st.lists(  # the joins, oldest first
+            st.lists(
+                st.tuples(
+                    # ties within a join, across joins and with the level's
+                    # k/7, both zeros, and values outside the level's range
+                    st.sampled_from([-3.0, -1.5, -0.0, 0.0, 1 / 7, 2 / 7, 1 / 3, 2.0, 7.0]),
+                    st.floats(0.0, 1.0, allow_nan=False),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=30,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 5),  # the joins merged before the rest join
+        st.integers(0, 2 ** 32 - 1),
+        st.one_of(st.integers(1, 50), st.integers(WINDOW_FLOOR, 2 * WINDOW_FLOOR)),
+        st.floats(0.001, 0.999),
+    )
+    def test_equals_the_eager_chain(self, joins, merged, seed, n, alpha):
+        total = sum(m for rows in joins for _, m, _ in rows) or 1.0
+        joins = [tuple(np.array(c, dtype=t) for c, t in zip(zip(*rows), (float, float, bool)))
+                 for rows in joins]
+        joins = [(v, m * (0.1 / total), e) for v, m, e in joins]  # 0.1 in all
+        eager = None
+        for v, m, e in joins:
+            eager = ValueMassTable(*joined(slice(None), v, m, e, eager))
+
+        def deferred():
+            t = None
+            for i, (v, m, e) in enumerate(joins):
+                t = DeferredTable(t, v, m, e)
+                if i + 1 == merged:
+                    t.merged()  # the later joins meet merged groups
+            return t
+
+        t = deferred()
+        for got, want in zip((t.values, t.masses, t.eligible),
+                             (eager.values, eager.masses, eager.eligible)):
+            assert bits(got) == bits(want)
+        values, masses = level(np.random.default_rng(seed), n, 24)
+        want = full_table_quantiles(eager, values, masses, alpha)
+        assert [x.hex() for x in level_quantiles(deferred(), values, masses, alpha)] == \
+            [x.hex() for x in want]
+        got = wquantile._windowed(deferred(), values, masses, alpha)
+        assert got is None or [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("distinct", [24, None])
+    def test_a_window_reads_the_joins_unmerged(self, distinct, windowed_answers):
+        rng = np.random.default_rng(4)
+        values, masses = level(rng, 100_000, distinct, 0.3)
+        joins = []
+        # two joins over the level's values (tied with them for 24), and one
+        # mostly outside them; half their rows are eligible
+        for spread, total in ((distinct, 0.25), (distinct, 0.25), (300, 0.2)):
+            v, m = level(rng, 20_000, spread, total)
+            joins.append((v, m, rng.random(20_000) < 0.5))
+        alphas = np.linspace(0.2, 0.8, 7)  # past the frozen mass outside the level's range
+        for alpha in alphas:
+            frozen = None
+            for rows in joins:
+                frozen = DeferredTable(frozen, *rows)
+            got = level_quantiles(frozen, values, masses, alpha)
+            assert frozen.table is None and len(frozen.joins) == 3
+            want = full_table_quantiles(frozen, values, masses, alpha)  # merges them
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert windowed_answers == [True] * len(alphas)
