@@ -27,9 +27,9 @@ from .problems import (
     BUILTIN_PROBLEMS,
     TestProblem,
     brute_force_quantile,
+    check_resolution,
     estimate_level_set_M,
     estimate_lipschitz,
-    grid_resolution,
     monte_carlo_quantile,
     reference_quantile,
 )
@@ -76,8 +76,8 @@ class ExperimentConfig:
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        try:  # the grid oracles' one rule, alike for every builtin problem's d <= 2
-            grid_resolution(self.resolution, 1)
+        try:
+            check_resolution(self.resolution)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         _check_budgets(self.budgets, LEAST_BUDGET[self.algo])

@@ -264,14 +264,10 @@ class Frontier:
         del gap  # before the comparison widens to int64
         first = first.astype(np.int64, copy=False)
         kids = first.reshape(-1, fan)
-        if self.lowest.any():
-            np.maximum(kids, self.lowest[:, None], out=kids)
+        np.maximum(kids, self.lowest[:, None], out=kids)
         # band j keeps the rows whose first band is at most j, and pays for
-        # the 3^d - 1 new centers of each; only a live band's count is read
-        if top == 0:
-            kept_by = len(first) - np.count_nonzero(first)
-        else:
-            kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+        # the 3^d - 1 new centers of each
+        kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
         # a ledger starts at 1, at most any slice, and only a live band's
         # grows: a band is live while its ledger is within its slice
         live = self.ledgers <= self.slices

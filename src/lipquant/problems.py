@@ -89,17 +89,21 @@ MIN_RESOLUTION = 1000
 _N_BINS = 4096
 
 
-def grid_resolution(resolution: int | None, dim: int) -> int:
+def check_resolution(resolution: int | None) -> None:
+    """Refuse a grid oracle's `resolution` unless it is None (the default) or
+    an integer >= `MIN_RESOLUTION`; a bool is not one."""
+    if not (resolution is None or isinstance(resolution, numbers.Integral)
+            and not isinstance(resolution, bool) and resolution >= MIN_RESOLUTION):
+        raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got {resolution!r}")
+
+
+def _resolution(resolution: int | None, dim: int) -> int:
     """Cells per axis of a grid oracle: by default 10^6 for d = 1, 3000 for
-    d = 2, else an integer >= `MIN_RESOLUTION`; a bool is not one."""
+    d = 2, else `resolution` as `check_resolution` allows it."""
     if dim > 2:
         raise ValueError("grid oracle supports d <= 2 only")
-    if resolution is None:
-        return 10 ** 6 if dim == 1 else 3000
-    if not (isinstance(resolution, numbers.Integral) and not isinstance(resolution, bool)
-            and resolution >= MIN_RESOLUTION):
-        raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got {resolution!r}")
-    return int(resolution)
+    check_resolution(resolution)
+    return (10 ** 6 if dim == 1 else 3000) if resolution is None else int(resolution)
 
 
 def _grid(p: TestProblem, res: int):
@@ -136,14 +140,14 @@ def brute_force_quantile(p: TestProblem, resolution: int | None = None) -> float
     """Grid oracle for the alpha-quantile of f(X); accuracy O(L / resolution).
 
     Evaluates f at the centers of a regular grid with `resolution` cells per
-    axis (by default `grid_resolution`'s), weights each cell by its probability,
+    axis (by default `_resolution`'s), weights each cell by its probability,
     and returns the smallest grid value whose cumulative mass reaches alpha.
     One chunked walk over the grid serves three passes: the value range, the
     histogram bin that holds the quantile, and the values of a window around
     that bin plus the mass below it.  Memory stays bounded by one chunk; on a
     grid of one chunk, as at the default resolutions, f runs once per cell.
     """
-    resolution = grid_resolution(resolution, p.dim)
+    resolution = _resolution(resolution, p.dim)
     walk = _grid(p, resolution)
     vmin, vmax = math.inf, -math.inf
     for v, _ in walk():
@@ -207,7 +211,7 @@ def estimate_level_set_M(
     shrink as delta becomes small, i.e. the level-set assumption fails
     (constant f).
     """
-    resolution = grid_resolution(resolution, p.dim)
+    resolution = _resolution(resolution, p.dim)
     q = true_quantile if true_quantile is not None else reference_quantile(p, resolution)
     deltas = [3.0, 1.0, 0.3, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
     counts = np.zeros(len(deltas))

@@ -93,14 +93,14 @@ def _parts(frozen: ValueMassTable | DeferredTable | None) -> tuple[ValueMassTabl
     return (frozen.table, frozen.joins) if isinstance(frozen, DeferredTable) else (frozen, ())
 
 
-def joined(rows, values, masses, eligible, frozen: ValueMassTable | DeferredTable | None,
-           groups: slice = slice(None)) -> tuple[np.ndarray, ...]:
+def joined(rows, values, masses, eligible,
+           frozen: ValueMassTable | DeferredTable | None) -> tuple[np.ndarray, ...]:
     """The columns of the table of the `rows` (a mask, indices or a slice) of
     `values`, `masses` and `eligible` (None for all eligible), placed first,
-    then the `groups` of `frozen`, merged.  The constructor sums a tie in
-    row order: its mass is the rows' sum plus the frozen group's, where the
+    then `frozen`'s groups, merged.  The constructor sums a tie in row
+    order: its mass is the rows' sum plus the frozen group's, where the
     group first would give (f + r1) + r2, which can round otherwise."""
-    fv, fm, fe = (column[groups] for column in _columns(frozen))
+    fv, fm, fe = _columns(frozen)
     values, masses = np.concatenate((values[rows], fv)), np.concatenate((masses[rows], fm))
     head = np.ones(len(values) - len(fv), dtype=bool) if eligible is None else eligible[rows]
     return values, masses, np.concatenate((head, fe))
@@ -179,25 +179,23 @@ def _windowed(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
     within γ_N·S of the exact sum, S the total (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The sums at the
     crossings and past them must clear 1 - alpha or alpha by twice that, so
-    that both tables decide alike.  The rows of `frozen`'s joins not yet
-    merged are read in place, one join at a time, each of them a summand."""
+    that both tables decide alike.  `frozen` is read in place, its merged
+    table and then each join not yet merged, one at a time, and every row
+    of it is a summand."""
     lo, hi = float(values.min()), float(values.max())
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
     if not 0.0 < scale < math.inf:  # a range past the float range gives 0
         return None
     table, joins = _parts(frozen)
-    fv, fm, _ = _columns(table)
-    i0, i1 = fv.searchsorted(lo), fv.searchsorted(hi, "right")
-    bins, fbins = _bins(values, lo, scale), _bins(fv[i0:i1], lo, scale)
+    bins = _bins(values, lo, scale)
     mass = np.bincount(bins, weights=masses, minlength=N_BINS)
-    mass += np.bincount(fbins, weights=fm[i0:i1], minlength=N_BINS)
-    above, below, inside, n = fm[i1:].sum(), fm[:i0].sum(), [], len(values) + len(fv)
-    for v, m, _ in joins:  # each join's rows in [lo, hi] and their bins
-        jrows = ((v >= lo) & (v <= hi)).nonzero()[0]
-        jbins = _bins(v[jrows], lo, scale)
-        mass += np.bincount(jbins, weights=m[jrows], minlength=N_BINS)
+    above, below, inside, n = 0.0, 0.0, [], len(values)
+    for v, m, e in (_columns(table), *joins):  # the frozen rows in [lo, hi] and their bins
+        frows = ((v >= lo) & (v <= hi)).nonzero()[0]
+        fbins = _bins(v[frows], lo, scale)
+        mass += np.bincount(fbins, weights=m[frows], minlength=N_BINS)
         above, below = above + m[v > hi].sum(), below + m[v < lo].sum()
-        inside.append((jrows, jbins))
+        inside.append((v, m, e, frows, fbins))
         n += len(v)
     # the bins of the sup and inf crossings, and one bin on either side
     tail, head, sup_bin, inf_bin = _crossings(mass, alpha, above, below)
@@ -205,11 +203,10 @@ def _windowed(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
     rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
     if not len(rows):
         return None
-    j0, j1 = i0 + fbins.searchsorted(b0), i0 + fbins.searchsorted(b1, "right")
-    parts = [joined(rows, values, masses, None, table, slice(j0, j1))]
-    for (v, m, e), (jrows, jbins) in zip(joins, inside):
-        jrows = jrows[(jbins >= b0) & (jbins <= b1)]
-        parts.append((v[jrows], m[jrows], e[jrows]))
+    parts = [(values[rows], masses[rows], np.ones(len(rows), dtype=bool))]
+    for v, m, e, frows, fbins in inside:
+        frows = frows[(fbins >= b0) & (fbins <= b1)]
+        parts.append((v[frows], m[frows], e[frows]))
     window = ValueMassTable(*map(np.concatenate, zip(*parts)))
     # twice γ_N·S, with room for the rounding of S and of the comparisons
     tol = n * 2.0 ** -51 * (tail[0] + head[0])
