@@ -64,20 +64,33 @@ def bracket_halfwidth(lipschitz: float, level: int, dim: int) -> float:
     return lipschitz * half_radius(level, dim)
 
 
+LOG3 = math.log(3.0)
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def known_bound(c: ProblemConstants, budget: int) -> float:
-    """Worst-case error of the known-constant algorithm at budget N."""
+    """Worst-case error of the known-constant algorithm at budget N; each
+    power is one, or taken through logs, so that no float overflow raises."""
     d, L, M = c.dim, c.lipschitz, c.level_set
     check_limits(budget, 1 if d == 1 else 2)
     if d == 1:
-        big_c = 0.5 * L * 3.0 ** (1.0 + 1.0 / (4.0 * M * L))
-        rho = 3.0 ** (-1.0 / (4.0 * M * L))
-        return big_c * rho ** budget
-    big_c = 1.5 * L * math.sqrt(d) * (3.0 ** d * M * L * math.sqrt(d)) ** (1.0 / (d - 1))
-    return big_c * (budget - 1) ** (-1.0 / (d - 1))
+        # (L/2) * 3^(1 + 1/(4ML)) * 3^(-N/(4ML)), an exponent <= 1
+        return 0.5 * L * 3.0 ** (1.0 - (budget - 1) / 4.0 / M / L)
+    # (3L*sqrt(d)/2) * (3^d * M * L * sqrt(d) / (N - 1))^(1/(d-1))
+    return _exp(math.log(1.5 * math.sqrt(d)) + math.log(L) + (
+        d * LOG3 + math.log(M) + math.log(L) + 0.5 * math.log(d) - math.log(budget - 1)) / (d - 1))
 
 
 def unknown_bound(c: ProblemConstants, budget: int) -> float:
-    """Worst-case error of the unknown-constant algorithm at budget N.
+    """Worst-case error of the unknown-constant algorithm at budget N, taken
+    as `known_bound` is.
 
     Requires L >= 1 and a whole budget >= 1, which for d > 1 must exceed the
     start-up cost (pi^2/3) * (log3(L) + 2)^2.
@@ -86,44 +99,43 @@ def unknown_bound(c: ProblemConstants, budget: int) -> float:
     check_limits(budget, 1)
     if L < 1.0:
         raise ValueError(f"unknown-constant bound needs lipschitz >= 1, got {L}")
-    g = math.log(L) / math.log(3.0) + 2.0
+    g = math.log(L) / LOG3 + 2.0
     if d == 1:
-        big_c = 18.0 * L * 3.0 ** (1.0 / (2.0 * M * L))
-        rho = 3.0 ** (-1.0 / (g ** 2 * 2.0 * math.pi ** 2 * M * L))
-        return big_c * rho ** budget
+        # 18L * 3^(1/(2ML)) * 3^(-N/(2 pi^2 g^2 ML))
+        return _exp(math.log(18.0) + math.log(L)
+                    + (0.5 - budget / (2.0 * math.pi ** 2 * g ** 2)) / M / L * LOG3)
     startup = math.pi ** 2 / 3.0 * g ** 2
     if budget <= startup:
         raise ValueError(f"budget must exceed {startup:.3f} for d > 1")
-    big_c = (
-        18.0
-        * L
-        * math.sqrt(d)
-        * (3.0 ** d * M * L * math.sqrt(d) * math.pi ** 2 / 2.0 * g ** 2) ** (1.0 / (d - 1))
-    )
-    return big_c * (budget - startup) ** (-1.0 / (d - 1))
+    # 18L*sqrt(d) * (3^d * M * L * sqrt(d) * (pi^2/2) * g^2 / (N - startup))^(1/(d-1))
+    return _exp(math.log(18.0 * math.sqrt(d)) + math.log(L) + (
+        d * LOG3 + math.log(M) + math.log(L) + 0.5 * math.log(d) + math.log(math.pi ** 2 / 2.0)
+        + 2.0 * math.log(g) - math.log(budget - startup)) / (d - 1))
 
 
 def calls_upper(c: ProblemConstants, level: int) -> float:
-    """Upper bound on the calls needed to complete subdivision level k."""
+    """Upper bound on the calls needed to complete subdivision level k, inf
+    past the float range."""
     if not _whole(level, 0):
         raise ValueError(f"level must be a whole number >= 0, got {level!r}")
     d, L, M = c.dim, c.lipschitz, c.level_set
-    if d == 1:
-        return 1.0 + 4.0 * M * L * level
-    return 1.0 + 3.0 ** d * 2.0 * M * L * math.sqrt(d) * (
-        3.0 ** (level * (d - 1)) - 1.0
-    ) / (3.0 ** (d - 1) - 1.0)
+    if d == 1 or level == 0:  # level first: 0 * (4*M*L), where 4*M*L is inf, is nan
+        return 1.0 + level * 4.0 * M * L
+    # 1 + 2 * 3^d * M * L * sqrt(d) * (3^(k(d-1)) - 1) / (3^(d-1) - 1), with
+    # log(e^x - 1) = x + log(1 - e^-x) for x = k(d-1)*log(3) and for y = (d-1)*log(3)
+    x, y = level * (d - 1) * LOG3, (d - 1) * LOG3
+    return 1.0 + _exp(math.log(2.0 * math.sqrt(d)) + d * LOG3 + math.log(M) + math.log(L)
+                      + x + math.log(-math.expm1(-x)) - y - math.log(-math.expm1(-y)))
 
 
-def level_lower(c: ProblemConstants, budget: int) -> int:
-    """Lower bound on the level reached with budget N."""
+def level_lower(c: ProblemConstants, budget: int) -> int | float:
+    """Lower bound on the level reached with budget N; inf past the float range."""
     d, L, M = c.dim, c.lipschitz, c.level_set
     check_limits(budget, 1 if d == 1 else 2)
     if d == 1:
-        return int(math.floor((budget - 1) / (4.0 * M * L)))
-    return int(
-        math.floor(
-            (math.log(budget - 1) - math.log(3.0 ** d * M * L * math.sqrt(d)))
-            / ((d - 1) * math.log(3.0))
-        )
-    )
+        levels = (budget - 1) / 4.0 / M / L
+    else:
+        # log_{3^(d-1)} of (N - 1) / (3^d * M * L * sqrt(d))
+        levels = (math.log(budget - 1) - d * LOG3 - math.log(M) - math.log(L)
+                  - 0.5 * math.log(d)) / ((d - 1) * LOG3)
+    return int(math.floor(levels)) if math.isfinite(levels) else levels

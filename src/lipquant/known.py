@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import bracket_halfwidth, check_limits, finite_real
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import DeferredTable, joined, level_quantiles
+from .wquantile import level_quantiles
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
@@ -125,24 +125,19 @@ class Frontier:
     A row that no live band keeps leaves the frontier once, with its own
     mass, as a frozen point: eligible iff a retired band holds it (as DIRECT
     leaves a box that no constant selects in its partition), else a pruned
-    cell that only adds its mass.  The frozen points are one table, `frozen`,
-    a `DeferredTable`; `frozen_mass` is their running total.  A level's
-    estimate is the sup form of `level_quantiles` over the level's rows and
-    `frozen`; `_freeze` joins the rows that leave, placed first, to `frozen`
-    without a sort.  They are sorted and merged on ties with the frozen groups
-    only when a whole table is read, and a window reads them in place.  If no
-    live band keeps a row, the frontier is empty and the run stops as
-    `settled`: with no row to refine, no later level could differ.
+    cell that only adds its mass.  The frozen points are one unsorted chunk
+    `frozen` = (values, masses, eligible); `frozen_mass` is their total.  A
+    level's estimate is the sup form of `level_quantiles` over its rows and
+    `frozen`.  If no live band keeps a row, the frontier is empty and the run
+    stops as `settled`: with no row to refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
-    parent order and each row's in `itertools.product` order; the order fixes
-    how the quantile table sums tied masses.  So row r is the child
-    3*block[r // fan] + offsets[r % fan] of the parent digits `block`, with
-    `fan` = 3^d rows per parent (1 at the root, whose parent digits are 0),
-    and `digits` derives the digits once per level for the kept rows.  Masses
-    come from one `ProductMeasure.child_probabilities` call on the kept rows.
-    Each level costs a fixed number of whole-array NumPy calls: no Python loop
-    runs over rows or bands.
+    parent order and each row's in `itertools.product` order: row r is the
+    child 3*block[r // fan] + offsets[r % fan] of the parent digits `block`,
+    with `fan` = 3^d rows per parent (1 at the root, whose parent digits are
+    0), and `digits` derives the digits once per level for the kept rows.
+    Masses come from one `ProductMeasure.child_probabilities` call on the
+    kept rows.  Each level costs a fixed number of whole-array NumPy calls.
 
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding a row are the live
@@ -172,7 +167,7 @@ class Frontier:
         self.live_bands = tuple(range(len(self.lipschitz)))  # where ledgers <= slices
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
-        self.frozen: DeferredTable | None = None
+        self.frozen = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
         self.frozen_mass = 0.0
         self.values = self._evaluate(np.full((1, d), 0.5))
         self.masses = measure.cell_probabilities(0, self.block)
@@ -208,13 +203,13 @@ class Frontier:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
         self.estimate, est_inf = level_quantiles(self.frozen, self.values, self.masses, self.alpha)
-        # the forms differ where the cumulative mass meets alpha exactly (a flat
-        # CDF), both then quantiles of the table, which holds no mass between
-        # them; mass between them means the crossing fell on an ineligible point
-        if abs(self.estimate - est_inf) > 1e-9 * (1.0 + abs(self.estimate)):
+        # the forms differ where a head meets alpha exactly (a flat CDF), both
+        # then quantiles of the table, which holds no mass between them; mass
+        # between them means the crossing fell on an ineligible point
+        if self.estimate != est_inf:
             lo, hi = sorted((self.estimate, est_inf))
-            values, masses, _ = joined(slice(None), self.values, self.masses, None, self.frozen)
-            if (masses[(values > lo) & (values < hi)] > 0).any():
+            if any(((v > lo) & (v < hi) & (m > 0)).any()
+                   for v, m in ((self.values, self.masses), self.frozen[:2])):
                 raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
                                      f"{self.estimate} vs {est_inf}")
 
@@ -322,12 +317,12 @@ class Frontier:
         self.level = level
 
     def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
-        """Join the rows `leaving` to `frozen`, unsorted until a column is
-        read, each with its own mass and eligible iff a retired band holds it."""
+        """Append the rows `leaving` to `frozen`, each with its own mass and
+        eligible iff a retired band holds it."""
         if leaving.any():
-            masses = self.masses[leaving]
-            self.frozen_mass += float(masses.sum())
-            self.frozen = DeferredTable(self.frozen, self.values[leaving], masses, hold[leaving])
+            rows = self.values[leaving], self.masses[leaving], hold[leaving]
+            self.frozen_mass += float(rows[1].sum())
+            self.frozen = tuple(map(np.concatenate, zip(self.frozen, rows)))
 
 
 def run_known(

@@ -3,19 +3,21 @@
 The level-k estimator is a quantile of a discrete table: one point per
 partition cell, carrying the cell's probability mass and either a freshly
 evaluated value (eligible as a quantile candidate) or a value inherited from
-a pruned ancestor (mass contributor only).  Both the sup and the inf form of
-the definition are read at once by `level_quantiles`, from the rows near the
-crossings of a large level where a bound on summation error certifies them,
-else from the whole table.  On a full subdivision level's table they coincide
-unless the cumulative mass meets alpha exactly (a flat CDF), where both are
-quantiles of the table.  Every table is one sort of its rows and the frozen
-groups they join.  The rows that join the frozen table are kept apart, in a
-`DeferredTable`, until a column of the table is read: a window reads them in
-place, so a run whose large levels the window answers never sorts them.
+a pruned ancestor (mass contributor only).  With head(v) the exact mass of
+the points of value < v, the sup form is the greatest eligible v with
+head(v) <= alpha, else the least eligible v, and the inf form the first
+eligible v at or past the last value with head(v) < alpha, else the greatest.
+On a table of total mass 1 these are sup{v : mass of {value >= v} >= 1 - alpha}
+and inf{v : mass of {value <= v} >= alpha}; they differ only where a head
+meets alpha (a flat CDF), both then quantiles of the table.  A head is a float
+cumulative sum where that decides it, and an exact sum where it cannot
+(filter, then exact: Shewchuk, "Adaptive Precision Floating-Point
+Arithmetic", 1997), so no summation order moves a quantile.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -49,8 +51,6 @@ class ValueMassTable:
         del ordered
         # ties are bitwise equal but for a zero's sign; -0.0 + 0.0 is +0.0
         self.values += 0.0
-        # each row's group, in row order: bincount then sums each group
-        # sequentially in row order, the order a stable sort would give
         ranks = keep.cumsum()
         del keep
         group = np.empty_like(ranks)
@@ -60,108 +60,90 @@ class ValueMassTable:
         self.eligible = np.bincount(group, weights=eligible) > 0
 
 
-class DeferredTable:
-    """The table `frozen` (a `ValueMassTable`, a `DeferredTable` or None)
-    with the rows (`values`, `masses`, `eligible`) joined to it, placed
-    first, but not merged: `table` is the merged table (None for none) and
-    `joins` the rows of each join not yet merged, oldest first.
-
-    Its columns are those of a `ValueMassTable`.  The first read of one
-    replays each join, oldest first, as `joined` places it: its rows, then
-    the table so far.  So every tie sums as its rows, then the older group,
-    and the columns are those of the tables built one join at a time, bit
-    for bit.
-    """
-
-    def __init__(self, frozen, values, masses, eligible):
-        self.table, self.joins = _parts(frozen)
-        self.joins += ((values, masses, eligible),)
-
-    def merged(self) -> ValueMassTable:
-        for rows in self.joins:
-            self.table = ValueMassTable(*joined(slice(None), *rows, self.table))
-        self.joins = ()
-        return self.table
-
-    values = property(lambda self: self.merged().values)
-    masses = property(lambda self: self.merged().masses)
-    eligible = property(lambda self: self.merged().eligible)
-
-
-def _parts(frozen: ValueMassTable | DeferredTable | None) -> tuple[ValueMassTable | None, tuple]:
-    """`frozen`'s merged table and its joins not yet merged."""
-    return (frozen.table, frozen.joins) if isinstance(frozen, DeferredTable) else (frozen, ())
-
-
-def joined(rows, values, masses, eligible,
-           frozen: ValueMassTable | DeferredTable | None) -> tuple[np.ndarray, ...]:
-    """The columns of the table of the `rows` (a mask, indices or a slice) of
-    `values`, `masses` and `eligible` (None for all eligible), placed first,
-    then `frozen`'s groups, merged.  The constructor sums a tie in row
-    order: its mass is the rows' sum plus the frozen group's, where the
-    group first would give (f + r1) + r2, which can round otherwise."""
-    fv, fm, fe = _columns(frozen)
-    values, masses = np.concatenate((values[rows], fv)), np.concatenate((masses[rows], fm))
-    head = np.ones(len(values) - len(fv), dtype=bool) if eligible is None else eligible[rows]
-    return values, masses, np.concatenate((head, fe))
-
-
-def _columns(frozen: ValueMassTable | DeferredTable | None) -> tuple[np.ndarray, ...]:
-    """`frozen`'s values, masses and eligibility, empty for None."""
-    return ((np.empty(0), np.empty(0), np.empty(0, dtype=bool)) if frozen is None
-            else (frozen.values, frozen.masses, frozen.eligible))
-
-
 WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
 N_BINS = 1024  # value bins over a level's range
 
 
-def level_quantiles(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
-                    masses: np.ndarray, alpha: float) -> tuple[float, float]:
+def level_quantiles(frozen: tuple[np.ndarray, ...], values: np.ndarray, masses: np.ndarray,
+                    alpha: float) -> tuple[float, float]:
     """The (sup, inf) quantiles of the rows (`values`, `masses`), all
-    eligible, joined to `frozen`.  A level of `WINDOW_FLOOR` rows or more is
-    read from the rows near its crossings where that is certified
-    (`_windowed`), any other from the whole table, which merges `frozen`,
-    with the same result."""
+    eligible, with the frozen rows `frozen`, a (values, masses, eligible)
+    chunk in any order.  A level of `WINDOW_FLOOR` rows or more is read from
+    the rows near its crossings (`_windowed`) where they hold both answers,
+    any other from the whole table, with the same result."""
     if len(values) >= WINDOW_FLOOR:
         both = _windowed(frozen, values, masses, alpha)
         if both is not None:
             return both
-    return _read(ValueMassTable(*joined(slice(None), values, masses, None, frozen)), alpha)
+    fv, fm, fe = frozen
+    table = ValueMassTable(np.concatenate((values, fv)), np.concatenate((masses, fm)),
+                           np.concatenate((np.ones(len(values), dtype=bool), fe)))
+    if not table.eligible.any():
+        raise ValueError("table has no eligible point")
+    return _read(table, alpha, ((values, masses), (fv, fm)))
 
 
-def _crossings(masses: np.ndarray, alpha: float, above: float, below: float):
-    """tail[i], `above` + the mass at and above point i; head[i], `below` +
-    the mass below it; the last i whose tail reaches 1 - alpha and the last
-    whose head does not reach alpha."""
-    tail, head = np.zeros(len(masses) + 1), np.zeros(len(masses) + 1)
-    masses[::-1].cumsum(out=tail[:-1][::-1])
-    masses.cumsum(out=head[1:])
-    tail += above
-    head += below
-    return tail, head, np.count_nonzero(tail >= 1.0 - alpha) - 1, np.count_nonzero(head < alpha) - 1
+def _read(table: ValueMassTable, alpha: float, chunks,
+          window: tuple[float, float] | None = None) -> tuple[float, float] | None:
+    """(sup, inf) over `table`: the groups of all the rows of `chunks`, or
+    of a `window` (below, total) of them, the rows in one range of values
+    with the float mass `below` under it and `total` in all, which gives None
+    unless both crossings and both answers lie in it.
 
-
-def _read(table: ValueMassTable, alpha: float, above: float = 0.0, below: float = 0.0,
-          tol: float | None = None) -> tuple[float, float] | None:
-    """sup{v eligible : mass of {value >= v} >= 1 - alpha}, else the least
-    eligible v, and inf{v eligible : mass of {value <= v} >= alpha}, else the
-    greatest, over `table` and the mass `above` and `below` its values.
-    Without `tol`, `table` is whole; with it, a window of a larger table, and
-    the pair is None unless both answers lie in it and every sum that decides
-    clears 1 - alpha or alpha by more than `tol`."""
-    v, e = table.values, table.eligible
-    tail, head, last, first = _crossings(table.masses, alpha, above, below)
-    sup_in, inf_in = e[:last + 1].any(), e[first:].any()  # an eligible point at or past each
-    if tol is None:
-        if not e.any():
-            raise ValueError("table has no eligible point")
-    elif not (0 <= last < len(v) and 0 <= first < len(v) and sup_in and inf_in
-              and min(tail[last] - (1.0 - alpha), (1.0 - alpha) - tail[last + 1],
-                      head[first + 1] - alpha, alpha - head[first]) > tol):
+    head[i], the mass below group i, is a float sum of N rows >= 0, within
+    γ_N·S of the exact sum, S the total (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 4); within twice that of alpha it is
+    summed exactly."""
+    v, e, n = table.values, table.eligible, len(table.values)
+    head = np.cumsum(np.append(window[0] if window else 0.0, table.masses))
+    tol = sum(len(m) for _, m in chunks) * 2.0 ** -52 * (window[1] if window else head[-1])
+    lo, hi = head.searchsorted(alpha - tol), head.searchsorted(alpha + tol, "right")
+    n_le = n_lt = lo  # the heads <= alpha and < alpha
+    if hi > lo:
+        edges = v[lo:hi] if hi <= n else np.append(v[lo:], np.nextafter(v[-1], np.inf))
+        le, lt = _settle(chunks, edges, alpha)
+        n_le, n_lt = n_le + le, n_lt + lt
+    sup, inf = n_le - 1, n_lt - 1  # the last group with head <= alpha, and < alpha
+    if not window:
+        sup, inf = min(sup, n - 1), min(inf, n - 1)
+    elif not (0 <= inf and sup < n):
         return None
-    return (float(v[last - e[last::-1].argmax()] if sup_in else v[e.argmax()]),
-            float(v[first + e[first:].argmax()] if inf_in else v[len(e) - 1 - e[::-1].argmax()]))
+    sup_in, inf_in = e[:sup + 1].any(), e[inf:].any()  # an eligible point at or past each
+    if window and not (sup_in and inf_in):
+        return None
+    return (float(v[sup - e[sup::-1].argmax()] if sup_in else v[e.argmax()]),
+            float(v[inf + e[inf:].argmax()] if inf_in else v[n - 1 - e[::-1].argmax()]))
+
+
+def _settle(chunks, edges: np.ndarray, alpha: float) -> tuple[int, int]:
+    """How many of the exact masses of the rows of `chunks` below each of
+    the increasing `edges` are <= alpha, and how many are < alpha.  A mass
+    is m·2^(x - 53), m an integer whose halves are below 2^27: per slot
+    between two edges and exponent x, bincount and cumsum sum each half
+    exactly for fewer than 2^26 rows, and an edge's head is then one integer
+    in units of 2^-1126."""
+    slots, parts = [], []
+    for values, masses in chunks:
+        below = values < edges[-1]
+        slots.append(edges.searchsorted(values[below], "right"))  # slot j: edges[j-1] <= value
+        parts.append(masses[below])
+    frac, x = np.frexp(np.concatenate(parts))
+    mant = (frac * 2.0 ** 53).astype(np.int64)
+    x -= (x0 := int(x.min(initial=0)))
+    present = np.bincount(x) > 0  # one column for each exponent that occurs
+    n_x = int(present.sum())
+    cells = np.concatenate(slots) * n_x + (present.cumsum() - 1)[x]
+    hi, lo = (np.bincount(cells, weights=half, minlength=len(edges) * n_x)
+              .reshape(len(edges), n_x).cumsum(axis=0) for half in (mant >> 26, mant & 2 ** 26 - 1))
+    shifts = (present.nonzero()[0] + (x0 + 1073)).tolist()
+
+    def head(j: int) -> int:
+        return sum(((int(a) << 26) + int(b)) << s for a, b, s in zip(hi[j], lo[j], shifts))
+
+    num, den = alpha.as_integer_ratio()
+    threshold = (num << 1126) // den
+    return (bisect.bisect_right(range(len(edges)), threshold, key=head),
+            bisect.bisect_left(range(len(edges)), threshold, key=head))
 
 
 def _bins(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
@@ -171,43 +153,29 @@ def _bins(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
     return np.minimum(x, N_BINS - 1, out=x).astype(np.int16)  # truncates toward 0
 
 
-def _windowed(frozen: ValueMassTable | DeferredTable | None, values: np.ndarray,
-              masses: np.ndarray, alpha: float) -> tuple[float, float] | None:
+def _windowed(frozen: tuple[np.ndarray, ...], values: np.ndarray, masses: np.ndarray,
+              alpha: float) -> tuple[float, float] | None:
     """`level_quantiles` from the rows of the value bins around the
-    crossings, or None where it is not certified.  A sum here and the whole
-    table's cumulative sum add the same N masses >= 0 in other orders, each
-    within γ_N·S of the exact sum, S the total (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The sums at the
-    crossings and past them must clear 1 - alpha or alpha by twice that, so
-    that both tables decide alike.  `frozen` is read in place, its merged
-    table and then each join not yet merged, one at a time, and every row
-    of it is a summand."""
+    crossings, or None where they do not hold both answers or the level's
+    range cannot be binned.  The frozen rows are binned in place."""
     lo, hi = float(values.min()), float(values.max())
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
     if not 0.0 < scale < math.inf:  # a range past the float range gives 0
         return None
-    table, joins = _parts(frozen)
+    fv, fm, fe = frozen
     bins = _bins(values, lo, scale)
-    mass = np.bincount(bins, weights=masses, minlength=N_BINS)
-    above, below, inside, n = 0.0, 0.0, [], len(values)
-    for v, m, e in (_columns(table), *joins):  # the frozen rows in [lo, hi] and their bins
-        frows = ((v >= lo) & (v <= hi)).nonzero()[0]
-        fbins = _bins(v[frows], lo, scale)
-        mass += np.bincount(fbins, weights=m[frows], minlength=N_BINS)
-        above, below = above + m[v > hi].sum(), below + m[v < lo].sum()
-        inside.append((v, m, e, frows, fbins))
-        n += len(v)
-    # the bins of the sup and inf crossings, and one bin on either side
-    tail, head, sup_bin, inf_bin = _crossings(mass, alpha, above, below)
-    b0, b1 = max(min(sup_bin, inf_bin) - 1, 0), min(max(sup_bin, inf_bin) + 1, N_BINS - 1)
+    inside = ((fv >= lo) & (fv <= hi)).nonzero()[0]  # the frozen rows in [lo, hi]
+    fbins = _bins(fv[inside], lo, scale)
+    mass = (np.bincount(bins, weights=masses, minlength=N_BINS)
+            + np.bincount(fbins, weights=fm[inside], minlength=N_BINS))
+    head = np.cumsum(np.append(fm[fv < lo].sum(), mass))  # the mass below each bin
+    # the bins of the inf and sup crossings, and one bin on either side
+    b0 = max(head[:N_BINS].searchsorted(alpha) - 2, 0)
+    b1 = min(head[:N_BINS].searchsorted(alpha, "right"), N_BINS - 1)
     rows = ((bins >= b0) & (bins <= b1)).nonzero()[0]
-    if not len(rows):
-        return None
-    parts = [(values[rows], masses[rows], np.ones(len(rows), dtype=bool))]
-    for v, m, e, frows, fbins in inside:
-        frows = frows[(fbins >= b0) & (fbins <= b1)]
-        parts.append((v[frows], m[frows], e[frows]))
-    window = ValueMassTable(*map(np.concatenate, zip(*parts)))
-    # twice γ_N·S, with room for the rounding of S and of the comparisons
-    tol = n * 2.0 ** -51 * (tail[0] + head[0])
-    return _read(window, alpha, tail[b1 + 1], head[b0], tol)
+    frows = inside[(fbins >= b0) & (fbins <= b1)]
+    window = ValueMassTable(np.concatenate((values[rows], fv[frows])),
+                            np.concatenate((masses[rows], fm[frows])),
+                            np.concatenate((np.ones(len(rows), dtype=bool), fe[frows])))
+    total = head[N_BINS] + fm[fv > hi].sum()
+    return _read(window, alpha, ((values, masses), (fv, fm)), (head[b0], total))

@@ -6,8 +6,9 @@ partition identities can be checked exactly; floats only appear in
 `center`, `center_point`, `cell_bounds` and the scalar cell mass.  The
 engine (`lipquant.known.Frontier`) holds the same cells as int64 digit
 arrays; the tests compare it against these helpers, and `frontier_sets`
-reads its cells level by level.  `weighted_quantile_sup` and
-`weighted_quantile_inf` read one form each of a table's weighted quantile:
+reads its cells level by level.  `weighted_quantiles` reads both forms of
+the weighted quantile of a table's rows, with their masses summed exactly as
+integers, and `weighted_quantile_sup` and `weighted_quantile_inf` one each:
 the reference for `lipquant.wquantile.level_quantiles`.  `candidate_budget`
 is the scalar slice formula of the unknown-constant schedule.
 `refined_quantile_d1` is a near-machine-precision quantile oracle for smooth
@@ -26,7 +27,6 @@ import numpy as np
 
 from lipquant.known import K_MAX, Frontier
 from lipquant.problems import TestProblem
-from lipquant.wquantile import ValueMassTable
 
 
 @dataclass(frozen=True)
@@ -133,35 +133,44 @@ def cell_probability(measure, idx: MultiIndex) -> float:
     return p
 
 
-def _check_query(table: ValueMassTable, alpha: float) -> None:
+def exact_units(x: float) -> int:
+    """x as an integer in units of 2^-1074, the last bit of the least float,
+    so that a sum of these is the exact sum of the floats."""
+    num, den = float(x).as_integer_ratio()  # den is a power of 2, at most 2^1074
+    return num << (1075 - den.bit_length())
+
+
+def weighted_quantiles(values, masses, eligible, alpha: float) -> tuple[float, float]:
+    """(sup, inf) of the rows, every mass summed exactly: the greatest
+    eligible v with mass of {value < v} <= alpha, else the least eligible
+    value, and the least eligible v with mass of {value <= v} >= alpha, else
+    the greatest eligible value."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not table.eligible.any():
+    if not np.any(eligible):
         raise ValueError("table has no eligible point")
+    values = np.asarray(values, dtype=float) + 0.0  # -0.0 ties +0.0
+    v, group = np.unique(values, return_inverse=True)
+    mass = [0] * len(v)
+    for g, m in zip(group.tolist(), np.asarray(masses, dtype=float).tolist()):
+        mass[g] += exact_units(m)
+    e = np.bincount(group, weights=np.asarray(eligible, dtype=bool), minlength=len(v)) > 0
+    head = list(itertools.accumulate(mass, initial=0))  # head[i]: the mass below v[i]
+    a = exact_units(alpha)
+    sup = e & np.array([h <= a for h in head[:-1]])
+    inf = e & np.array([h >= a for h in head[1:]])
+    return (float(v[sup.nonzero()[0][-1]] if sup.any() else v[e.argmax()]),
+            float(v[inf.argmax()] if inf.any() else v[e.nonzero()[0][-1]]))
 
 
-def weighted_quantile_sup(table: ValueMassTable, alpha: float) -> float:
-    """sup{ v eligible : mass of {value >= v} >= 1 - alpha }.
-
-    The mass sum runs over all points; only eligible values may be returned.
-    If no eligible value qualifies, returns the minimum eligible value.
-    """
-    _check_query(table, alpha)
-    v, m, e = table.values, table.masses, table.eligible
-    ok = m[::-1].cumsum()[::-1] >= 1.0 - alpha  # the mass of values >= v[i]
-    ok &= e
-    last = len(ok) - 1 - ok[::-1].argmax()  # the last ok row, if there is one
-    return float(v[last] if ok[last] else v[e.argmax()])
+def weighted_quantile_sup(values, masses, eligible, alpha: float) -> float:
+    """The sup form of `weighted_quantiles`."""
+    return weighted_quantiles(values, masses, eligible, alpha)[0]
 
 
-def weighted_quantile_inf(table: ValueMassTable, alpha: float) -> float:
-    """inf{ v eligible : mass of {value <= v} >= alpha }."""
-    _check_query(table, alpha)
-    v, m, e = table.values, table.masses, table.eligible
-    ok = m.cumsum() >= alpha
-    ok &= e
-    first = ok.argmax()  # the first ok row, if there is one
-    return float(v[first] if ok[first] else v[len(e) - 1 - e[::-1].argmax()])
+def weighted_quantile_inf(values, masses, eligible, alpha: float) -> float:
+    """The inf form of `weighted_quantiles`."""
+    return weighted_quantiles(values, masses, eligible, alpha)[1]
 
 
 def full_grid_estimate(f, measure, alpha: float, level: int) -> float:
@@ -174,8 +183,7 @@ def full_grid_estimate(f, measure, alpha: float, level: int) -> float:
     pts = np.array([center_point(level, c) for c in cells])
     values = np.asarray(f(pts), dtype=float)
     masses = measure.cell_probabilities(level, cells)
-    table = ValueMassTable(values, masses, np.ones(len(cells), dtype=bool))
-    return weighted_quantile_sup(table, alpha)
+    return weighted_quantile_sup(values, masses, np.ones(len(cells), dtype=bool), alpha)
 
 
 def frontier_sets(f, lipschitz: float, measure, alpha: float, budget: int,

@@ -1,6 +1,8 @@
 """Closed-form theoretical bounds and budget/level laws."""
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,3 +149,46 @@ class TestBracketHalfwidth:
             assert bracket_halfwidth(1.5, k + 1, 2) == pytest.approx(
                 bracket_halfwidth(1.5, k, 2) / 3, rel=1e-12
             )
+
+
+EXTREMES = [5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, sys.float_info.max]
+# the refusals each bound names; every other input gives a number
+REFUSALS = ("budget must be a whole number >= 2", "unknown-constant bound needs lipschitz >= 1",
+            "budget must exceed")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 700])
+def test_extreme_constants_give_a_number_or_a_named_refusal(dim):
+    # 3^(1 + 1/(4ML)) and 3^(k(d-1)) raised an OverflowError, 1/(4ML) a
+    # ZeroDivisionError, and int(inf) an OverflowError, for constants that
+    # ProblemConstants accepts; a result past the float range is inf
+    for L, M in itertools.product(EXTREMES, EXTREMES):
+        c = ProblemConstants(dim, L, M, 0.5)
+        for n in (1, 2, 3, 10, 10 ** 4, 10 ** 18, 2 ** 63 - 1):
+            for bound in (known_bound, unknown_bound, calls_upper, level_lower):
+                try:
+                    out = bound(c, n)
+                except ValueError as exc:
+                    assert str(exc).startswith(REFUSALS), (bound.__name__, L, M, n)
+                    continue
+                assert not math.isnan(out), (bound.__name__, L, M, n)
+                if bound is level_lower:
+                    assert isinstance(out, int) or out == math.inf
+                else:
+                    assert out >= (1.0 if bound is calls_upper else 0.0)
+
+
+@pytest.mark.parametrize("bound, c, n, want", [
+    (calls_upper, ProblemConstants(2, 1.0, 1.0, 0.5), 10 ** 4, math.inf),
+    (known_bound, ProblemConstants(1, 1e-300, 1e-300, 0.5), 10, 0.0),
+    (level_lower, ProblemConstants(1, 1e-300, 1e-300, 0.5), 10, math.inf),
+    (known_bound, ProblemConstants(1, 1.0, 1e-4, 0.5), 10, 0.0),
+], ids=["calls_upper-d2", "known-d1-tiny", "level_lower-d1-tiny", "known-d1-tiny-M"])
+def test_a_bound_past_the_float_range(bound, c, n, want):
+    assert bound(c, n) == want
+
+
+def test_level_lower_with_huge_constants_is_a_negative_level():
+    # log(3^d * M * L * sqrt(d)) was log(inf), and the floor of -inf raised
+    assert level_lower(ProblemConstants(2, 1e300, 1e300, 0.5), 10) == math.floor(
+        (math.log(9) - math.log(9) - 600 * math.log(10) - 0.5 * math.log(2)) / math.log(3))

@@ -308,6 +308,14 @@ class TestMain:
         assert bounds[0] == ""
         assert float(bounds[1]) == pytest.approx(4.3630451218847695, rel=1e-12)
 
+    def test_a_tiny_level_set_constant_gives_a_bound_of_zero(self, capsys):
+        # 3^(1 + 1/(4ML)) overflowed at M = 1e-4, and the run exited 1 with an
+        # OverflowError traceback; the bound itself is below the float range
+        assert main(["run", "--problem", "linear_d1", "--level-set", "1e-4",
+                     "--budgets", "10,20,40"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [dict(zip(header.split(","), r.split(",")))["bound"] for r in rows] == ["0.0"] * 3
+
     def test_alpha_keeps_the_analytic_quantile(self, tmp_path, capsys):
         # --alpha used to swap linear_d1's exact q = alpha for the grid
         # oracle, 0.2999995, which was also the reference of abs_error

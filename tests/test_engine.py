@@ -19,7 +19,6 @@ from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import run_unknown
-from lipquant.wquantile import ValueMassTable
 
 from conftest import random_lipschitz_problem
 from oracles import (
@@ -91,12 +90,12 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
             cache.update(zip(missing, f(np.array([center_point(*key) for key in missing]))))
         values = np.array([cache[key] for key in keys])
         masses = measure.cell_probabilities(k, cells)
-        table = ValueMassTable(
+        estimate = weighted_quantile_sup(
             np.concatenate([values, [v for v, _, _ in frozen]]),
             np.concatenate([masses, [m for _, m, _ in frozen]]),
             [True] * len(cells) + [e for _, _, e in frozen],
+            alpha,
         )
-        estimate = weighted_quantile_sup(table, alpha)
         levels.append((estimate, float(np.sum(masses)), frozen_mass))
         frontiers.append(cells)
         frozen_points.append(list(frozen))
@@ -204,8 +203,9 @@ def test_settled_cells_change_no_estimate(dim, budget):
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     # the digits are derived from the parents' at every level, the root's
-    # included; the frozen table holds the oracle's points, eligible where a
-    # retired band holds them, also through the center child of a kept cell
+    # included; the frozen rows are the oracle's points in its order,
+    # eligible where a retired band holds them, also through the center
+    # child of a kept cell
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     m = measure_for(dim)
     max_level = 12 // dim
@@ -215,12 +215,10 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     settled = 0  # levels with eligible frozen points
     for cells, points in zip(frontiers, frozen_points):
         assert list(map(tuple, fr.digits().tolist())) == cells
-        if points:
-            want = ValueMassTable(*zip(*points))
-            for got, ref in ((fr.frozen.values, want.values), (fr.frozen.masses, want.masses),
-                             (fr.frozen.eligible, want.eligible)):
-                assert np.array_equal(got, ref)
-            settled += bool(want.eligible.any())
+        for got, ref, dtype in zip(fr.frozen, list(zip(*points)) or [()] * 3, (float, float, bool)):
+            ref = np.array(ref, dtype=dtype)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        settled += bool(fr.frozen[2].any())
         if fr.level == len(frontiers) - 1:
             break
         assert fr.step()
@@ -242,21 +240,21 @@ def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch
     assert run.history == full.history
 
 
-def test_windows_read_the_unmerged_frozen_rows(windowed_answers, monkeypatch):
-    # levels 8 to 10 of this run are read from windows, beside 1,791 to
-    # 14,121 frozen rows whose joins are not merged yet, 198 to 7,843 of
-    # them eligible
+def test_windows_read_the_frozen_rows_in_place(windowed_answers, monkeypatch):
+    # levels 8 to 10 of this run are read from windows, beside 6,247 to
+    # 18,577 frozen rows, 3,111 to 10,756 of them eligible, in the order
+    # they left the frontier
     p, eligible = lq.paper_f_d2(), []
     counted = wquantile._windowed
 
     def spy(frozen, *args):
-        eligible.append(sum(int(e.sum()) for *_, e in frozen.joins))
+        eligible.append(int(frozen[2].sum()))
         return counted(frozen, *args)
 
     monkeypatch.setattr(wquantile, "_windowed", spy)
     run = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
     assert windowed_answers == [True] * 3
-    assert eligible == [198, 7257, 7843]
+    assert eligible == [3111, 10170, 10756]
     # the full table of every level gives the same run, bit for bit
     monkeypatch.setattr(wquantile, "_windowed", lambda *args: None)
     full = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
@@ -266,19 +264,45 @@ def test_windows_read_the_unmerged_frozen_rows(windowed_answers, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha, rows", [(0.99, 105_948), (0.999, 100_512)])
-def test_tie_free_levels_read_whole_beside_a_large_frozen_table(alpha, rows, windowed_answers):
+def test_tie_free_levels_are_read_from_windows(alpha, rows, windowed_answers, monkeypatch):
     # f = x1 + phi*x2 ties no two centers; its quantile is exact for
-    # alpha >= 1 - 1/(2*phi).  The window declines the last level, whose rows
-    # are read whole, joined to a third as many frozen groups
+    # alpha >= 1 - 1/(2*phi).  Every window answers, the last one beside a
+    # third as many frozen rows, though a cell's mass there is below the
+    # sums' error bound: the heads within it are summed exactly
     phi = (1 + math.sqrt(5)) / 2
     q = 1 + phi - math.sqrt(2 * phi * (1 - alpha))
-    run = run_known(lambda x: x[:, 0] + phi * x[:, 1], math.sqrt(1 + phi ** 2),
-                    lq.uniform_cube(2), alpha, 3 * 10 ** 5)
-    assert run.history[-1].active_cells == rows
-    assert windowed_answers == [True, True, False]
-    for r in run.history:
-        b = run.bracket_for_budget(r.evaluations)
+
+    def run():
+        return run_known(lambda x: x[:, 0] + phi * x[:, 1], math.sqrt(1 + phi ** 2),
+                         lq.uniform_cube(2), alpha, 3 * 10 ** 5)
+
+    windowed = run()
+    assert windowed.history[-1].active_cells == rows
+    assert windowed_answers == [True, True, True]
+    for r in windowed.history:
+        b = windowed.bracket_for_budget(r.evaluations)
         assert b.level == r.level and b.lower <= q <= b.upper
+    monkeypatch.setattr(wquantile, "_windowed", lambda *args: None)
+    assert run().history == windowed.history
+
+
+def test_every_level_of_a_deep_d1_run_is_the_exact_quantile():
+    # f = x at alpha 0.3 reaches level 32, where a float cumulative sum of
+    # the table crossed alpha at 0x1.333333333333fp-2, the table's next value
+    # past the crossing of the exact sums
+    p, m = lq.linear_d1(0.3), lq.uniform_cube(1)
+    run = run_known(p.f, 1.0, m, 0.3, 10 ** 4)
+    fr, want = Frontier(p.f, m, 0.3, [1.0], [10 ** 4]), []
+    while True:
+        fv, fm, fe = fr.frozen
+        want.append(weighted_quantile_sup(np.concatenate((fr.values, fv)),
+                                          np.concatenate((fr.masses, fm)),
+                                          np.concatenate((np.ones(len(fr.values), bool), fe)), 0.3))
+        if fr.level >= K_MAX or not fr.step():
+            break
+    assert run.level == K_MAX == len(want) - 1
+    assert [r.estimate.hex() for r in run.history] == [x.hex() for x in want]
+    assert run.estimate.hex() == "0x1.3333333333335p-2"
 
 
 def test_empty_frontier_goes_on_without_f():

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lipquant import wquantile
-from lipquant.wquantile import (WINDOW_FLOOR, DeferredTable, ValueMassTable, joined,
-                                level_quantiles)
+from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, level_quantiles
 
-from oracles import weighted_quantile_inf, weighted_quantile_sup
+from oracles import weighted_quantile_inf, weighted_quantile_sup, weighted_quantiles
+
+NO_ROWS = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
 
 def stable_reference(values, masses, eligible):
@@ -39,41 +40,44 @@ def assert_stable(t, values, masses, eligible):
     assert np.array_equal(np.signbit(t.values), np.signbit(want[0]))
 
 
-def join(rows, values, masses, eligible, frozen):
-    """The table of the `rows` (a mask or a slice) joined to `frozen`,
-    checked bit for bit against the stable-sort reference of the rows
-    followed by the frozen groups."""
-    t = ValueMassTable(*joined(rows, values, masses, eligible, frozen))
-    parts = [np.asarray(c)[rows] for c in (values, masses, eligible)]
-    if frozen is not None:
-        parts = [np.concatenate(p) for p in
-                 zip(parts, (frozen.values, frozen.masses, frozen.eligible))]
-    assert_stable(t, *parts)
-    return t
+def chunk(points):
+    """The (values, masses, eligible) columns of (value, mass, eligible) triples."""
+    if not points:
+        return NO_ROWS
+    return tuple(np.array(c, dtype=t) for c, t in zip(zip(*points), (float, float, bool)))
 
 
 def table(points):
     """The table of (value, mass, eligible) triples."""
-    values, masses, eligible = zip(*points)
-    return ValueMassTable(values, masses, eligible)
+    return ValueMassTable(*chunk(points))
+
+
+def exact_pair(frozen, values, masses, alpha):
+    """The oracles' (sup, inf) over the level's rows, all eligible, and the
+    frozen rows, every mass summed exactly."""
+    rows = (np.concatenate((values, frozen[0])), np.concatenate((masses, frozen[1])),
+            np.concatenate((np.ones(len(values), dtype=bool), frozen[2])))
+    return weighted_quantiles(*rows, alpha)
+
+
+def hexes(pair):
+    return [x.hex() for x in pair]
 
 
 def quantiles(points, alpha):
-    """The (sup, inf) pair of the oracles on the table of `points`, which
+    """The (sup, inf) pair of the oracles on `points`, which
     `level_quantiles` must give too, with the ineligible points as the
-    frozen table and the eligible ones as the level's rows."""
-    t = table(points)
-    want = weighted_quantile_sup(t, alpha), weighted_quantile_inf(t, alpha)
-    frozen = [p for p in points if not p[2]]
-    level = np.array([p[:2] for p in points if p[2]]).reshape(-1, 2)
-    got = level_quantiles(table(frozen) if frozen else None, level[:, 0], level[:, 1], alpha)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    frozen rows and the eligible ones as the level's rows."""
+    level = chunk([p for p in points if p[2]])
+    want = exact_pair(chunk([p for p in points if not p[2]]), *level[:2], alpha)
+    got = level_quantiles(chunk([p for p in points if not p[2]]), *level[:2], alpha)
+    assert hexes(got) == hexes(want)
     return want
 
 
 class TestSup:
     def test_two_point_tie_at_alpha(self):
-        # both candidates qualify (tail masses 0.5 and 1.0 >= 0.5); sup is 1
+        # both candidates qualify (head masses 0 and 0.5 <= 0.5); sup is 1
         assert quantiles([(0.0, 0.5, True), (1.0, 0.5, True)], 0.5)[0] == 1.0
 
     def test_single_point(self):
@@ -84,30 +88,28 @@ class TestSup:
         assert quantiles([(0.0, 0.9, True), (1.0, 0.1, True)], 0.999)[0] == 1.0
 
     def test_sup_empty_convention(self):
-        # no eligible value has enough tail mass: fall back to min eligible
+        # every eligible value has too much mass below: fall back to min eligible
         assert quantiles([(5.0, 0.001, True), (0.0, 0.999, False)], 0.5)[0] == 5.0
 
     def test_frozen_mass_counts_in_sums(self):
         # the frozen point cannot be returned but its mass moves the answer
         points = [(0.0, 0.3, True), (0.5, 0.5, False), (1.0, 0.2, True)]
-        # tail(1.0)=0.2 < 0.25, tail(0.0)=1.0 >= 0.25 -> sup of qualifiers is 0
+        # head(1.0)=0.8 > 0.75, head(0.0)=0 <= 0.75 -> sup of qualifiers is 0
         assert quantiles(points, 0.75)[0] == 0.0
 
     def test_invalid_alpha(self):
         # the oracle's refusal; the engine refuses such an alpha in `Frontier`
         # before `level_quantiles` reads a level
-        t = table([(0.0, 1.0, True)])
-        with pytest.raises(ValueError):
-            weighted_quantile_sup(t, 0.0)
-        with pytest.raises(ValueError):
-            weighted_quantile_sup(t, 1.0)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                weighted_quantile_sup([0.0], [1.0], [True], alpha)
 
     def test_no_eligible_point(self):
-        t = table([(0.0, 1.0, False)])
+        frozen = chunk([(0.0, 1.0, False)])
         with pytest.raises(ValueError):
-            weighted_quantile_sup(t, 0.5)
+            weighted_quantile_sup(*frozen, 0.5)
         with pytest.raises(ValueError, match="table has no eligible point"):
-            level_quantiles(t, np.empty(0), np.empty(0), 0.5)
+            level_quantiles(frozen, np.empty(0), np.empty(0), 0.5)
 
 
 class TestInf:
@@ -139,9 +141,9 @@ class TestAgreement:
             v = rng.normal(size=n)
             m = rng.random(n)
             m /= m.sum()
-            t = ValueMassTable(v, m, np.ones(n, dtype=bool))
             alpha = float(rng.uniform(0.01, 0.99))
-            assert weighted_quantile_sup(t, alpha) == weighted_quantile_inf(t, alpha)
+            e = np.ones(n, dtype=bool)
+            assert weighted_quantile_sup(v, m, e, alpha) == weighted_quantile_inf(v, m, e, alpha)
 
     @given(
         st.lists(
@@ -157,9 +159,8 @@ class TestAgreement:
     def test_sup_result_is_a_table_value(self, pairs, alpha):
         v = np.array([p[0] for p in pairs])
         m = np.array([p[1] for p in pairs])
-        t = ValueMassTable(v, m / m.sum(), np.ones(len(pairs), dtype=bool))
-        q = weighted_quantile_sup(t, alpha)
-        assert q in t.values
+        q = weighted_quantile_sup(v, m / m.sum(), np.ones(len(pairs), dtype=bool), alpha)
+        assert q in v
 
 
 class TestTableMechanics:
@@ -242,77 +243,6 @@ class TestAgainstStableSort:
             ValueMassTable([0.0, 1.0], masses, eligible)
 
 
-class TestMerge:
-    """Joining each part's rows to the table of the parts before it equals
-    building the table at once; each join is its rows, then the table's
-    groups, summed in that order."""
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 6),  # few distinct values: heavy ties
-                st.floats(0.01, 1.0, allow_nan=False),
-                st.booleans(),
-                st.integers(0, 3),  # the part holding the point
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        st.floats(0.01, 0.99),
-    )
-    def test_merged_parts_equal_whole_table(self, points, alpha):
-        v = np.array([p[0] / 7 for p in points])
-        m = np.array([p[1] for p in points])
-        m /= m.sum()
-        e = np.array([p[2] for p in points])
-        part = np.array([p[3] for p in points])
-        whole = ValueMassTable(v, m, e)
-        merged = None
-        for i in np.unique(part):
-            merged = join(part == i, v, m, e, merged)
-        np.testing.assert_array_equal(merged.values, whole.values)
-        np.testing.assert_array_equal(merged.eligible, whole.eligible)
-        np.testing.assert_allclose(merged.masses, whole.masses, rtol=1e-13, atol=0)
-        if not whole.eligible.any():
-            return
-        # away from the cumulative masses, rounding cannot move a quantile
-        cum = np.concatenate([np.cumsum(whole.masses), 1.0 - np.cumsum(whole.masses[::-1])])
-        assume(np.all(np.abs(cum - alpha) > 1e-12))
-        assert weighted_quantile_sup(merged, alpha) == weighted_quantile_sup(whole, alpha)
-        assert weighted_quantile_inf(merged, alpha) == weighted_quantile_inf(whole, alpha)
-
-    def test_a_tied_zero_keeps_the_first_tables_sign(self):
-        # a -0.0 row in the first table: the joined table, as the table of all
-        # rows, stores +0.0
-        first = ValueMassTable([-0.0, 1.0], [0.25, 0.25], [True, True])
-        merged = join(slice(None), np.array([0.0, 2.0]), np.array([0.25, 0.25]),
-                      np.array([True, True]), first)
-        whole = ValueMassTable([-0.0, 1.0, 0.0, 2.0], [0.25] * 4, [True] * 4)
-        assert np.signbit(whole.values).tolist() == [False, False, False]
-        assert np.signbit(merged.values).tolist() == [False, False, False]
-
-    def test_disjoint_and_tied_rows(self):
-        a = table([(0.0, 0.1, False), (2.0, 0.2, False)])
-        t = join(slice(None), np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.4, 0.0]),
-                 np.ones(3, dtype=bool), a)
-        assert t.values.tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert t.masses.tolist() == [0.1, 0.3, 0.2 + 0.4, 0.0]
-        assert t.eligible.tolist() == [False, True, True, True]
-
-    def test_a_ties_rows_are_summed_before_its_frozen_group(self):
-        # (2^-53 + 2^-53) + 1 is 1 + 2^-52; with the frozen group first, each
-        # 1 + 2^-53 rounds to 1
-        frozen = ValueMassTable([0.5], [1.0], [False])
-        for eligible in (None, np.ones(2, dtype=bool)):
-            t = ValueMassTable(*joined(slice(None), np.full(2, 0.5), np.full(2, 2.0 ** -53),
-                                       eligible, frozen))
-            assert [m.hex() for m in t.masses] == ["0x1.0000000000001p+0"]
-
-
-def full_table_quantiles(frozen, values, masses, alpha):
-    """(sup, inf) over the table of every row joined to `frozen`."""
-    table = ValueMassTable(*joined(slice(None), values, masses, None, frozen))
-    return weighted_quantile_sup(table, alpha), weighted_quantile_inf(table, alpha)
 
 
 def level(rng, n, distinct, total=0.9):
@@ -332,191 +262,172 @@ def level(rng, n, distinct, total=0.9):
     return values, masses
 
 
-def frozen_table(rng, values, n_frozen, eligible=0.3):
-    """`n_frozen` groups inside and outside the range of `values`, a third
-    as many tied with them, of mass 0.2 in all, each eligible with
-    probability `eligible`; None for none."""
-    if not n_frozen:
-        return None
+def frozen_rows(rng, values, n_frozen, eligible=0.3):
+    """`n_frozen` rows inside and outside the range of `values`, a third as
+    many tied with them, of mass 0.2 in all, each eligible with probability
+    `eligible`."""
     fv = np.concatenate([rng.normal(0.0, 2.0, n_frozen), rng.choice(values, n_frozen // 3)])
-    return ValueMassTable(fv, rng.random(len(fv)) * 0.2 / len(fv), rng.random(len(fv)) < eligible)
+    return fv, rng.random(len(fv)) * 0.2 / max(len(fv), 1), rng.random(len(fv)) < eligible
 
 
 class TestLevelQuantiles:
-    """`level_quantiles` is the oracles' pair, bit for bit, on every input."""
+    """`level_quantiles` is the exact oracles' pair, bit for bit, on every input."""
 
     @given(
         st.integers(0, 2 ** 32 - 1),
         st.one_of(st.integers(1, 50), st.integers(WINDOW_FLOOR, 2 * WINDOW_FLOOR)),
         st.sampled_from([1, 2, 5, 24, 300, None]),  # 1 and 2: heavy ties, with the zeros
-        st.integers(0, 300),  # frozen groups
-        st.sampled_from([0.0, 0.3, 1.0]),  # the chance that a frozen group is eligible
+        st.integers(0, 300),  # frozen rows
+        st.sampled_from([0.0, 0.3, 1.0]),  # the chance that a frozen row is eligible
         st.sampled_from([0.2, 0.9]),  # the level's mass: totals below alpha or 1 - alpha
         st.floats(0.001, 0.999),
     )
     def test_equals_the_oracles(self, seed, n, distinct, n_frozen, eligible, total, alpha):
         rng = np.random.default_rng(seed)
         values, masses = level(rng, n, distinct, total)
-        frozen = frozen_table(rng, values, n_frozen, eligible)
+        frozen = frozen_rows(rng, values, n_frozen, eligible)
         got = level_quantiles(frozen, values, masses, alpha)
-        want = full_table_quantiles(frozen, values, masses, alpha)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
+
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.one_of(st.integers(1, 60), st.integers(WINDOW_FLOOR, WINDOW_FLOOR + 500)),
+        st.integers(0, 200),  # frozen rows
+        st.integers(-3, 3),  # alpha's ulps from a head
+    )
+    def test_no_row_order_moves_a_crossing(self, seed, n, n_frozen, nudge):
+        # heavy ties with both zeros, masses scaled to a total that is off 1
+        # by a few ulps, and alpha within ulps of the float sum of the masses
+        # below a value
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-1.5, -0.0, 0.0, 1 / 7, 2 / 7, 1 / 3, 2.0], n + n_frozen)
+        masses = rng.random(n + n_frozen) ** 4
+        masses[rng.random(n + n_frozen) < 0.05] = 0.0
+        masses[0] += not masses.any()
+        masses /= masses.sum()
+        order = np.argsort(values, kind="stable")
+        ends = np.append(values[order][1:] != values[order][:-1], True)  # each value's last row
+        alpha = float(np.cumsum(masses[order])[ends][rng.integers(ends.sum())])
+        for _ in range(abs(nudge)):
+            alpha = float(np.nextafter(alpha, np.sign(nudge)))
+        if not 0.0 < alpha < 1.0:
+            return
+        frozen = values[n:], masses[n:], rng.random(n_frozen) < 0.5
+        got = level_quantiles(frozen, values[:n], masses[:n], alpha)
+        assert hexes(got) == hexes(exact_pair(frozen, values[:n], masses[:n], alpha))
+        # any order of the level's rows, and of the frozen rows, as any split
+        # of them into chunks joined in any order would give
+        rows, frows = rng.permutation(n), rng.permutation(n_frozen)
+        frozen = tuple(c[frows] for c in frozen)
+        assert hexes(level_quantiles(frozen, values[:n][rows], masses[:n][rows], alpha)) == \
+            hexes(got)
 
     def test_no_eligible_point_at_or_past_a_crossing(self, windowed_answers):
-        # ineligible frozen mass 0.9 below the level holds the sup crossing of
-        # alpha = 0.05, so the sup is the least eligible value; alone, the
-        # level's mass 0.1 reaches neither crossing of alpha = 0.5, so the sup
-        # is the least eligible value and the inf the greatest
+        # ineligible frozen mass 0.9 below the level holds both crossings of
+        # alpha = 0.05, so both forms are the least eligible value; alone, the
+        # level's mass 0.1 keeps every head below alpha = 0.5, so both forms
+        # are the greatest, at the last group, whose mass ends the table
         values, masses = level(np.random.default_rng(0), 2 * WINDOW_FLOOR, None, 0.1)
-        below = ValueMassTable(np.linspace(-9.0, -8.0, 100), np.full(100, 0.009),
-                               np.zeros(100, dtype=bool))
+        below = np.linspace(-9.0, -8.0, 100), np.full(100, 0.009), np.zeros(100, dtype=bool)
         for frozen, alpha, want in ((below, 0.05, (values.min(), values.min())),
-                                    (None, 0.5, (values.min(), values.max()))):
+                                    (NO_ROWS, 0.5, (values.max(), values.max()))):
             got = level_quantiles(frozen, values, masses, alpha)
-            assert got == full_table_quantiles(frozen, values, masses, alpha) == want
+            assert got == exact_pair(frozen, values, masses, alpha) == want
         assert windowed_answers == [False, False]
 
 
 class TestWindowed:
-    """The window read `_windowed` is None or the full table's pair, bit for bit."""
+    """The window read `_windowed` is None or the exact pair, bit for bit."""
 
     @given(
         st.integers(0, 2 ** 32 - 1),
         st.integers(WINDOW_FLOOR, 3 * WINDOW_FLOOR),
         st.sampled_from([2, 5, 24, 300, None]),
-        st.integers(0, 300),  # frozen groups
+        st.integers(0, 300),  # frozen rows
         st.floats(0.001, 0.999),
     )
-    def test_none_or_the_full_tables_pair(self, seed, n, distinct, n_frozen, alpha):
+    def test_none_or_the_exact_pair(self, seed, n, distinct, n_frozen, alpha):
         rng = np.random.default_rng(seed)
         values, masses = level(rng, n, distinct)
-        frozen = frozen_table(rng, values, n_frozen)
+        frozen = frozen_rows(rng, values, n_frozen)
         got = wquantile._windowed(frozen, values, masses, alpha)
         if got is not None:
-            want = full_table_quantiles(frozen, values, masses, alpha)
-            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
 
     @pytest.mark.parametrize("distinct", [24, None])
     def test_a_large_level_is_answered(self, distinct, windowed_answers):
         rng = np.random.default_rng(3)
         values, masses = level(rng, 100_000, distinct)
-        # frozen groups inside the level's range, so that it holds both crossings
-        frozen = ValueMassTable(rng.uniform(-1.0, 1.0, 50), np.full(50, 0.002),
-                                rng.random(50) < 0.5)
+        # frozen rows inside the level's range, so that it holds both crossings
+        frozen = rng.uniform(-1.0, 1.0, 50), np.full(50, 0.002), rng.random(50) < 0.5
         for alpha in (0.01, 0.3, 0.999):
             got = level_quantiles(frozen, values, masses, alpha)
-            assert got == full_table_quantiles(frozen, values, masses, alpha)
+            assert got == exact_pair(frozen, values, masses, alpha)
         assert windowed_answers == [True] * 3
 
-    # masses of 2^-12 and a frozen group on either side: every sum is exact,
-    # and one tail or head is 1/2, within the error bound of the sum that
-    # alpha = 1/2 -/+ 1e-13 compares with it
-    @pytest.mark.parametrize("above, below, alpha", [
-        (1 / 8, 2 ** -13, 0.5 + 1e-13),  # the tail of the sup crossing
-        (1 / 8, 2 ** -13, 0.5 - 1e-13),  # the tail of the group past it
-        (2 ** -13, 1 / 8, 0.5 - 1e-13),  # the head of the inf crossing
-        (2 ** -13, 1 / 8, 0.5 + 1e-13),  # the head of the group before it
-    ])
-    def test_a_sum_within_the_error_bound_is_not_certified(self, above, below, alpha):
+    @pytest.mark.parametrize("distinct", [24, None])
+    def test_a_window_reads_a_large_frozen_chunk_in_place(self, distinct, windowed_answers):
+        rng = np.random.default_rng(4)
+        values, masses = level(rng, 100_000, distinct, 0.3)
+        # frozen rows over the level's values (tied with them for 24), and
+        # some mostly outside them; half of them eligible
+        parts = [level(rng, 20_000, spread, total)
+                 for spread, total in ((distinct, 0.25), (distinct, 0.25), (300, 0.2))]
+        frozen = (*map(np.concatenate, zip(*parts)), rng.random(60_000) < 0.5)
+        alphas = np.linspace(0.2, 0.8, 7)  # past the frozen mass outside the level's range
+        for alpha in alphas:
+            got = level_quantiles(frozen, values, masses, alpha)
+            assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
+        assert windowed_answers == [True] * len(alphas)
+
+    # masses of 2^-12 and a frozen row on either side: a head meets 1/2 or
+    # 1/2 + 2^-13 exactly, and alpha 1e-13 away from it on either side is
+    # within the sums' error bound, so the heads near it are summed exactly
+    @pytest.mark.parametrize("below, above, head", [(1 / 8, 2 ** -13, 0.5),
+                                                    (2 ** -13, 1 / 8, 0.5 + 2 ** -13)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_sum_within_the_error_bound_is_summed_exactly(self, below, above, head, side,
+                                                            monkeypatch):
         values, masses = np.arange(4096.0), np.full(4096, 2.0 ** -12)
-        frozen = ValueMassTable([-1.0, 5000.0], [below, above], [False, False])
-        assert wquantile._windowed(frozen, values, masses, alpha) is None
-        assert level_quantiles(frozen, values, masses, alpha) == \
-            full_table_quantiles(frozen, values, masses, alpha)
-        # with the sums clear of the bound, the pair is certified
+        frozen = np.array([-1.0, 5000.0]), np.array([below, above]), np.zeros(2, dtype=bool)
+        settled, settle = [], wquantile._settle
+        monkeypatch.setattr(wquantile, "_settle", lambda *a: settled.append(1) or settle(*a))
+        alpha = head + side * 1e-13
+        got = wquantile._windowed(frozen, values, masses, alpha)
+        assert got == exact_pair(frozen, values, masses, alpha) and got[0] == got[1]
+        assert settled == [1]
+        # at alpha on the head, the forms differ: a flat CDF
+        got = wquantile._windowed(frozen, values, masses, head)
+        assert got == exact_pair(frozen, values, masses, head)
+        assert got[1] == got[0] - 1.0 and settled == [1, 1]
+        # with the sums clear of the bound, the filter alone decides
         for alpha in (0.5 - 2 ** -14, 0.5 + 2 ** -14):
-            got = wquantile._windowed(frozen, values, masses, alpha)
-            assert got == full_table_quantiles(frozen, values, masses, alpha)
+            assert wquantile._windowed(frozen, values, masses, alpha) == \
+                exact_pair(frozen, values, masses, alpha)
+        assert settled == [1, 1]
+
+    def test_a_crossing_at_the_windows_end(self, windowed_answers):
+        # masses of 2^-13 between ineligible frozen masses 1/4 on either side:
+        # the window of the last two bins ends at the head 3/4, within the
+        # sums' error bound of these alphas and summed exactly.  Below it the
+        # crossing is the window's last value; at or past it, the crossing is
+        # the frozen value above the window, which declines
+        values, masses = np.arange(4096.0), np.full(4096, 2.0 ** -13)
+        frozen = np.array([-1.0, 5000.0]), np.array([0.25, 0.25]), np.zeros(2, dtype=bool)
+        for alpha in (0.75 - 1e-13, 0.75, 0.75 + 1e-13):
+            got = level_quantiles(frozen, values, masses, alpha)
+            assert got == exact_pair(frozen, values, masses, alpha) == (4095.0, 4095.0)
+        assert windowed_answers == [True, False, False]
 
     def test_none_below_the_floor_and_on_a_range_it_cannot_bin(self, windowed_answers):
         values, masses = np.arange(4095.0), np.full(4095, 1 / 4095)
-        assert level_quantiles(None, values, masses, 0.5) == \
-            full_table_quantiles(None, values, masses, 0.5)
+        assert level_quantiles(NO_ROWS, values, masses, 0.5) == \
+            exact_pair(NO_ROWS, values, masses, 0.5)
         assert windowed_answers == []  # below the floor, no window is tried
         masses = np.full(5000, 2e-4)
         # one value, and a width past the float range or below it; none may warn
         for values in (np.ones(5000), np.repeat([-1e308, 1e308], 2500),
                        np.repeat([0.0, 5e-324], 2500)):
-            assert level_quantiles(None, values, masses, 0.5) == \
-                full_table_quantiles(None, values, masses, 0.5)
+            assert level_quantiles(NO_ROWS, values, masses, 0.5) == \
+                exact_pair(NO_ROWS, values, masses, 0.5)
         assert windowed_answers == [False] * 3
-
-
-def bits(column):
-    """A column's bytes: equal columns of floats are equal bit for bit."""
-    return column.dtype, column.tobytes()
-
-
-class TestDeferred:
-    """A chain of joins kept unmerged reads as the tables built one join at a
-    time, and a window reads their rows in place."""
-
-    @given(
-        st.lists(  # the joins, oldest first
-            st.lists(
-                st.tuples(
-                    # ties within a join, across joins and with the level's
-                    # k/7, both zeros, and values outside the level's range
-                    st.sampled_from([-3.0, -1.5, -0.0, 0.0, 1 / 7, 2 / 7, 1 / 3, 2.0, 7.0]),
-                    st.floats(0.0, 1.0, allow_nan=False),
-                    st.booleans(),
-                ),
-                min_size=1,
-                max_size=30,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        st.integers(0, 5),  # the joins merged before the rest join
-        st.integers(0, 2 ** 32 - 1),
-        st.one_of(st.integers(1, 50), st.integers(WINDOW_FLOOR, 2 * WINDOW_FLOOR)),
-        st.floats(0.001, 0.999),
-    )
-    def test_equals_the_eager_chain(self, joins, merged, seed, n, alpha):
-        total = sum(m for rows in joins for _, m, _ in rows) or 1.0
-        joins = [tuple(np.array(c, dtype=t) for c, t in zip(zip(*rows), (float, float, bool)))
-                 for rows in joins]
-        joins = [(v, m * (0.1 / total), e) for v, m, e in joins]  # 0.1 in all
-        eager = None
-        for v, m, e in joins:
-            eager = ValueMassTable(*joined(slice(None), v, m, e, eager))
-
-        def deferred():
-            t = None
-            for i, (v, m, e) in enumerate(joins):
-                t = DeferredTable(t, v, m, e)
-                if i + 1 == merged:
-                    t.merged()  # the later joins meet merged groups
-            return t
-
-        t = deferred()
-        for got, want in zip((t.values, t.masses, t.eligible),
-                             (eager.values, eager.masses, eager.eligible)):
-            assert bits(got) == bits(want)
-        values, masses = level(np.random.default_rng(seed), n, 24)
-        want = full_table_quantiles(eager, values, masses, alpha)
-        assert [x.hex() for x in level_quantiles(deferred(), values, masses, alpha)] == \
-            [x.hex() for x in want]
-        got = wquantile._windowed(deferred(), values, masses, alpha)
-        assert got is None or [x.hex() for x in got] == [x.hex() for x in want]
-
-    @pytest.mark.parametrize("distinct", [24, None])
-    def test_a_window_reads_the_joins_unmerged(self, distinct, windowed_answers):
-        rng = np.random.default_rng(4)
-        values, masses = level(rng, 100_000, distinct, 0.3)
-        joins = []
-        # two joins over the level's values (tied with them for 24), and one
-        # mostly outside them; half their rows are eligible
-        for spread, total in ((distinct, 0.25), (distinct, 0.25), (300, 0.2)):
-            v, m = level(rng, 20_000, spread, total)
-            joins.append((v, m, rng.random(20_000) < 0.5))
-        alphas = np.linspace(0.2, 0.8, 7)  # past the frozen mass outside the level's range
-        for alpha in alphas:
-            frozen = None
-            for rows in joins:
-                frozen = DeferredTable(frozen, *rows)
-            got = level_quantiles(frozen, values, masses, alpha)
-            assert frozen.table is None and len(frozen.joins) == 3
-            want = full_table_quantiles(frozen, values, masses, alpha)  # merges them
-            assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert windowed_answers == [True] * len(alphas)
