@@ -36,19 +36,24 @@ def _smoothstep_cube():
 
 
 def _case(name):
-    """(f, L or None, measure, alpha, budget) of the named case."""
+    """(f, L or None, measure, alpha, budget) of the named case, whose name
+    ends in its budget."""
+    budget = int(float(name.rsplit("_", 1)[1]))
     if name == "linear_d1_known_1e3":
         p = lq.problems.linear_d1()
-        return p.f, p.lipschitz, p.measure, p.alpha, 1000
+        return p.f, p.lipschitz, p.measure, p.alpha, budget
     if name.startswith("paper_d2_"):
         p = lq.problems.paper_f_d2()
-        return p.f, p.lipschitz if "_known_" in name else None, p.measure, p.alpha, 10 ** 4
+        return p.f, p.lipschitz if "_known_" in name else None, p.measure, p.alpha, budget
     if name.startswith("poly_d3_smoothstep_"):
-        return _poly_d3, math.sqrt(3.0) if "_known_" in name else None, _smoothstep_cube(), 0.7, 2000
+        return _poly_d3, math.sqrt(3.0) if "_known_" in name else None, _smoothstep_cube(), 0.7, budget
     raise KeyError(name)
 
 
+# the last levels of the 1e6 run hold 118,845 and 356,490 rows, which the
+# prune reads in several chunks; the 1e5 run ends on two one-band levels
 CASES = ["linear_d1_known_1e3", "paper_d2_known_1e4", "paper_d2_unknown_1e4",
+         "paper_d2_known_1e6", "paper_d2_unknown_1e5",
          "poly_d3_smoothstep_known_2000", "poly_d3_smoothstep_unknown_2000"]
 
 
