@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import numbers
 import sys
@@ -298,6 +299,7 @@ def oracle_report(cfg: ExperimentConfig, stream=None) -> None:
         print(f"estimated_level_set_M: unavailable ({exc})", file=stream)
 
 
+@functools.cache  # built once: parse_args keeps no state between calls
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipquant",

@@ -32,6 +32,9 @@ from .wquantile import level_quantiles
 #: cell edges b/3^k are correctly rounded and distinct centers stay distinct.
 K_MAX = 32
 
+#: Rows per chunk of a one-band prune, whose gaps are its only float temporary.
+PRUNE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuantileBracket:
@@ -137,14 +140,16 @@ class Frontier:
     with `fan` = 3^d rows per parent (1 at the root, whose parent digits are
     0), and `digits` derives the digits once per level for the kept rows.
     Masses come from one `ProductMeasure.child_probabilities` call on the
-    kept rows.  Each level costs a fixed number of whole-array NumPy calls.
+    kept rows.  Each level costs a fixed number of whole-array NumPy calls;
+    a one-band prune runs over PRUNE_CHUNK-row chunks, with no int64 column.
 
     The sets of the live bands are nested, since a wider band keeps every
     cell a narrower one keeps.  So the live bands holding a row are the live
     j >= its lowest band, and one flag says whether a retired band holds it.
     These band columns are kept per parent, `lowest` and `held`, and read
     through (len(block), fan) views: a row has its parent's lowest band, and
-    a retired band holds the center child of each row it held.
+    a retired band holds the center child of each row it held.  A row's
+    lowest band is never above the top live band.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
@@ -243,26 +248,36 @@ class Frontier:
         Row i is kept by the live bands j >= first[i] (none if first[i] is
         above the top live band) and held by a retired or retiring band iff
         hold[i].
+
+        `_refine` keeps only the rows whose first band is at most the top
+        live band, so a row's lowest band is never above the top live band,
+        and it is 0 while band 0 alone is live.  Such a level's `first` (and
+        so the next level's `lowest`) is the bool column |v_i - estimate| >
+        bands[0], compared over chunks of PRUNE_CHUNK rows, so that no
+        level-sized temporary is made.
         """
-        n_bands, fan, top = len(self.lipschitz), self.fan, self.live_bands[-1]
+        n, n_bands, fan, top = len(self.values), len(self.lipschitz), self.fan, self.live_bands[-1]
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
         # where a row has its parent's lowest; no band above `top` keeps a row
         # a width past the float range is inf, which keeps every row
         with np.errstate(over="ignore"):
             bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
-        gap = np.subtract(self.values, self.estimate)
-        np.abs(gap, out=gap)
         if top == 0:  # one comparison per row beats a binary search
-            first = np.greater(gap, bands[0])
+            first, gap = np.empty(n, dtype=bool), np.empty(min(n, PRUNE_CHUNK))
+            for i in range(0, n, PRUNE_CHUNK):
+                g = gap[:min(n - i, PRUNE_CHUNK)]
+                np.abs(np.subtract(self.values[i:i + len(g)], self.estimate, out=g), out=g)
+                np.greater(g, bands[0], out=first[i:i + len(g)])
+            kept_by = n - np.count_nonzero(first)  # band 0's kept rows
         else:
+            gap = np.subtract(self.values, self.estimate)
+            np.abs(gap, out=gap)
             first = bands.searchsorted(gap)
-        del gap  # before the comparison widens to int64
-        first = first.astype(np.int64, copy=False)
-        kids = first.reshape(-1, fan)
-        np.maximum(kids, self.lowest[:, None], out=kids)
-        # band j keeps the rows whose first band is at most j, and pays for
-        # the 3^d - 1 new centers of each
-        kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+            np.maximum(first.reshape(-1, fan), self.lowest[:, None], out=first.reshape(-1, fan))
+            # band j keeps the rows whose first band is at most j, and pays for
+            # the 3^d - 1 new centers of each
+            kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+        del gap  # before the next level is built
         # a ledger starts at 1, at most any slice, and only a live band's
         # grows: a band is live while its ledger is within its slice
         live = self.ledgers <= self.slices
@@ -280,7 +295,7 @@ class Frontier:
         hold = (self.lowest <= (gone[-1] if gone else -1)).repeat(fan)
         hold[fan // 2::fan] |= self.held
         self._refine(first, hold)
-        del first, kids, hold  # the old level's columns, before the new table
+        del first, hold  # the old level's columns, before the new table
         self._estimate()
         return True
 

@@ -108,10 +108,11 @@ def _resolution(resolution: int | None, dim: int) -> int:
 
 def _grid(p: TestProblem, res: int):
     """The walk over the grid of `res` cells per axis: `walk(with_masses)`
-    yields, for each chunk of at most 10^7 cells (rows of x2 for d = 2, the
-    one row for d = 1), f at the chunk's cell centers and, if `with_masses`,
-    the cells' probabilities, else None, both flat.  A grid of one chunk is
-    evaluated once and then walked from memory."""
+    yields, for each chunk of at most 10^7 cells (rows of x2 for d = 2), f
+    at the chunk's cell centers and, if `with_masses`, the cells'
+    probabilities, else None, both flat.  A d = 1 grid is one chunk of `res`
+    cells, however large `res` is.  A grid of one chunk is evaluated once and
+    then walked from memory."""
     edges = np.linspace(0.0, 1.0, res + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     n_rows, step = res ** (p.dim - 1), max(1, 10 ** 7 // res)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lipquant as lq
-from lipquant import wquantile
+from lipquant import known, wquantile
 from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
@@ -144,8 +144,15 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     return levels, ledgers, retired, len(cache), frontiers, frozen_points
 
 
+# a one-band level is pruned in chunks of rows; chunks of 7 rows, not a
+# multiple of 3^d, split the children of some parents across chunk edges
+CHUNKS = [known.PRUNE_CHUNK, 7]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim,budget", CASES)
-def test_known_frontier_matches_oracle(dim, budget):
+def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
+    monkeypatch.setattr(known, "PRUNE_CHUNK", chunk)
     f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -163,8 +170,12 @@ def test_known_frontier_matches_oracle(dim, budget):
     assert assert_distinct_points(calls) == run.bracket.evaluations
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim,budget", CASES)
-def test_unknown_frontier_matches_oracle(dim, budget):
+def test_unknown_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
+    # the last levels of each run have one live band, so they take the
+    # chunked prune
+    monkeypatch.setattr(known, "PRUNE_CHUNK", chunk)
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -222,6 +233,8 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
         if fr.level == len(frontiers) - 1:
             break
         assert fr.step()
+        # the invariant that lets a one-band level skip the lowest bands
+        assert fr.lowest.max(initial=0) <= fr.live_bands[-1]
     assert fr.level == len(frontiers) - 1
     assert settled > 0
 
