@@ -118,18 +118,25 @@ class Frontier:
     `step`, which prunes the level and, while a band stays live, refines it.
 
     Row i is a cell of level `level`; `values[i]` is f at its center and
-    `masses[i]` its probability.  Band j has constant `lipschitz[j]`
-    (increasing in j) and budget slice `slices[j]`.  A live band keeps the
-    cells of its set whose value lies within 2*L_j*delta_k of the pooled
-    estimate; all 3^d children of a kept cell join the next level.  A band
-    whose ledger overruns its slice retires: it refines nothing more, and the
-    cells of its set, whose centers were evaluated, stay quantile candidates.
+    `masses[i]` its probability.  Band j has constant `lipschitz[j]`,
+    increasing in j, and budget slice `slices[j]`, nonincreasing in j (as
+    `schedule` and `run_known` give them).  A live band keeps the cells of
+    its set whose value lies within 2*L_j*delta_k of the pooled estimate and
+    pays for their 3^d children, which join the next level.  A wider band
+    keeps every cell a narrower one keeps, so its ledger is never below a
+    narrower one's while its slice is never above it: bands retire from the
+    top, and the live bands are 0..n_live-1.  A retired band refines nothing
+    more; the cells of its set, whose centers were evaluated, stay quantile
+    candidates.
 
-    A row that no live band keeps leaves the frontier once, with its own
-    mass, as a frozen point: eligible iff a retired band holds it (as DIRECT
-    leaves a box that no constant selects in its partition), else a pruned
-    cell that only adds its mass.  The frozen points are one unsorted chunk
-    `frozen` = (values, masses, eligible); `frozen_mass` is their total.  A
+    A row that no live band keeps leaves the frontier once, with its mass,
+    into one unsorted chunk `frozen` = (values, masses, eligible), and
+    `frozen_mass` sums those masses.  At a level where bands retire, every
+    row is in the top one's set, so every row is frozen as an eligible
+    point, a kept one with mass 0, since its center child carries its value
+    and mass on; at any other level the rows that leave are ineligible.
+    Merged on values, a frozen cell is so eligible iff it is in a retired
+    band's set (as DIRECT leaves a box that no constant selects).  A
     level's estimate is the sup form of `level_quantiles` over its rows and
     `frozen`.  If no live band keeps a row, the frontier is empty and the run
     stops as `settled`: with no row to refine, no later level could differ.
@@ -143,13 +150,9 @@ class Frontier:
     kept rows.  Each level costs a fixed number of whole-array NumPy calls;
     a one-band prune runs over PRUNE_CHUNK-row chunks, with no int64 column.
 
-    The sets of the live bands are nested, since a wider band keeps every
-    cell a narrower one keeps.  So the live bands holding a row are the live
-    j >= its lowest band, and one flag says whether a retired band holds it.
-    These band columns are kept per parent, `lowest` and `held`, and read
-    through (len(block), fan) views: a row has its parent's lowest band, and
-    a retired band holds the center child of each row it held.  A row's
-    lowest band is never above the top live band.
+    The live bands keeping a row, as their sets are nested, are the j >= its
+    lowest band, kept per parent in `lowest` and read through a
+    (len(block), fan) view; it is never above the top live band.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
@@ -168,7 +171,7 @@ class Frontier:
         self.odd = 2.0 * np.delete(self.offsets, len(self.offsets) // 2, axis=0) + 1.0
         self.level = self.evaluations = 0
         self.block, self.fan = np.zeros((1, d), dtype=np.int64), 1
-        self.lowest, self.held = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
+        self.lowest = np.zeros(1, dtype=np.int64)
         self.live_bands = tuple(range(len(self.lipschitz)))  # where ledgers <= slices
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
@@ -246,8 +249,8 @@ class Frontier:
         refine to the next; returns whether the frontier advanced.
 
         Row i is kept by the live bands j >= first[i] (none if first[i] is
-        above the top live band) and held by a retired or retiring band iff
-        hold[i].
+        above the top live band); the live bands pay for the rows they keep,
+        and the ones that then overrun their slices, the top ones, retire.
 
         `_refine` keeps only the rows whose first band is at most the top
         live band, so a row's lowest band is never above the top live band,
@@ -256,7 +259,7 @@ class Frontier:
         bands[0], compared over chunks of PRUNE_CHUNK rows, so that no
         level-sized temporary is made.
         """
-        n, n_bands, fan, top = len(self.values), len(self.lipschitz), self.fan, self.live_bands[-1]
+        n, fan, top = len(self.values), self.fan, self.live_bands[-1]
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
         # where a row has its parent's lowest; no band above `top` keeps a row
         # a width past the float range is inf, which keeps every row
@@ -276,30 +279,22 @@ class Frontier:
             np.maximum(first.reshape(-1, fan), self.lowest[:, None], out=first.reshape(-1, fan))
             # band j keeps the rows whose first band is at most j, and pays for
             # the 3^d - 1 new centers of each
-            kept_by = np.bincount(first, minlength=n_bands)[:n_bands].cumsum()
+            kept_by = np.bincount(first, minlength=top + 1)[:top + 1].cumsum()
         del gap  # before the next level is built
-        # a ledger starts at 1, at most any slice, and only a live band's
-        # grows: a band is live while its ledger is within its slice
-        live = self.ledgers <= self.slices
-        np.add(self.ledgers, (len(self.offsets) - 1) * kept_by, out=self.ledgers, where=live)
-        retiring = live & (self.ledgers > self.slices)
-        gone = retiring.nonzero()[0].tolist()
-        if gone:
-            self.retired.update(dict.fromkeys(gone, self.level))
-            live ^= retiring
-            self.live_bands = tuple(live.nonzero()[0].tolist())
-            if not self.live_bands:
+        # a band is live while its ledger, which starts at 1, is within its slice
+        self.ledgers[:top + 1] += (len(self.offsets) - 1) * kept_by
+        n_live = int(np.count_nonzero(self.ledgers[:top + 1] <= self.slices[:top + 1]))
+        if retiring := n_live <= top:
+            self.retired.update(dict.fromkeys(range(n_live, top + 1), self.level))
+            self.live_bands = tuple(range(n_live))
+            if not n_live:
                 return False
-        # a band retiring now holds the rows whose lowest band is at or below
-        # it; bands retired before hold the center child of each row they held
-        hold = (self.lowest <= (gone[-1] if gone else -1)).repeat(fan)
-        hold[fan // 2::fan] |= self.held
-        self._refine(first, hold)
-        del first, hold  # the old level's columns, before the new table
+        self._refine(first, retiring)
+        del first  # the old level's column, before the new table
         self._estimate()
         return True
 
-    def _refine(self, first: np.ndarray, hold: np.ndarray) -> None:
+    def _refine(self, first: np.ndarray, retiring: bool) -> None:
         """Replace the frontier by the children of the rows that a live band
         keeps and freeze the other rows; `step` then estimates the next
         level, once this level's columns are released.
@@ -325,18 +320,23 @@ class Frontier:
         del fresh
         # row-major: each parent's children in `itertools.product` order
         masses = self.measure.child_probabilities(level, block).ravel()
-        self._freeze(~kept, hold)
+        self._freeze(kept, retiring)
         self.block, self.fan = block, n_kids
         self.values, self.masses = values.reshape(-1), masses
-        self.lowest, self.held = first[kept], hold[kept]
-        self.level = level
+        self.lowest, self.level = first[kept], level
 
-    def _freeze(self, leaving: np.ndarray, hold: np.ndarray) -> None:
-        """Append the rows `leaving` to `frozen`, each with its own mass and
-        eligible iff a retired band holds it."""
-        if leaving.any():
-            rows = self.values[leaving], self.masses[leaving], hold[leaving]
-            self.frozen_mass += float(rows[1].sum())
+    def _freeze(self, kept: np.ndarray, retiring: bool) -> None:
+        """Append this level's frozen points to `frozen`: if bands are
+        `retiring`, every row as an eligible point, with mass 0 where `kept`,
+        else the rows that leave as ineligible points.  `frozen_mass` gains
+        the leaving rows' masses, summed over those rows alone: zeros between
+        them could move the bits of the pairwise sum."""
+        leaving = ~kept
+        masses = self.masses[leaving]
+        rows = ((self.values, np.where(kept, 0.0, self.masses), np.ones(len(kept), dtype=bool))
+                if retiring else (self.values[leaving], masses, np.zeros(len(masses), dtype=bool)))
+        if len(rows[0]):
+            self.frozen_mass += float(masses.sum())
             self.frozen = tuple(map(np.concatenate, zip(self.frozen, rows)))
 
 

@@ -3,13 +3,16 @@
 The level-k estimator is a quantile of a discrete table: one point per
 partition cell, carrying the cell's probability mass and either a freshly
 evaluated value (eligible as a quantile candidate) or a value inherited from
-a pruned ancestor (mass contributor only).  With head(v) the exact mass of
-the points of value < v, the sup form is the greatest eligible v with
-head(v) <= alpha, else the least eligible v, and the inf form the first
-eligible v at or past the last value with head(v) < alpha, else the greatest.
-On a table of total mass 1 these are sup{v : mass of {value >= v} >= 1 - alpha}
-and inf{v : mass of {value <= v} >= alpha}; they differ only where a head
-meets alpha (a flat CDF), both then quantiles of the table.  A head is a float
+a pruned ancestor (mass contributor only).  A point may also be eligible
+with mass 0: it adds no mass and makes its value a candidate, since ties
+merge into one group, eligible if any of its points is.  With head(v) the
+exact mass of the points of value < v, the sup form is the greatest
+eligible v with head(v) <= alpha, else the least eligible v, and the inf
+form the first eligible v at or past the last value with head(v) < alpha,
+else the greatest.  On a table of total mass 1 these are
+sup{v : mass of {value >= v} >= 1 - alpha} and
+inf{v : mass of {value <= v} >= alpha}; they differ only where a head meets
+alpha (a flat CDF), both then quantiles of the table.  A head is a float
 cumulative sum where that decides it, and an exact sum where it cannot
 (filter, then exact: Shewchuk, "Adaptive Precision Floating-Point
 Arithmetic", 1997), so no summation order moves a quantile.

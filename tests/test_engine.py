@@ -19,6 +19,7 @@ from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import run_unknown
+from lipquant.wquantile import ValueMassTable
 
 from conftest import random_lipschitz_problem
 from oracles import (
@@ -81,7 +82,7 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     frozen_mass = 0.0  # running total, one row-order sum per level, as the engine keeps it
     levels = []  # (estimate, active mass, frozen mass), summed in table order
     frontiers = []  # the cells of each level
-    frozen_points = []  # the frozen points of each level
+    tables = []  # the merged table of each level: its cells and the frozen points
     k = 0
     while True:
         keys = [canonical_center_key(k, c) for c in cells]
@@ -90,15 +91,13 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
             cache.update(zip(missing, f(np.array([center_point(*key) for key in missing]))))
         values = np.array([cache[key] for key in keys])
         masses = measure.cell_probabilities(k, cells)
-        estimate = weighted_quantile_sup(
-            np.concatenate([values, [v for v, _, _ in frozen]]),
-            np.concatenate([masses, [m for _, m, _ in frozen]]),
-            [True] * len(cells) + [e for _, _, e in frozen],
-            alpha,
-        )
+        rows = (np.concatenate([values, [v for v, _, _ in frozen]]),
+                np.concatenate([masses, [m for _, m, _ in frozen]]),
+                [True] * len(cells) + [e for _, _, e in frozen])
+        estimate = weighted_quantile_sup(*rows, alpha)
         levels.append((estimate, float(np.sum(masses)), frozen_mass))
         frontiers.append(cells)
-        frozen_points.append(list(frozen))
+        tables.append(ValueMassTable(*rows))
         if k >= max_level:
             break
         value_of = dict(zip(cells, values))
@@ -141,7 +140,7 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
             frozen_mass += float(np.sum(leaving))
         sets, cells = nxt, next_cells
         k += 1
-    return levels, ledgers, retired, len(cache), frontiers, frozen_points
+    return levels, ledgers, retired, len(cache), frontiers, tables
 
 
 # a one-band level is pruned in chunks of rows; chunks of 7 rows, not a
@@ -214,22 +213,25 @@ def test_settled_cells_change_no_estimate(dim, budget):
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     # the digits are derived from the parents' at every level, the root's
-    # included; the frozen rows are the oracle's points in its order,
-    # eligible where a retired band holds them, also through the center
-    # child of a kept cell
+    # included; merged on values, the level's rows and frozen points are the
+    # oracle's table bit for bit, eligible where a retired band holds a cell,
+    # also through the center child of a kept cell, whose value the level of
+    # its band's retirement froze as an eligible point of mass 0
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     m = measure_for(dim)
     max_level = 12 // dim
-    *_, frontiers, frozen_points = reference_unknown(f, m, 0.8, budget, max_level)
+    *_, frontiers, tables = reference_unknown(f, m, 0.8, budget, max_level)
     bands = funded_candidates(budget)
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
     settled = 0  # levels with eligible frozen points
-    for cells, points in zip(frontiers, frozen_points):
+    for cells, ref in zip(frontiers, tables):
         assert list(map(tuple, fr.digits().tolist())) == cells
-        for got, ref, dtype in zip(fr.frozen, list(zip(*points)) or [()] * 3, (float, float, bool)):
-            ref = np.array(ref, dtype=dtype)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        settled += bool(fr.frozen[2].any())
+        fv, fm, fe = fr.frozen
+        got = ValueMassTable(np.concatenate((fr.values, fv)), np.concatenate((fr.masses, fm)),
+                             np.concatenate((np.ones(len(fr.values), dtype=bool), fe)))
+        for column in ("values", "masses", "eligible"):
+            assert getattr(got, column).tobytes() == getattr(ref, column).tobytes()
+        settled += bool(fe.any())
         if fr.level == len(frontiers) - 1:
             break
         assert fr.step()
@@ -237,6 +239,39 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
         assert fr.lowest.max(initial=0) <= fr.live_bands[-1]
     assert fr.level == len(frontiers) - 1
     assert settled > 0
+
+
+@pytest.mark.parametrize("seed, budget", [(13, 50), (169, 400), (547, 120)])
+def test_a_retired_bands_value_stays_a_candidate(seed, budget):
+    # in these runs (all d = 2) a live band keeps rows that a retiring band
+    # holds, and later prunes their center children: each such value stays
+    # eligible through the point of mass 0 that the retirement level froze
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 3
+    f, _ = random_lipschitz_problem(rng, dim)
+    m = lq.product_measure([lq.truncated_normal_marginal(rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.5))
+                            for _ in range(dim)])
+    alpha = rng.uniform(0.05, 0.95)
+    run = run_unknown(f, m, alpha, budget)
+    levels, *_ = reference_unknown(f, m, alpha, budget, run.level)
+    assert [r.estimate for r in run.history] == [estimate for estimate, _, _ in levels]
+
+
+@pytest.mark.parametrize("budget", [50, 2000])
+def test_bands_retire_from_the_top(budget):
+    # the bands' sets are nested and their slices shrink as j grows, so a
+    # wider band's ledger is never below a narrower one's: the live bands
+    # are 0..n_live-1, and a wider band retires no later than a narrower one
+    runs = [run_unknown(p.f, p.measure, p.alpha, budget)
+            for p in (lq.paper_f_d1(), lq.paper_f_d2(), lq.linear_d1())]
+    for seed in range(12):
+        f, _ = random_lipschitz_problem(np.random.default_rng(seed), 1 + seed % 3)
+        runs.append(run_unknown(f, measure_for(1 + seed % 3), 0.8, budget))
+    for run in runs:
+        assert all(r.live == tuple(range(len(r.live))) for r in run.history)
+        n_bands, retired = len(run.ledgers), run.retirement_level
+        assert sorted(retired) == list(range(n_bands - len(retired), n_bands))
+        assert all(retired[j] >= retired[j + 1] for j in range(n_bands - len(retired), n_bands - 1))
 
 
 def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch):
@@ -254,9 +289,10 @@ def test_windowed_quantiles_answer_the_deep_levels(windowed_answers, monkeypatch
 
 
 def test_windows_read_the_frozen_rows_in_place(windowed_answers, monkeypatch):
-    # levels 8 to 10 of this run are read from windows, beside 6,247 to
-    # 18,577 frozen rows, 3,111 to 10,756 of them eligible, in the order
-    # they left the frontier
+    # levels 8 to 10 of this run are read from windows, beside 6,726 to
+    # 19,935 frozen rows, 3,304 to 11,242 of them eligible, in the order
+    # they were frozen; the eligible ones include the points of mass 0 that
+    # the retirement levels froze for the rows they kept
     p, eligible = lq.paper_f_d2(), []
     counted = wquantile._windowed
 
@@ -267,7 +303,7 @@ def test_windows_read_the_frozen_rows_in_place(windowed_answers, monkeypatch):
     monkeypatch.setattr(wquantile, "_windowed", spy)
     run = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
     assert windowed_answers == [True] * 3
-    assert eligible == [3111, 10170, 10756]
+    assert eligible == [3304, 11242, 11242]
     # the full table of every level gives the same run, bit for bit
     monkeypatch.setattr(wquantile, "_windowed", lambda *args: None)
     full = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)

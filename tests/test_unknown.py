@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -208,5 +209,23 @@ class TestErrorBound:
     def test_best_candidate(self):
         assert best_candidate(1.0) == 0
         assert best_candidate(1.61) == 1
+        assert best_candidate(math.sqrt(2)) == 1
         assert best_candidate(3.0) == 1
         assert best_candidate(3.0001) == 2
+        # candidate 647's constant is inf, so it covers every finite constant
+        # above 3.0 ** 646
+        assert best_candidate(3.0 ** 646) == 646
+        assert best_candidate(math.nextafter(3.0 ** 646, math.inf)) == 647
+        assert best_candidate(1.7e308) == 647
+        assert best_candidate(sys.float_info.max) == 647
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0, 10 ** 400, True, "3"])
+    def test_best_candidate_refuses_a_bad_constant(self, bad):
+        # no candidate is best for these: each is refused by name, not read as 0
+        with pytest.raises(ValueError, match="lipschitz_true must be finite and positive"):
+            best_candidate(bad)
+
+    def test_bound_past_the_float_range_is_inf(self):
+        # the check with j* = 647 certifies any estimate, as its bound is inf
+        run = run_unknown(lambda x: x[:, 0], lq.uniform_cube(1), 0.5, 50)
+        assert unknown_error_bound_check(run, 1e300, 1.7e308, 1)
