@@ -4,17 +4,16 @@ Given any N query points, these build a pair of Lipschitz functions that
 agree exactly on every query yet whose medians under the uniform law differ
 by C * N^{-1/(d-1)} (d = 2) or C * rho^N (d = 1).  No algorithm seeing only
 the queried values can distinguish the pair, so its worst-case error is at
-least half the gap.
+least half the gap, which `verify_separation` checks by exact mass, with no grid.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .measure import uniform_cube
-from .problems import TestProblem, brute_force_quantile
 
 #: claimed gap constant C = 1/(12 (3^{d-1}-1) 3^{1/(d-1)}) for d = 2
 GAP_CONSTANT_D2 = 1.0 / 72.0
@@ -26,9 +25,9 @@ SLOPE_BOOST_D1 = 4.0
 #: the d = 2 tent slope: twice the proof's lower threshold
 #: sqrt(5) / (sqrt(6) - sqrt(5)), a margin for strictness
 SLOPE_BOOST_D2 = 2.0 * (5.0 ** 0.5 / (6.0 ** 0.5 - 5.0 ** 0.5))
-#: the most queries of a d = 1 construction: its grid of 2^(N+4) cells is one
-#: chunk of the grid oracle, held in memory: 1.2 GB at N = 21, doubling with N
-MAX_QUERIES_D1 = 21
+#: the most queries of a d = 1 construction: up to N = 52 every region end
+#: 1/2 +- rho^j / 2 is an exact double; at N = 53, 1 + rho^N rounds to 1
+MAX_QUERIES_D1 = 52
 
 
 def f_bar(x: np.ndarray) -> np.ndarray:
@@ -42,14 +41,12 @@ class Adversary:
     """A median-fooling pair (`f_bar`, `f_tilde`) for the queries `query_points`.
 
     `tents` holds boxes (one (lo, hi) per axis), disjoint along the last axis,
-    whose interiors hold no query.  `resolution` is the grid on which the
-    builder knows the grid oracle samples the tents without smearing.
+    whose interiors hold no query.
     """
 
     query_points: np.ndarray  # (N, d)
     tents: tuple[tuple[tuple[float, float], ...], ...]
     lipschitz: float
-    resolution: int
     claimed_gap: float
 
     def f_tilde(self, x: np.ndarray) -> np.ndarray:
@@ -99,9 +96,7 @@ def build_adversary_d2(query_points: np.ndarray) -> Adversary:
     if len(free) < 2 * n:
         raise AssertionError("pigeonhole failure: expected >= 2N free cells")
     tents = tuple(((mid / m, (mid + 1) / m), (i / m, (i + 1) / m)) for i in free)
-    # a grid aligned to the cells, so that each cell holds whole grid cells
-    return Adversary(q, tents, SLOPE_BOOST_D2 + 1.0, m * max(1, round(4500 / m)),
-                     GAP_CONSTANT_D2 / n)
+    return Adversary(q, tents, SLOPE_BOOST_D2 + 1.0, GAP_CONSTANT_D2 / n)
 
 
 def build_adversary_d1(query_points: np.ndarray) -> Adversary:
@@ -120,38 +115,58 @@ def build_adversary_d1(query_points: np.ndarray) -> Adversary:
     regions = [((0.5 * (1 - rho ** (j - 1)), 0.5 * (1 - rho ** j)),
                 (0.5 * (1 + rho ** j), 0.5 * (1 + rho ** (j - 1)))) for j in range(1, n + 1)]
     regions.append(((0.5 * (1 - rho ** n), 0.5 * (1 + rho ** n)),))
-    # prefer the central interval: it carries the smallest margin over the
-    # claimed gap, making the verification as strict as possible
+    # the central interval first (its gap is 12.5 times the claim), then the
+    # pairs outward from 1/2; the nearest pair has the least margin, 1.57 times
     for parts in reversed(regions):
         if not any(np.any((lo < x) & (x < hi)) for lo, hi in parts):
             break
     else:
         raise AssertionError("pigeonhole failure: some region must be query-free")
-
-    # 16 grid cells at least across the central interval, 10^6 up to N = 15
-    return Adversary(q, tuple((part,) for part in parts), SLOPE_BOOST_D1 + 1.0,
-                     max(10 ** 6, 2 ** (n + 4)), GAP_CONSTANT_D1 * rho ** n)
+    return Adversary(q, tuple(zip(parts)), SLOPE_BOOST_D1 + 1.0, GAP_CONSTANT_D1 * rho ** n)
 
 
 @dataclass(frozen=True)
 class SeparationReport:
     agreement_residual: float  # max |f_tilde - f_bar| over the queries
-    measured_gap: float        # the f_tilde median, by the grid oracle, minus 1/2
+    measured_gap: float        # by exact mass, the greatest double g with median >= 1/2 + g
     claimed_gap: float
     passed: bool
 
 
 def verify_separation(adv: Adversary) -> SeparationReport:
-    """Check exact agreement at the queries and the claimed quantile gap.
+    """Check exact agreement at the queries and the claimed quantile gap, by
+    f_tilde's exact mass, with no grid and no call of the engine.
 
-    The f_bar median is 1/2 analytically in both constructions; the f_tilde
-    quantile comes from the grid oracle (independent of the main algorithm)
-    at the adversary's `resolution`.
+    The f_bar median is 1/2.  `measured_gap` is the greatest double g with
+    mass{f_tilde < t} <= 1/2 at t = 1/2 + g, found by halving g in [0, 1/2]
+    with t kept exact, so `passed` is exact.  As f_tilde >= x1, that mass is
+    t - vol{x : x1 < t <= f_tilde(x)}, a sum over the boxes.  With s = L - 1,
+    a box of x1-range (a, b) and widths w_i across has f_tilde >= t at x1 < t
+    where its cross-section, shrunk by (t - x1) / s on every face, is not
+    empty: for x1 in [lo, hi] below, of area prod_i (w_i - 2 (t - x1) / s),
+    linear in x1 for d <= 2, so that the midpoint rule integrates it exactly.
     """
-    q = adv.query_points
+    from fractions import Fraction  # here, so that `import lipquant` does not load it
+
+    q, s = adv.query_points, Fraction(adv.lipschitz - 1.0)
+    if q.shape[1] > 2 or s <= 1:
+        raise ValueError(f"exact mass needs d <= 2 and L > 2, got {q.shape[1]}, {adv.lipschitz}")
     residual = float(np.max(np.abs(adv.f_tilde(q) - f_bar(q))))
-    problem = TestProblem(name="adversary_tilde", f=adv.f_tilde, lipschitz=adv.lipschitz,
-                          measure=uniform_cube(q.shape[1]), alpha=0.5)
-    gap = brute_force_quantile(problem, adv.resolution) - 0.5
+    boxes = Counter(  # the boxes of one x1-range and exact widths hold equal volumes
+        (Fraction(a), Fraction(b), *(Fraction(hi) - Fraction(lo) for lo, hi in rest))
+        for (a, b), *rest in adv.tents)
+
+    def mass_below(t: Fraction) -> Fraction:
+        total = t
+        for (a, b, *w), count in boxes.items():
+            lo = max(a, (s * a + t) / (s + 1), *(t - s * wi / 2 for wi in w))
+            hi = min(b, t, (s * b - t) / (s - 1))
+            if lo < hi:
+                total -= count * (hi - lo) * math.prod(wi - (2 * t - lo - hi) / s for wi in w)
+        return total
+
+    gap, over = 0.0, 0.5  # mass_below(1/2) <= 1/2, as f_tilde >= x1
+    while gap < (g := gap + (over - gap) / 2) < over:
+        gap, over = (g, over) if mass_below(Fraction(1, 2) + Fraction(g)) <= 0.5 else (gap, g)
     return SeparationReport(residual, gap, adv.claimed_gap,
                             passed=residual == 0.0 and gap >= adv.claimed_gap)

@@ -258,7 +258,7 @@ def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=No
     stream = sys.stdout if stream is None else stream
     rng = np.random.default_rng(seed)
     build = build_adversary_d2 if dim == 2 else build_adversary_d1
-    try:  # every construction, so that a refused one stops the report before any grid
+    try:  # every construction, so that a refused one stops the report before any is verified
         advs = [build(rng.random((n, dim))) for n in n_values]
     except ValueError as exc:
         raise ConfigError(f"--n: {exc}") from None

@@ -43,17 +43,16 @@ def candidate_constant(j: int) -> float:
 
 
 def schedule(budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates j = 0, 1, ... while their slice is nonzero, as the
-    arrays (constants, slices): constant `candidate_constant(j)`, slice
-    floor(6N / (pi^2 (j+1)^2)).
-    """
+    """The candidates j = 0, 1, ... while their slice is nonzero, as the arrays
+    (constants, slices): `candidate_constant(j)` and floor(6N / (pi^2 (j+1)^2))."""
     check_limits(budget, MIN_BUDGET)
     # (j+1)^2 <= 6N/pi^2 up to rounding, which two more j cover
     j1 = np.arange(1, int(math.sqrt(6.0 * budget) / math.pi) + 3)
     slices = np.floor(6.0 * budget / (math.pi ** 2 * j1 ** 2)).astype(np.int64)
     slices = slices[slices >= 1]
-    constants = [candidate_constant(j) for j in range(len(slices))]
-    return np.array(constants), slices
+    constants = np.full(len(slices), math.inf)
+    constants[:_J_INF] = [candidate_constant(j) for j in range(min(len(slices), _J_INF))]
+    return constants, slices
 
 
 def run_unknown(

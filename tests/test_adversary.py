@@ -1,10 +1,14 @@
 """Optimality constructions: agreement at queries and quantile gaps."""
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lipquant.known
+import lipquant.problems
 from lipquant.adversary import (
     GAP_CONSTANT_D1,
     GAP_CONSTANT_D2,
@@ -17,6 +21,7 @@ from lipquant.adversary import (
     f_bar,
     verify_separation,
 )
+from lipquant.measure import uniform_cube
 
 
 def finite_diff_lipschitz(f, dim, rng, n=20000, eps=1e-6):
@@ -39,6 +44,59 @@ def tilde_reference(adv, x):
                                                      for c, (lo, hi) in zip(point, box))
         out.append(value)
     return np.array(out)
+
+
+def clip(polygon, half_plane):
+    """The convex `polygon` (a list of vertices) cut to p x1 + q x2 + r >= 0."""
+    p, q, r = half_plane
+    side = [p * x1 + q * x2 + r for x1, x2 in polygon]
+    out = []
+    for i, (x1, x2) in enumerate(polygon):  # the edge from vertex i - 1 to vertex i
+        (y1, y2), u, v = polygon[i - 1], side[i - 1], side[i]
+        if (u >= 0) != (v >= 0):
+            w = u / (u - v)
+            out.append((y1 + w * (x1 - y1), y2 + w * (x2 - y2)))
+        if v >= 0:
+            out.append((x1, x2))
+    return out
+
+
+def tilde_mass_below(adv, t):
+    """mass{f_tilde < t} under the uniform law for d = 2, as an exact Fraction,
+    by another route than `verify_separation`: each box splits into the four
+    polygons where one face is the nearest, on each of which f_tilde is linear;
+    the part with x1 < t <= f_tilde is clipped from it (Sutherland-Hodgman)
+    and its area taken by the shoelace formula."""
+    s = Fraction(adv.lipschitz - 1.0)
+    total = Fraction(t)
+    for box in adv.tents:
+        (a, b), (c, e) = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+        faces = [(1, 0, -a), (-1, 0, b), (0, 1, -c), (0, -1, e)]  # the distance to each, linear
+        for p, q, r in faces:
+            polygon = [(a, c), (b, c), (b, e), (a, e)]
+            for pj, qj, rj in faces:  # this face is the nearest
+                polygon = clip(polygon, (pj - p, qj - q, rj - r))
+            polygon = clip(clip(polygon, (1 + s * p, s * q, s * r - t)), (-1, 0, t))
+            total -= abs(sum((x1 * y2 - y1 * x2 for (x1, x2), (y1, y2)
+                              in zip(polygon, polygon[1:] + polygon[:1])), Fraction(0))) / 2
+    return total
+
+
+def assert_greatest_double_below(gap, mass_below):
+    """`gap` is the greatest double g with mass_below(1/2 + g) <= 1/2, exactly."""
+    half = Fraction(1, 2)
+    assert isinstance(mass_below(half), Fraction)
+    assert mass_below(half + Fraction(gap)) <= half
+    assert mass_below(half + Fraction(math.nextafter(gap, 1.0))) > half
+
+
+def exact_gap_d1(adv):
+    """The median of a d = 1 f_tilde of tent slope 4 minus 1/2, solved by hand
+    from its linear pieces: (16/23) 2^-N for the central interval of width
+    2^-N, (2/23) 2^-j for the pair of intervals of width 2^-(j+1) each."""
+    assert adv.lipschitz == 5.0
+    (lo, hi), = adv.tents[0]
+    return Fraction(16 if len(adv.tents) == 1 else 4, 23) * Fraction(hi - lo)
 
 
 class TestTiltedFunction:
@@ -66,7 +124,7 @@ class TestTiltedFunction:
     }
 
     def adversary(self, dim):
-        return Adversary(np.zeros((1, dim)), self.BOXES[dim], 5.0, 1000, 0.1)
+        return Adversary(np.zeros((1, dim)), self.BOXES[dim], 5.0, 0.1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_the_reference(self, dim):
@@ -171,9 +229,26 @@ class TestD2Construction:
         assert rep.passed
         assert rep.agreement_residual == 0.0
         assert rep.measured_gap >= rep.claimed_gap
-        # the values of the construction and the grid oracle, bit for bit
+        # the values of the construction and its exact mass, bit for bit
         assert rep.claimed_gap.hex() == "0x1.2f684bda12f68p-8"
-        assert rep.measured_gap.hex() == "0x1.5d11fa1563e60p-4"
+        assert rep.measured_gap.hex() == "0x1.5d11b97f823dbp-4"
+        assert_greatest_double_below(rep.measured_gap, lambda t: tilde_mass_below(adv, t))
+
+    @pytest.mark.parametrize("n", [9, 27])
+    def test_the_exact_mass_is_the_clipped_polygons_mass(self, n):
+        adv = build_adversary_d2(np.random.default_rng(n).random((n, 2)))
+        rep = verify_separation(adv)
+        assert rep.passed
+        assert_greatest_double_below(rep.measured_gap, lambda t: tilde_mass_below(adv, t))
+
+    def test_verified_separation_n243(self):
+        # 729 cells per axis, all of the middle column free: 729 tent boxes of 12 exact widths
+        adv = build_adversary_d2(np.random.default_rng(243).random((243, 2)))
+        start = time.perf_counter()
+        rep = verify_separation(adv)
+        assert time.perf_counter() - start < 1.0
+        assert rep.passed and rep.agreement_residual == 0.0
+        assert rep.measured_gap >= 20 * rep.claimed_gap
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
@@ -229,35 +304,89 @@ class TestD1Construction:
         assert est <= adv.lipschitz * (1 + 1e-6)
 
     def test_full_verification_small_n(self):
-        # the measured gaps of the construction and the grid oracle, bit for bit
-        measured = ["0x1.642c7fbacb420p-4", "0x1.64388ebcc6c00p-8", "0x1.642e126202540p-6",
-                    "0x1.642bf9830e480p-7", "0x1.64388ebcc6c00p-8", "0x1.64302b40f6600p-9",
-                    "0x1.641f644955c00p-10", "0x1.6440f23897000p-11"]
+        # the free region of each draw (None: the central interval, else the
+        # pair j), and the measured gap: the greatest double below the exact one
+        regions = [None, 4, None, None, None, None, None, None]
         rng = np.random.default_rng(10)
-        for n, gap in zip(range(3, 11), measured):
+        for n, j in zip(range(3, 11), regions):
             adv = build_adversary_d1(rng.random(n))
             rep = verify_separation(adv)
             assert rep.passed, f"n={n}: gap {rep.measured_gap} < {rep.claimed_gap}"
             assert rep.agreement_residual == 0.0
             assert rep.claimed_gap.hex() == f"0x1.c71c53f39d1b2p-{n + 5}"
-            assert rep.measured_gap.hex() == gap
+            (lo, hi), = adv.tents[0]
+            assert Fraction(hi - lo) == Fraction(1, 2 ** (n if j is None else j + 1))
+            exact = exact_gap_d1(adv)
+            assert Fraction(rep.measured_gap) <= exact < Fraction(math.nextafter(rep.measured_gap, 1))
 
-    def test_the_grid_resolves_the_central_interval(self):
-        # a grid of 10^6 cells put the central interval of width 2^-N between
-        # two cell centers from N = 20 on: a negative gap and a false FAIL
-        rng = np.random.default_rng(11)
-        for n in range(3, MAX_QUERIES_D1 + 1):
-            adv = build_adversary_d1(rng.random(n))
-            assert adv.resolution * 0.5 ** n >= 16
-            assert adv.resolution == 10 ** 6 or n > 15
-
-    def test_full_verification_on_the_finer_grid(self):
-        # N = 19 is the largest N whose grid, 2^23 cells, stays below 10^7
-        adv = build_adversary_d1(np.random.default_rng(13).random(19))
-        assert adv.resolution == 2 ** 23
+    def test_full_verification_at_the_cap(self):
+        adv = build_adversary_d1(np.random.default_rng(13).random(MAX_QUERIES_D1))
         rep = verify_separation(adv)
         assert rep.passed
         assert rep.measured_gap >= 8 * rep.claimed_gap
+
+    @pytest.mark.parametrize("n", [30, MAX_QUERIES_D1])
+    def test_free_pairs_next_to_one_half(self, n):
+        # a query at 1/2 hits the central interval, and 30 to 50 of the 52 (or
+        # the same share of the n) queries at 1/2 +- 2^-j u hit random pairs j,
+        # so that a pair next to 1/2 is left free, whose gap lies below one ulp
+        # of 1/2 at n = 52; the other queries are uniform
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            j = rng.integers(1, n + 1, int(rng.integers(30, 51)) * n // 52)
+            x = 0.5 + rng.choice([-1.0, 1.0], j.size) * 2.0 ** -j * rng.uniform(0.5, 1.0, j.size)
+            adv = build_adversary_d1(np.concatenate([[0.5], x, rng.random(n - 1 - x.size)]))
+            rep = verify_separation(adv)
+            assert len(adv.tents) == 2 and 0.5 - adv.tents[0][0][0] <= 2.0 ** (4 - n), seed
+            assert rep.passed, f"seed {seed}: gap {rep.measured_gap} < {rep.claimed_gap}"
+            exact = exact_gap_d1(adv)
+            assert Fraction(rep.measured_gap) <= exact < Fraction(math.nextafter(rep.measured_gap, 1))
+
+
+class TestExactMass:
+    @pytest.mark.parametrize("dim, n", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3)])
+    def test_the_grid_oracle_agrees(self, dim, n):
+        # the grid oracle, the independent reference, within L sqrt(d) / res
+        rng = np.random.default_rng(20 + n)
+        build = build_adversary_d2 if dim == 2 else build_adversary_d1
+        adv = build(rng.random((n, dim)))
+        problem = lipquant.problems.TestProblem(name="tilde", f=adv.f_tilde, lipschitz=adv.lipschitz,
+                                                measure=uniform_cube(dim), alpha=0.5)
+        res = 10 ** 6 if dim == 1 else 1000
+        grid_gap = lipquant.problems.brute_force_quantile(problem, res) - 0.5
+        assert abs(grid_gap - verify_separation(adv).measured_gap) <= adv.lipschitz * dim ** 0.5 / res
+
+    @pytest.mark.parametrize("slope", [3.0, 5.0, 12.0])
+    @pytest.mark.parametrize("boxes", [
+        TestTiltedFunction.BOXES[2],
+        # flat and tall boxes, where the cross-section empties before x1's faces meet
+        (((0.2, 0.8), (0.1, 0.14)), ((0.35, 0.65), (0.3, 0.9)), ((0.45, 0.52), (0.95, 1.0))),
+    ], ids=["tilted", "flat-and-tall"])
+    def test_hand_made_boxes_against_the_clipped_polygons(self, boxes, slope):
+        adv = Adversary(np.zeros((1, 2)), boxes, slope, 0.0)
+        rep = verify_separation(adv)
+        assert rep.measured_gap > 0.0
+        assert_greatest_double_below(rep.measured_gap, lambda t: tilde_mass_below(adv, t))
+
+    def test_no_grid_and_no_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_separation called the grid or the engine")
+
+        monkeypatch.setattr(lipquant.problems, "_grid", refuse)
+        monkeypatch.setattr(lipquant.known.Frontier, "__init__", refuse)
+        rng = np.random.default_rng(21)
+        assert verify_separation(build_adversary_d2(rng.random((9, 2)))).passed
+        assert verify_separation(build_adversary_d1(rng.random(9))).passed
+
+    @pytest.mark.parametrize("dim, slope, match", [
+        (3, 5.0, "d <= 2"),  # the cross-section's volume is no longer linear in x1
+        (1, 2.0, "L > 2"),  # the right face's bound divides by s - 1
+        (2, 1.5, "L > 2"),
+    ], ids=["d3", "s1", "s-half"])
+    def test_refused_by_name(self, dim, slope, match):
+        adv = Adversary(np.zeros((1, dim)), TestTiltedFunction.BOXES[dim], slope, 0.1)
+        with pytest.raises(ValueError, match=match):
+            verify_separation(adv)
 
 
 class TestConstants:

@@ -356,8 +356,8 @@ class TestExitCodes:
         ["adversary", "--dim", "1", "--n", "3", "--seed", "x"],
         ["run", "--config", "colour.cfg"],
         ["run", "--alpha", "1.5"],
-        # refused before the construction of N = 3 runs its grid oracle
-        ["adversary", "--dim", "1", "--n", "3,22"],
+        # refused before the construction of N = 3 is verified
+        ["adversary", "--dim", "1", "--n", "3,53"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
             "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
             "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",

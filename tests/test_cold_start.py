@@ -2,7 +2,8 @@
 
 SciPy is imported by `truncated_normal_marginal` alone (and by the tests'
 d=1 root-refined oracle), so a process that never builds a truncated normal
-never pays for it.  Each check runs in a fresh interpreter, since this test process
+never pays for it.  Likewise `fractions` is imported by `verify_separation`
+alone.  Each check runs in a fresh interpreter, since this test process
 has SciPy loaded already.
 """
 
@@ -45,6 +46,16 @@ assert "scipy.special" in sys.modules
 print("ok")
 """
 
+FRACTIONS = """
+import sys
+import lipquant as lq
+
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
+assert lq.verify_separation(lq.build_adversary_d1([0.1, 0.9])).passed
+assert "fractions" in sys.modules
+print("ok")
+"""
+
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -64,5 +75,11 @@ def test_uniform_path_runs_without_scipy(tmp_path):
 @pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="scipy not installed")
 def test_truncated_normal_imports_scipy_special():
     res = run_fresh(TRUNCATED_NORMAL)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ok"]
+
+
+def test_only_the_optimality_check_imports_fractions():
+    res = run_fresh(FRACTIONS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["ok"]

@@ -58,11 +58,13 @@ class TestSchedule:
         # as `3.0 ** j` gives them, up to the last one below the float range,
         # and inf past it; NumPy's own power differs from it in the last bit
         # on some hosts
-        constants, slices = schedule(10 ** 6)
-        assert len(constants) == len(slices) > 647
-        got = constants[:647].tolist()
-        assert [c.hex() for c in got] == [(3.0 ** j).hex() for j in range(647)]
-        assert np.isposinf(constants[647:]).all()
+        for n in (10 ** 6, 10 ** 12):
+            constants, slices = schedule(n)
+            assert constants.dtype == np.float64
+            assert len(constants) == len(slices) > 647
+            got = constants[:647].tolist()
+            assert [c.hex() for c in got] == [(3.0 ** j).hex() for j in range(647)]
+            assert np.isposinf(constants[647:]).all()
 
     def test_schedule_is_the_scalar_schedule(self):
         for n in itertools.chain(range(2, 3000), (12345, 10 ** 5, 6 * 10 ** 5)):
