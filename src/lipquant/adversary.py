@@ -145,6 +145,11 @@ def verify_separation(adv: Adversary) -> SeparationReport:
     where its cross-section, shrunk by (t - x1) / s on every face, is not
     empty: for x1 in [lo, hi] below, of area prod_i (w_i - 2 (t - x1) / s),
     linear in x1 for d <= 2, so that the midpoint rule integrates it exactly.
+    Boxes of one x1-range and exact widths hold equal volumes: they are
+    grouped on a float key that is exact, each width hi - lo as its Fast2Sum
+    pair (w, (hi - w) - lo), w = fl(hi - lo), whose sum is hi - lo exactly
+    as 0 <= lo <= hi (Dekker 1971), and only the distinct keys become
+    `Fraction`s.
     """
     from fractions import Fraction  # here, so that `import lipquant` does not load it
 
@@ -152,9 +157,16 @@ def verify_separation(adv: Adversary) -> SeparationReport:
     if q.shape[1] > 2 or s <= 1:
         raise ValueError(f"exact mass needs d <= 2 and L > 2, got {q.shape[1]}, {adv.lipschitz}")
     residual = float(np.max(np.abs(adv.f_tilde(q) - f_bar(q))))
-    boxes = Counter(  # the boxes of one x1-range and exact widths hold equal volumes
-        (Fraction(a), Fraction(b), *(Fraction(hi) - Fraction(lo) for lo, hi in rest))
-        for (a, b), *rest in adv.tents)
+    tents = np.array(adv.tents, dtype=float).reshape(len(adv.tents), q.shape[1], 2)
+    lo, hi = tents[:, 1:, 0], tents[:, 1:, 1]
+    w = hi - lo
+    keys, counts = np.unique(np.hstack((tents[:, 0], w, (hi - w) - lo)), axis=0,
+                             return_counts=True)
+    n_w, boxes = q.shape[1] - 1, Counter()
+    for (a, b, *pairs), count in zip(keys.tolist(), counts.tolist()):
+        # keys of one value but other bytes (a zero's sign) add to one count
+        boxes[(Fraction(a), Fraction(b), *(Fraction(wi) + Fraction(err)
+                                           for wi, err in zip(pairs[:n_w], pairs[n_w:])))] += count
 
     def mass_below(t: Fraction) -> Fraction:
         total = t

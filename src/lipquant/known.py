@@ -17,6 +17,7 @@ retirement (the budget running out) ends the run.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,15 +26,12 @@ import numpy as np
 from .bounds import bracket_halfwidth, check_limits, finite_real
 from .grid import half_radius
 from .measure import ProductMeasure
-from .wquantile import level_quantiles
+from . import wquantile
 
 #: Deepest level refined: the largest k with 2*3^k < 2^53.  Up to it digits,
 #: 3^k and 2*3^k are exact in int64 and float64, so centers (2b+1)/(2*3^k) and
 #: cell edges b/3^k are correctly rounded and distinct centers stay distinct.
 K_MAX = 32
-
-#: Rows per chunk of a one-band prune, whose gaps are its only float temporary.
-PRUNE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,25 +128,32 @@ class Frontier:
     candidates.
 
     A row that no live band keeps leaves the frontier once, with its mass,
-    into one unsorted chunk `frozen` = (values, masses, eligible), and
-    `frozen_mass` sums those masses.  At a level where bands retire, every
-    row is in the top one's set, so every row is frozen as an eligible
-    point, a kept one with mass 0, since its center child carries its value
-    and mass on; at any other level the rows that leave are ineligible.
-    Merged on values, a frozen cell is so eligible iff it is in a retired
-    band's set (as DIRECT leaves a box that no constant selects).  A
-    level's estimate is the sup form of `level_quantiles` over its rows and
-    `frozen`.  If no live band keeps a row, the frontier is empty and the run
-    stops as `settled`: with no row to refine, no later level could differ.
+    and `frozen_mass` sums those masses.  At a level where bands retire,
+    every row is in the top one's set, so every row is frozen as an eligible
+    point into one unsorted chunk `frozen` = (values, masses, eligible), a
+    kept one with mass 0, since its center child carries its value and mass
+    on.  At any other level the rows that leave are ineligible: they are
+    filed in `sides` = ((below, greatest), (above, least), chunks) by their
+    side of the estimate they left at, each level's rows as one (values,
+    masses) chunk that is never joined to another, with the float mass of
+    each side and its value nearest the estimates.  Merged on values, a
+    frozen cell is so eligible iff it is in a retired band's set (as DIRECT
+    leaves a box that no constant selects).  A level's estimate is the sup
+    form of `wquantile.level_quantiles` over its rows, `frozen` and `sides`,
+    which reads each side as one row where that gives the same answer.  If
+    no live band keeps a row, the frontier is empty and the run stops as
+    `settled`: with no row to refine, no later level could differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order: row r is the
     child 3*block[r // fan] + offsets[r % fan] of the parent digits `block`,
     with `fan` = 3^d rows per parent (1 at the root, whose parent digits are
     0), and `digits` derives the digits once per level for the kept rows.
-    Masses come from one `ProductMeasure.child_probabilities` call on the
-    kept rows.  Each level costs a fixed number of whole-array NumPy calls;
-    a one-band prune runs over PRUNE_CHUNK-row chunks, with no int64 column.
+    Masses come from `ProductMeasure.child_probabilities` on the kept rows,
+    written into the level's column one chunk of parents at a time.  Each
+    level costs a fixed number of whole-array NumPy calls, but for the passes
+    over `wquantile.CHUNK`-row chunks: the masses, and a one-band prune, with
+    no int64 column.
 
     The live bands keeping a row, as their sets are nested, are the j >= its
     lowest band, kept per parent in `lowest` and read through a
@@ -176,6 +181,7 @@ class Frontier:
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
         self.frozen = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        self.sides = ((0.0, -math.inf), (0.0, math.inf), [])
         self.frozen_mass = 0.0
         self.values = self._evaluate(np.full((1, d), 0.5))
         self.masses = measure.cell_probabilities(0, self.block)
@@ -210,14 +216,15 @@ class Frontier:
     def _estimate(self) -> None:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
-        self.estimate, est_inf = level_quantiles(self.frozen, self.values, self.masses, self.alpha)
+        self.estimate, est_inf = wquantile.level_quantiles(self.frozen, self.values, self.masses,
+                                                           self.alpha, self.sides)
         # the forms differ where a head meets alpha exactly (a flat CDF), both
         # then quantiles of the table, which holds no mass between them; mass
         # between them means the crossing fell on an ineligible point
         if self.estimate != est_inf:
             lo, hi = sorted((self.estimate, est_inf))
             if any(((v > lo) & (v < hi) & (m > 0)).any()
-                   for v, m in ((self.values, self.masses), self.frozen[:2])):
+                   for v, m in ((self.values, self.masses), self.frozen[:2], *self.sides[2])):
                 raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
                                      f"{self.estimate} vs {est_inf}")
 
@@ -256,7 +263,7 @@ class Frontier:
         live band, so a row's lowest band is never above the top live band,
         and it is 0 while band 0 alone is live.  Such a level's `first` (and
         so the next level's `lowest`) is the bool column |v_i - estimate| >
-        bands[0], compared over chunks of PRUNE_CHUNK rows, so that no
+        bands[0], compared over chunks of `wquantile.CHUNK` rows, so that no
         level-sized temporary is made.
         """
         n, fan, top = len(self.values), self.fan, self.live_bands[-1]
@@ -266,9 +273,10 @@ class Frontier:
         with np.errstate(over="ignore"):
             bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
         if top == 0:  # one comparison per row beats a binary search
-            first, gap = np.empty(n, dtype=bool), np.empty(min(n, PRUNE_CHUNK))
-            for i in range(0, n, PRUNE_CHUNK):
-                g = gap[:min(n - i, PRUNE_CHUNK)]
+            chunk = wquantile.CHUNK
+            first, gap = np.empty(n, dtype=bool), np.empty(min(n, chunk))
+            for i in range(0, n, chunk):
+                g = gap[:min(n - i, chunk)]
                 np.abs(np.subtract(self.values[i:i + len(g)], self.estimate, out=g), out=g)
                 np.greater(g, bands[0], out=first[i:i + len(g)])
             kept_by = n - np.count_nonzero(first)  # band 0's kept rows
@@ -299,12 +307,17 @@ class Frontier:
         keeps and freeze the other rows; `step` then estimates the next
         level, once this level's columns are released.
 
-        The next level's columns are built one step at a time, and each
-        step's temporaries are released before the next step allocates.
+        The rows that leave are frozen, and the old level's columns are
+        released, before the next level's are built.  Those are built one
+        step at a time, each step's temporaries released before the next
+        step allocates, and its masses one chunk of parents at a time.
         """
         kept = first <= self.live_bands[-1]  # a band that goes on keeps the row
         level, (n_kids, d), c = self.level + 1, self.offsets.shape, len(self.offsets) // 2
-        block = self.digits(kept)
+        block, lowest, centers = self.digits(kept), first[kept], self.values[kept]
+        self._freeze(kept, retiring)
+        del kept
+        self.values = self.masses = None  # the old level's, before the next one's
         # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every term
         # is an integer below 2^53, so only the division rounds
         points = (6.0 * block).repeat(n_kids - 1, axis=0).reshape(-1, n_kids - 1, d)
@@ -315,29 +328,39 @@ class Frontier:
         fresh = fresh.reshape(-1, n_kids - 1)
         del points  # before the next level's values are allocated
         values = np.empty((len(block), n_kids))
-        values[:, c] = self.values[kept]  # the center child's is its parent's
+        values[:, c] = centers  # the center child's is its parent's
         values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
-        del fresh
+        del fresh, centers
         # row-major: each parent's children in `itertools.product` order
-        masses = self.measure.child_probabilities(level, block).ravel()
-        self._freeze(kept, retiring)
+        masses, step = np.empty((len(block), n_kids)), max(1, wquantile.CHUNK // n_kids)
+        for i in range(0, len(block), step):
+            masses[i:i + step] = self.measure.child_probabilities(level, block[i:i + step])
         self.block, self.fan = block, n_kids
-        self.values, self.masses = values.reshape(-1), masses
-        self.lowest, self.level = first[kept], level
+        self.values, self.masses = values.reshape(-1), masses.reshape(-1)
+        self.lowest, self.level = lowest, level
 
     def _freeze(self, kept: np.ndarray, retiring: bool) -> None:
-        """Append this level's frozen points to `frozen`: if bands are
-        `retiring`, every row as an eligible point, with mass 0 where `kept`,
-        else the rows that leave as ineligible points.  `frozen_mass` gains
-        the leaving rows' masses, summed over those rows alone: zeros between
-        them could move the bits of the pairwise sum."""
+        """Freeze this level's rows: if bands are `retiring`, every row into
+        `frozen` as an eligible point, with mass 0 where `kept`, else the rows
+        that leave into `sides`, as one chunk, by their side of the estimate.
+        `frozen_mass` gains the leaving rows' masses, summed over those rows
+        alone: zeros between them could move the bits of the pairwise sum."""
         leaving = ~kept
         masses = self.masses[leaving]
-        rows = ((self.values, np.where(kept, 0.0, self.masses), np.ones(len(kept), dtype=bool))
-                if retiring else (self.values[leaving], masses, np.zeros(len(masses), dtype=bool)))
-        if len(rows[0]):
-            self.frozen_mass += float(masses.sum())
+        self.frozen_mass += float(masses.sum())
+        if retiring:
+            rows = (self.values, np.where(kept, 0.0, self.masses), np.ones(len(kept), dtype=bool))
             self.frozen = tuple(map(np.concatenate, zip(self.frozen, rows)))
+        elif len(masses):
+            values = self.values[leaving]
+            (below, greatest), (above, least), chunks = self.sides
+            low = values < self.estimate
+            below += float(masses.sum(where=low))
+            greatest = max(greatest, float(values.max(where=low, initial=-math.inf)))
+            above += float(masses.sum(where=~low))
+            least = min(least, float(values.min(where=~low, initial=math.inf)))
+            chunks.append((values, masses))
+            self.sides = ((below, greatest), (above, least), chunks)
 
 
 def run_known(

@@ -106,27 +106,41 @@ def _resolution(resolution: int | None, dim: int) -> int:
     return (10 ** 6 if dim == 1 else 3000) if resolution is None else int(resolution)
 
 
+#: The most cells of one chunk of a grid walk.
+_CHUNK_CELLS = 10 ** 7
+
+
 def _grid(p: TestProblem, res: int):
     """The walk over the grid of `res` cells per axis: `walk(with_masses)`
-    yields, for each chunk of at most 10^7 cells (rows of x2 for d = 2), f
-    at the chunk's cell centers and, if `with_masses`, the cells'
-    probabilities, else None, both flat.  A d = 1 grid is one chunk of `res`
-    cells, however large `res` is.  A grid of one chunk is evaluated once and
-    then walked from memory."""
-    edges = np.linspace(0.0, 1.0, res + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    n_rows, step = res ** (p.dim - 1), max(1, 10 ** 7 // res)
-    chunks = [(i0, min(i0 + step, n_rows)) for i0 in range(0, n_rows, step)]
+    yields, for each chunk of at most `_CHUNK_CELLS` cells (runs of cells
+    along x1 for d = 1, rows of x2 for d = 2), f at the chunk's cell centers
+    and, if `with_masses`, the cells' probabilities, else None, both flat.
+    A chunk makes the edges and centers it reads, so a walk holds one chunk.
+    A grid of one chunk is evaluated once and then walked from memory."""
+    # a chunk is rows of the last axis, each whole along any axis before it
+    step = max(1, _CHUNK_CELLS // res ** (p.dim - 1))
+    chunks = [(i0, min(i0 + step, res)) for i0 in range(0, res, step)]
+
+    def axis(i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+        # the edges of cells i0..i1-1 of an axis and their centers, as
+        # np.linspace(0, 1, res + 1) makes the edges
+        edges = np.arange(i0, i1 + 1) * (1.0 / res)
+        if i1 == res:
+            edges[-1] = 1.0
+        return edges, 0.5 * (edges[:-1] + edges[1:])
+
+    across = axis(0, res) if p.dim == 2 else None  # x1 of a d = 2 row
 
     def values(i0: int, i1: int) -> np.ndarray:
-        x = np.empty((i1 - i0, res, p.dim))
-        x[..., 0] = centers
-        x[..., 1:] = centers[i0:i1, None, None]  # x2, fixed per row; d = 1 has none
+        x = np.empty((i1 - i0, res ** (p.dim - 1), p.dim))
+        x[..., -1] = axis(i0, i1)[1][:, None]  # fixed per row for d = 2
+        if p.dim == 2:
+            x[..., 0] = across[1]
         return np.asarray(p.f(x.reshape(-1, p.dim)), dtype=float)
 
     def masses(i0: int, i1: int) -> np.ndarray:
-        w = [np.diff(m.cdf(edges)) for m in p.measure.marginals]
-        return w[0] if p.dim == 1 else np.outer(w[1][i0:i1], w[0]).ravel()
+        w = np.diff(p.measure.marginals[-1].cdf(axis(i0, i1)[0]))
+        return w if p.dim == 1 else np.outer(w, np.diff(p.measure.marginals[0].cdf(across[0]))).ravel()
 
     if len(chunks) == 1:
         values, masses = functools.cache(values), functools.cache(masses)

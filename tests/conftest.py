@@ -73,3 +73,18 @@ def windowed_answers(monkeypatch):
 
     monkeypatch.setattr(wquantile, "_windowed", counted)
     return answered
+
+
+@pytest.fixture
+def summarized_answers(monkeypatch):
+    """Whether each summary read of `wquantile.level_quantiles` answered, in
+    call order: one call per level with ineligible frozen rows."""
+    summarized, answered = wquantile._summarized, []
+
+    def counted(*args):
+        out = summarized(*args)
+        answered.append(out is not None)
+        return out
+
+    monkeypatch.setattr(wquantile, "_summarized", counted)
+    return answered

@@ -1,7 +1,9 @@
 """Optimality constructions: agreement at queries and quantile gaps."""
 
+import dataclasses
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +82,19 @@ def tilde_mass_below(adv, t):
             total -= abs(sum((x1 * y2 - y1 * x2 for (x1, x2), (y1, y2)
                               in zip(polygon, polygon[1:] + polygon[:1])), Fraction(0))) / 2
     return total
+
+
+def grouped_mass_below(adv):
+    """`tilde_mass_below` of a d = 2 adversary, with its boxes grouped on
+    their exact x1-range and width, in `Fraction`s, and the clipped polygons
+    of one box of each group: boxes of one group hold equal volumes."""
+    groups = Counter((Fraction(a), Fraction(b), Fraction(e) - Fraction(c))
+                     for (a, b), (c, e) in adv.tents)
+
+    def mass_below(t):
+        return t - sum(n * (t - tilde_mass_below(dataclasses.replace(adv, tents=(((a, b), (0, w)),)), t))
+                       for (a, b, w), n in groups.items())
+    return mass_below
 
 
 def assert_greatest_double_below(gap, mass_below):
@@ -240,6 +255,16 @@ class TestD2Construction:
         rep = verify_separation(adv)
         assert rep.passed
         assert_greatest_double_below(rep.measured_gap, lambda t: tilde_mass_below(adv, t))
+
+    # the gaps that grouping the boxes on their bounds as `Fraction`s gave
+    @pytest.mark.parametrize("n, gap", [(3, "0x1.82244e6cea789p-4"),
+                                        (243, "0x1.311986a83acd6p-10"),
+                                        (3000, "0x1.6999832633de8p-15")])
+    def test_boxes_grouped_on_exact_float_keys(self, n, gap):
+        adv = build_adversary_d2(np.random.default_rng(n).random((n, 2)))
+        rep = verify_separation(adv)
+        assert rep.passed and rep.measured_gap.hex() == gap
+        assert_greatest_double_below(rep.measured_gap, grouped_mass_below(adv))
 
     def test_verified_separation_n243(self):
         # 729 cells per axis, all of the middle column free: 729 tent boxes of 12 exact widths

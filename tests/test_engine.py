@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lipquant as lq
-from lipquant import known, wquantile
+from lipquant import wquantile
 from lipquant.cli import ConfigError, ExperimentConfig
 from lipquant.grid import center_child_digits, half_radius
 from lipquant.known import K_MAX, Frontier, run_known
@@ -50,6 +50,24 @@ def assert_distinct_points(calls):
     points = np.concatenate(calls)
     assert len(np.unique(points, axis=0)) == len(points)
     return len(points)
+
+
+def joined(parts):
+    """One (values, masses, eligible) chunk of the rows of `parts`, in order."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def ineligible(chunk):
+    values, masses = chunk
+    return values, masses, np.zeros(len(values), dtype=bool)
+
+
+def every_row(fr):
+    """Every row of the frontier `fr`'s table as one (values, masses,
+    eligible) chunk: its level's, all eligible, the eligible frozen ones of
+    `frozen`, then the ineligible ones of the chunks of `sides`."""
+    level = fr.values, fr.masses, np.ones(len(fr.values), dtype=bool)
+    return joined([level, fr.frozen, *map(ineligible, fr.sides[2])])
 
 
 def measure_for(dim):
@@ -143,15 +161,16 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     return levels, ledgers, retired, len(cache), frontiers, tables
 
 
-# a one-band level is pruned in chunks of rows; chunks of 7 rows, not a
-# multiple of 3^d, split the children of some parents across chunk edges
-CHUNKS = [known.PRUNE_CHUNK, 7]
+# a one-band level is pruned in chunks of rows, and its masses are written in
+# chunks of parents; chunks of 7 rows, not a multiple of 3^d, split the
+# children of some parents across the prune's chunk edges
+CHUNKS = [wquantile.CHUNK, 7]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
-    monkeypatch.setattr(known, "PRUNE_CHUNK", chunk)
+    monkeypatch.setattr(wquantile, "CHUNK", chunk)
     f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -174,7 +193,7 @@ def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
 def test_unknown_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
     # the last levels of each run have one live band, so they take the
     # chunked prune
-    monkeypatch.setattr(known, "PRUNE_CHUNK", chunk)
+    monkeypatch.setattr(wquantile, "CHUNK", chunk)
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -224,9 +243,10 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     bands = funded_candidates(budget)
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
     settled = 0  # levels with eligible frozen points
+    parts = [fr.frozen]  # the frozen rows in the order they were frozen, as the oracle's
     for cells, ref in zip(frontiers, tables):
         assert list(map(tuple, fr.digits().tolist())) == cells
-        fv, fm, fe = fr.frozen
+        fv, fm, fe = joined(parts)
         got = ValueMassTable(np.concatenate((fr.values, fv)), np.concatenate((fr.masses, fm)),
                              np.concatenate((np.ones(len(fr.values), dtype=bool), fe)))
         for column in ("values", "masses", "eligible"):
@@ -234,7 +254,12 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
         settled += bool(fe.any())
         if fr.level == len(frontiers) - 1:
             break
+        n_eligible, n_chunks = len(fr.frozen[0]), len(fr.sides[2])
         assert fr.step()
+        # a step freezes the rows that leave into one chunk of `sides`, or
+        # every row of a retirement level into `frozen`
+        parts += [ineligible(c) for c in fr.sides[2][n_chunks:]]
+        parts.append(tuple(column[n_eligible:] for column in fr.frozen))
         # the invariant that lets a one-band level skip the lowest bands
         assert fr.lowest.max(initial=0) <= fr.live_bands[-1]
     assert fr.level == len(frontiers) - 1
@@ -292,13 +317,14 @@ def test_windows_read_the_frozen_rows_in_place(windowed_answers, monkeypatch):
     # levels 8 to 10 of this run are read from windows, beside 6,726 to
     # 19,935 frozen rows, 3,304 to 11,242 of them eligible, in the order
     # they were frozen; the eligible ones include the points of mass 0 that
-    # the retirement levels froze for the rows they kept
+    # the retirement levels froze for the rows they kept, and the windows
+    # read the ineligible ones as two summary rows
     p, eligible = lq.paper_f_d2(), []
     counted = wquantile._windowed
 
-    def spy(frozen, *args):
-        eligible.append(int(frozen[2].sum()))
-        return counted(frozen, *args)
+    def spy(parts, *args):
+        eligible.append(sum(int(part[2].sum()) for part in parts))
+        return counted(parts, *args)
 
     monkeypatch.setattr(wquantile, "_windowed", spy)
     run = run_unknown(p.f, p.measure, p.alpha, 10 ** 5)
@@ -316,8 +342,9 @@ def test_windows_read_the_frozen_rows_in_place(windowed_answers, monkeypatch):
 def test_tie_free_levels_are_read_from_windows(alpha, rows, windowed_answers, monkeypatch):
     # f = x1 + phi*x2 ties no two centers; its quantile is exact for
     # alpha >= 1 - 1/(2*phi).  Every window answers, the last one beside a
-    # third as many frozen rows, though a cell's mass there is below the
-    # sums' error bound: the heads within it are summed exactly
+    # third as many frozen rows (read as two summary rows), though a cell's
+    # mass there is below the sums' error bound: the heads within it are
+    # summed exactly, over every row
     phi = (1 + math.sqrt(5)) / 2
     q = 1 + phi - math.sqrt(2 * phi * (1 - alpha))
 
@@ -335,6 +362,76 @@ def test_tie_free_levels_are_read_from_windows(alpha, rows, windowed_answers, mo
     assert run().history == windowed.history
 
 
+def outcome(run):
+    """Everything a run gives, the exception it raises included, with each
+    estimate as its hex string."""
+    try:
+        r = run()
+    except (ArithmeticError, AssertionError, ValueError) as e:
+        return type(e), str(e)
+    return ([r.estimate.hex() for r in r.history], r.history, r.ledgers, r.retirement_level,
+            r.stop_reason)
+
+
+@pytest.mark.parametrize("algo, budget, levels", [("known", 10 ** 6, 11), ("unknown", 10 ** 5, 6)])
+def test_summarized_levels_match_the_full_read_on_paper_d2(algo, budget, levels,
+                                                            summarized_answers, monkeypatch):
+    # every level with ineligible frozen rows is read with them as two
+    # summary rows; reading every frozen row instead gives the same run
+    p = lq.paper_f_d2()
+
+    def run():
+        if algo == "known":
+            return run_known(p.f, p.lipschitz, p.measure, p.alpha, budget)
+        return run_unknown(p.f, p.measure, p.alpha, budget)
+
+    summarized = outcome(run)
+    assert summarized_answers == [True] * levels
+    monkeypatch.setattr(wquantile, "_summarized", lambda *args: None)
+    assert outcome(run) == summarized
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_summarized_levels_match_the_full_read_on_random_problems(seed, summarized_answers,
+                                                                  monkeypatch):
+    # the known constant, constants that the data may refute, and the
+    # candidates of an unknown one, under truncated normal laws
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 3
+    f, lip = random_lipschitz_problem(rng, dim)
+    m = lq.product_measure([lq.truncated_normal_marginal(rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.5))
+                            for _ in range(dim)])
+    alpha, budget = rng.uniform(0.05, 0.95), (2000, 5000, 20000)[dim - 1]
+    runs = [lambda c=c: run_known(f, c * lip, m, alpha, budget) for c in (1.0, 0.2, 0.05)]
+    runs.append(lambda: run_unknown(f, m, alpha, budget))
+    summarized = [outcome(run) for run in runs]
+    assert summarized_answers and any(summarized_answers)
+    monkeypatch.setattr(wquantile, "_summarized", lambda *args: None)
+    assert [outcome(run) for run in runs] == summarized
+
+
+def test_a_summary_that_cannot_answer_falls_back_to_every_row(summarized_answers):
+    # f = 1000 + x under the uniform law: from level 27 on, its values are
+    # coarser than its cells, and at some levels a crossing lies at or past
+    # the greatest value that left below an estimate, outside the span the
+    # summary can read; those levels are read from every row
+    m, f = lq.uniform_cube(1), lambda x: 1000.0 + x[:, 0]
+    fell_back = 0
+    for alpha in np.random.default_rng(0).uniform(0.01, 0.99, 100).tolist():
+        summarized_answers.clear()
+        run = run_known(f, 1.0, m, alpha, 10 ** 4)
+        if all(summarized_answers):
+            continue
+        fell_back += 1
+        fr, want = Frontier(f, m, alpha, [1.0], [10 ** 4]), []
+        while True:
+            want.append(weighted_quantile_sup(*every_row(fr), alpha))
+            if fr.level >= K_MAX or not fr.step():
+                break
+        assert [r.estimate.hex() for r in run.history] == [x.hex() for x in want]
+    assert fell_back == 14
+
+
 def test_every_level_of_a_deep_d1_run_is_the_exact_quantile():
     # f = x at alpha 0.3 reaches level 32, where a float cumulative sum of
     # the table crossed alpha at 0x1.333333333333fp-2, the table's next value
@@ -343,10 +440,7 @@ def test_every_level_of_a_deep_d1_run_is_the_exact_quantile():
     run = run_known(p.f, 1.0, m, 0.3, 10 ** 4)
     fr, want = Frontier(p.f, m, 0.3, [1.0], [10 ** 4]), []
     while True:
-        fv, fm, fe = fr.frozen
-        want.append(weighted_quantile_sup(np.concatenate((fr.values, fv)),
-                                          np.concatenate((fr.masses, fm)),
-                                          np.concatenate((np.ones(len(fr.values), bool), fe)), 0.3))
+        want.append(weighted_quantile_sup(*every_row(fr), 0.3))
         if fr.level >= K_MAX or not fr.step():
             break
     assert run.level == K_MAX == len(want) - 1
@@ -513,12 +607,14 @@ def test_a_fraction_alpha_is_read_as_a_float(paper_d2, monkeypatch):
     # through object arrays, at about 1.3 times the time of a float alpha
     p, seen = paper_d2, []
 
-    def spy(frozen, values, masses, alpha):
+    read = wquantile.level_quantiles
+
+    def spy(frozen, values, masses, alpha, sides):
         seen.append(type(alpha))
-        return wquantile.level_quantiles(frozen, values, masses, alpha)
+        return read(frozen, values, masses, alpha, sides)
 
     want = run_known(p.f, p.lipschitz, p.measure, 0.5, 10 ** 5)
-    monkeypatch.setattr("lipquant.known.level_quantiles", spy)
+    monkeypatch.setattr(wquantile, "level_quantiles", spy)
     got = run_known(p.f, p.lipschitz, p.measure, Fraction(1, 2), 10 ** 5)
     assert got.history == want.history and got.bracket == want.bracket
     assert seen and set(seen) == {float}

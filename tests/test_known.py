@@ -240,3 +240,17 @@ class TestFootprint:
         rows = run.history[-1].active_cells
         assert rows == 356_490
         assert peak / rows <= 44
+
+    def test_no_level_sized_copy_of_the_frozen_rows_or_the_masses(self):
+        # the frozen rows are kept in the chunks they left in, the masses are
+        # written chunk by chunk into the level's column, and the window bins
+        # the level chunk by chunk: the peak was 13.06e6 bytes with a copy of
+        # each, 11.54e6 without
+        p = lq.paper_f_d2()
+        tracemalloc.start()
+        try:
+            run_known(p.f, p.lipschitz, p.measure, p.alpha, 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

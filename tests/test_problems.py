@@ -141,6 +141,25 @@ class TestGridOracle:
         assert q == pytest.approx(p.true_quantile, abs=2e-3)
         assert seen == [3161 * 3163, 2 * 3163] * 3
 
+    @pytest.mark.parametrize("problem, resolution, cells, sizes", [
+        (lq.paper_f_d1(), 1000, 300, [300, 300, 300, 100]),
+        (linear_d1(0.3), 1001, 1001, [1001]),
+        (paper_f_d2(0.999), 1000, 2500, [2000] * 500),
+    ], ids=["d1", "d1-one-chunk", "d2"])
+    def test_a_chunked_walk_is_the_one_chunk_walk(self, problem, resolution, cells, sizes,
+                                                  monkeypatch):
+        # a d = 1 grid is cut along x1, its edges and centers included
+        whole = list(lq.problems._grid(problem, resolution)(with_masses=True))
+        want = (brute_force_quantile(problem, resolution),
+                estimate_level_set_M(problem, None, resolution))
+        monkeypatch.setattr(lq.problems, "_CHUNK_CELLS", cells)
+        chunks = list(lq.problems._grid(problem, resolution)(with_masses=True))
+        assert [len(v) for v, _ in chunks] == sizes
+        for column in range(2):
+            assert np.concatenate([c[column] for c in chunks]).tobytes() == whole[0][column].tobytes()
+        assert (brute_force_quantile(problem, resolution),
+                estimate_level_set_M(problem, None, resolution)) == want
+
     def test_dimension_guard(self):
         p = lq.TestProblem(
             "d3", lambda x: np.asarray(x).sum(axis=1), 2.0, lq.uniform_cube(3), 0.5

@@ -336,6 +336,71 @@ class TestLevelQuantiles:
         assert windowed_answers == [False, False]
 
 
+def sides_of(rng, fv, fm, cut, n_chunks):
+    """The rows (fv, fm), all ineligible, as the `sides` of
+    `level_quantiles`: the rows below `cut` and the others, their float
+    masses and extremes, and the rows shuffled into `n_chunks` chunks."""
+    low = fv < cut
+    chunks = [(fv[c], fm[c]) for c in np.array_split(rng.permutation(len(fv)), n_chunks)]
+    return ((float(fm[low].sum()), float(fv.max(where=low, initial=-np.inf))),
+            (float(fm[~low].sum()), float(fv.min(where=~low, initial=np.inf))), chunks)
+
+
+class TestSummarized:
+    """`level_quantiles` with `sides` is the exact oracles' pair over every
+    row, bit for bit, whether the summary rows answer or not."""
+
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.one_of(st.integers(1, 50), st.integers(WINDOW_FLOOR, 2 * WINDOW_FLOOR)),
+        st.sampled_from([1, 2, 5, 24, 300, None]),
+        st.integers(0, 100),  # eligible frozen rows
+        st.integers(1, 300),  # rows of the sides
+        st.sampled_from([0.0, 0.5, 1.0]),  # where the sides split, as a quantile of the level
+        st.integers(1, 5),  # chunks of the sides
+        st.floats(0.001, 0.999),
+    )
+    def test_equals_the_oracles(self, seed, n, distinct, n_frozen, n_side, split, n_chunks, alpha):
+        rng = np.random.default_rng(seed)
+        values, masses = level(rng, n, distinct)
+        frozen = frozen_rows(rng, values, n_frozen, eligible=1.0)
+        fv, fm, _ = frozen_rows(rng, values, n_side, eligible=0.0)
+        sides = sides_of(rng, fv, fm, float(np.quantile(values, split)), n_chunks)
+        got = level_quantiles(frozen, values, masses, alpha, sides)
+        everything = tuple(map(np.concatenate, zip(frozen, (fv, fm, np.zeros(len(fv), dtype=bool)))))
+        assert hexes(got) == hexes(exact_pair(everything, values, masses, alpha))
+
+    @pytest.mark.parametrize("n", [100, 2 * WINDOW_FLOOR])
+    def test_a_crossing_outside_the_span_reads_every_row(self, n, summarized_answers):
+        # ineligible masses 1/4 below the level and 1/4 above it, at -3..-1
+        # and 5001..5003: alpha 1/2 crosses in the level and is read from the
+        # summary; alphas 0.1 and 0.9 cross among the rows of a side, where
+        # the summary declines and every row is read
+        values, masses = np.linspace(0.0, 1.0, n), np.full(n, 0.5 / n)
+        fv, fm = np.array([-3.0, -2.0, -1.0, 5001.0, 5002.0, 5003.0]), np.full(6, 1 / 12)
+        sides = sides_of(np.random.default_rng(0), fv, fm, 0.5, 2)
+        everything = fv, fm, np.zeros(6, dtype=bool)
+        # the level's own values are answers, as no frozen row is eligible
+        for alpha in (0.5, 0.1, 0.9):
+            got = level_quantiles(NO_ROWS, values, masses, alpha, sides)
+            assert hexes(got) == hexes(exact_pair(everything, values, masses, alpha))
+        assert summarized_answers == [True, False, False]
+
+
+    def test_an_answer_in_the_span_is_not_enough(self, summarized_answers):
+        # the rows above, at 1 and 3, are one summary row of mass 5/8 at 1,
+        # so the summary's answers are both 1, the eligible level row of
+        # mass 0 there, inside the span (0, 1]; but its first head > alpha is
+        # at 2, past the span, and over every row the head at 2 is
+        # 3/8 = alpha: the sup is 2
+        values, masses = np.array([0.5, 1.0, 2.0]), np.array([1 / 8, 0.0, 1 / 8])
+        fv, fm = np.array([0.0, 1.0, 3.0]), np.array([1 / 8, 1 / 8, 1 / 2])
+        sides = ((1 / 8, 0.0), (5 / 8, 1.0), [(fv, fm)])
+        got = level_quantiles(NO_ROWS, values, masses, 3 / 8, sides)
+        assert got == exact_pair((fv, fm, np.zeros(3, dtype=bool)), values, masses, 3 / 8) == (2.0, 1.0)
+        assert summarized_answers == [False]
+
+
 class TestWindowed:
     """The window read `_windowed` is None or the exact pair, bit for bit."""
 
@@ -350,7 +415,7 @@ class TestWindowed:
         rng = np.random.default_rng(seed)
         values, masses = level(rng, n, distinct)
         frozen = frozen_rows(rng, values, n_frozen)
-        got = wquantile._windowed(frozen, values, masses, alpha)
+        got = wquantile._windowed([frozen], values, masses, alpha)
         if got is not None:
             assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
 
@@ -393,16 +458,16 @@ class TestWindowed:
         settled, settle = [], wquantile._settle
         monkeypatch.setattr(wquantile, "_settle", lambda *a: settled.append(1) or settle(*a))
         alpha = head + side * 1e-13
-        got = wquantile._windowed(frozen, values, masses, alpha)
+        got = wquantile._windowed([frozen], values, masses, alpha)
         assert got == exact_pair(frozen, values, masses, alpha) and got[0] == got[1]
         assert settled == [1]
         # at alpha on the head, the forms differ: a flat CDF
-        got = wquantile._windowed(frozen, values, masses, head)
+        got = wquantile._windowed([frozen], values, masses, head)
         assert got == exact_pair(frozen, values, masses, head)
         assert got[1] == got[0] - 1.0 and settled == [1, 1]
         # with the sums clear of the bound, the filter alone decides
         for alpha in (0.5 - 2 ** -14, 0.5 + 2 ** -14):
-            assert wquantile._windowed(frozen, values, masses, alpha) == \
+            assert wquantile._windowed([frozen], values, masses, alpha) == \
                 exact_pair(frozen, values, masses, alpha)
         assert settled == [1, 1]
 
