@@ -28,6 +28,9 @@ SLOPE_BOOST_D2 = 2.0 * (5.0 ** 0.5 / (6.0 ** 0.5 - 5.0 ** 0.5))
 #: the most queries of a d = 1 construction: up to N = 52 every region end
 #: 1/2 +- rho^j / 2 is an exact double; at N = 53, 1 + rho^N rounds to 1
 MAX_QUERIES_D1 = 52
+#: the most queries of a d = 2 construction: up to N = 3^9 the cells per axis,
+#: the least 3^j >= 3N, are at most 3^10, and so are the tent boxes
+MAX_QUERIES_D2 = 3 ** 9
 
 
 def f_bar(x: np.ndarray) -> np.ndarray:
@@ -82,10 +85,13 @@ def build_adversary_d2(query_points: np.ndarray) -> Adversary:
 
     At the smallest level j with 3^j >= 3N, the middle column of cells meets
     the hyperplane x1 = 1/2; at least 2N of them contain no query point, and
-    each of those is a tent box of slope `SLOPE_BOOST_D2`.
+    each of those is a tent box of slope `SLOPE_BOOST_D2`.  N is at most
+    `MAX_QUERIES_D2`.
     """
     q = _queries(query_points, 2)
     n, m = q.shape[0], 3
+    if n > MAX_QUERIES_D2:
+        raise ValueError(f"d = 2 takes at most MAX_QUERIES_D2 = {MAX_QUERIES_D2} queries, got {n}")
     while m < 3 * n:
         m *= 3
     mid = (m - 1) // 2  # the column of cells straddling x1 = 1/2

@@ -140,7 +140,9 @@ class Frontier:
     frozen cell is so eligible iff it is in a retired band's set (as DIRECT
     leaves a box that no constant selects).  A level's estimate is the sup
     form of `wquantile.level_quantiles` over its rows, `frozen` and `sides`,
-    which reads each side as one row where that gives the same answer.  If
+    which reads each side as one row where that gives the same answer.  Its
+    pair alone tells a sup/inf mismatch, as sup < inf (the lemma in the
+    `wquantile` docstring), so only `_freeze` reads a frozen row.  If
     no live band keeps a row, the frontier is empty and the run stops as
     `settled`: with no row to refine, no later level could differ.
 
@@ -218,15 +220,12 @@ class Frontier:
         # shares its parent's), so the whole frontier is eligible
         self.estimate, est_inf = wquantile.level_quantiles(self.frozen, self.values, self.masses,
                                                            self.alpha, self.sides)
-        # the forms differ where a head meets alpha exactly (a flat CDF), both
-        # then quantiles of the table, which holds no mass between them; mass
-        # between them means the crossing fell on an ineligible point
-        if self.estimate != est_inf:
-            lo, hi = sorted((self.estimate, est_inf))
-            if any(((v > lo) & (v < hi) & (m > 0)).any()
-                   for v, m in ((self.values, self.masses), self.frozen[:2], *self.sides[2])):
-                raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
-                                     f"{self.estimate} vs {est_inf}")
+        # sup < inf iff the table holds positive mass strictly between them,
+        # where the crossing fell on an ineligible point (the lemma in the
+        # `wquantile` docstring); a flat CDF gives inf <= sup
+        if self.estimate < est_inf:
+            raise AssertionError(f"sup/inf estimator mismatch at level {self.level}: "
+                                 f"{self.estimate} vs {est_inf}")
 
     def run(self, budget: int, max_level: int | None, lipschitz: float | None = None) -> Run:
         """Record each level and step to the next until the run stops: at

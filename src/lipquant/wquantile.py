@@ -11,11 +11,30 @@ eligible v with head(v) <= alpha, else the least eligible v, and the inf
 form the first eligible v at or past the last value with head(v) < alpha,
 else the greatest.  On a table of total mass 1 these are
 sup{v : mass of {value >= v} >= 1 - alpha} and
-inf{v : mass of {value <= v} >= alpha}; they differ only where a head meets
-alpha (a flat CDF), both then quantiles of the table.  A head is a float
-cumulative sum where that decides it, and an exact sum where it cannot
-(filter, then exact: Shewchuk, "Adaptive Precision Floating-Point
-Arithmetic", 1997), so no summation order moves a quantile.
+inf{v : mass of {value <= v} >= alpha}.  A head is a float cumulative sum
+where that decides it, and an exact sum where it cannot (filter, then exact:
+Shewchuk, "Adaptive Precision Floating-Point Arithmetic", 1997), so no
+summation order moves a quantile.
+
+The table holds positive mass strictly between the two forms iff
+sup < inf, so the pair alone tells where a crossing fell on an ineligible
+value.  Let u be the last group with head < alpha (the first group's head
+is 0) and t the last with head <= alpha, so u <= t and every group after u
+up to t has head exactly alpha.  Where a group follows t, u holds positive
+mass: the head after u is alpha if t > u, and above alpha if t = u.
+  - Flat CDF: an eligible group lies in [u, t].  The sup form is the
+    greatest eligible one up to t and the inf form the least from u on, both
+    in [u, t], so inf <= sup; each group strictly between them lies strictly
+    after u and before t, between two heads equal to alpha, and holds mass 0.
+  - Crossing on an ineligible value: no eligible group lies in [u, t], but
+    one lies before u and one after t.  The sup form is the greatest before
+    u and the inf form the least after t, so sup < inf, and u, which is not
+    the last group, lies strictly between them with exact mass > 0.
+  - Otherwise every eligible group lies after t, or every one before u, and
+    both forms are the same extreme eligible value: the least, where the
+    sup form falls back to it, or the greatest, where the inf form does.
+A group's mass is the exact sum of its rows' masses, so "positive mass" is
+"a row of mass > 0", over every real row of the table.
 
 The engine files the ineligible frozen rows by side: each row below is at
 most `greatest`, each row above at least `least`.  A level is first read

@@ -15,6 +15,7 @@ from lipquant.adversary import (
     GAP_CONSTANT_D1,
     GAP_CONSTANT_D2,
     MAX_QUERIES_D1,
+    MAX_QUERIES_D2,
     SLOPE_BOOST_D1,
     SLOPE_BOOST_D2,
     Adversary,
@@ -193,8 +194,10 @@ class TestBadQueries:
         (build_adversary_d2, [[1.5, 0.5], [0.5, -0.2]], r"\[0,1\]"),  # passed
         (build_adversary_d1, [-0.1, 0.5], r"\[0,1\]"),
         (build_adversary_d1, np.full((4, 2), 0.3), r"\(N, 1\)"),  # read as 8 queries
+        # 177,147 tent boxes; N = 10^6 would have held about 4.8 million
+        (build_adversary_d2, np.full((MAX_QUERIES_D2 + 1, 2), 0.3), "MAX_QUERIES_D2"),
     ], ids=["d2-empty", "d1-empty", "d1-nan", "d2-inf", "d2-outside", "d1-outside",
-            "d1-two-columns"])
+            "d1-two-columns", "d2-above-cap"])
     def test_refused_by_name(self, build, queries, match):
         with pytest.raises(ValueError, match=match):
             build(queries)

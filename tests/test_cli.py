@@ -358,11 +358,13 @@ class TestExitCodes:
         ["run", "--alpha", "1.5"],
         # refused before the construction of N = 3 is verified
         ["adversary", "--dim", "1", "--n", "3,53"],
+        ["adversary", "--dim", "2", "--n", "3,19684"],
     ], ids=["adversary-n-abc", "adversary-no-n", "unknown-budget-1", "lipschitz-nan",
             "lipschitz-inf", "level-set-nan", "level-set-negative", "run-resolution-5",
             "oracle-resolution-5", "monte-carlo-seed-negative", "out-missing-dir",
             "adversary-seed-negative", "run-alpha-abc", "run-seed-1.5", "oracle-alpha-x",
-            "adversary-seed-x", "config-key-unknown", "run-alpha-1.5", "adversary-n-above-cap"])
+            "adversary-seed-x", "config-key-unknown", "run-alpha-1.5", "adversary-n-above-cap",
+            "adversary-d2-n-above-cap"])
     def test_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "colour.cfg").write_text("colour=red\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lipquant import wquantile
@@ -62,6 +62,15 @@ def exact_pair(frozen, values, masses, alpha):
 
 def hexes(pair):
     return [x.hex() for x in pair]
+
+
+def assert_mass_between_iff_sup_below_inf(pair, *rows):
+    """The lemma of the `wquantile` docstring on a table's (sup, inf)
+    `pair`: the table's real rows, (values, masses) chunks, hold positive
+    mass strictly between the pair's values iff sup < inf."""
+    lo, hi = sorted(pair)
+    between = any(((v > lo) & (v < hi) & (m > 0)).any() for v, m in rows)
+    assert between == (pair[0] < pair[1]), pair
 
 
 def quantiles(points, alpha):
@@ -295,6 +304,8 @@ class TestLevelQuantiles:
         st.integers(0, 200),  # frozen rows
         st.integers(-3, 3),  # alpha's ulps from a head
     )
+    @example(19, 5, 5, 0)  # a crossing on an ineligible frozen value: sup < inf
+    @example(20, 5, 5, 0)  # a flat CDF: inf < sup
     def test_no_row_order_moves_a_crossing(self, seed, n, n_frozen, nudge):
         # heavy ties with both zeros, masses scaled to a total that is off 1
         # by a few ulps, and alpha within ulps of the float sum of the masses
@@ -315,6 +326,8 @@ class TestLevelQuantiles:
         frozen = values[n:], masses[n:], rng.random(n_frozen) < 0.5
         got = level_quantiles(frozen, values[:n], masses[:n], alpha)
         assert hexes(got) == hexes(exact_pair(frozen, values[:n], masses[:n], alpha))
+        # nudge 0 puts alpha on a float head, where the forms can differ
+        assert_mass_between_iff_sup_below_inf(got, (values, masses))
         # any order of the level's rows, and of the frozen rows, as any split
         # of them into chunks joined in any order would give
         rows, frows = rng.permutation(n), rng.permutation(n_frozen)
@@ -360,6 +373,7 @@ class TestSummarized:
         st.integers(1, 5),  # chunks of the sides
         st.floats(0.001, 0.999),
     )
+    @example(13, 20, None, 10, 30, 0.5, 2, 0.5)  # a crossing on a side's row: sup < inf
     def test_equals_the_oracles(self, seed, n, distinct, n_frozen, n_side, split, n_chunks, alpha):
         rng = np.random.default_rng(seed)
         values, masses = level(rng, n, distinct)
@@ -369,6 +383,7 @@ class TestSummarized:
         got = level_quantiles(frozen, values, masses, alpha, sides)
         everything = tuple(map(np.concatenate, zip(frozen, (fv, fm, np.zeros(len(fv), dtype=bool)))))
         assert hexes(got) == hexes(exact_pair(everything, values, masses, alpha))
+        assert_mass_between_iff_sup_below_inf(got, (values, masses), everything[:2])
 
     @pytest.mark.parametrize("n", [100, 2 * WINDOW_FLOOR])
     def test_a_crossing_outside_the_span_reads_every_row(self, n, summarized_answers):
