@@ -43,7 +43,6 @@ from .problems import (
     reference_quantile,
 )
 from .unknown import best_candidate, run_unknown
-from .wquantile import ValueMassTable
 
 __all__ = [
     "Adversary",
@@ -54,7 +53,6 @@ __all__ = [
     "Run",
     "SeparationReport",
     "TestProblem",
-    "ValueMassTable",
     "best_candidate",
     "bracket_halfwidth",
     "brute_force_quantile",

@@ -33,6 +33,14 @@ MAX_QUERIES_D1 = 52
 MAX_QUERIES_D2 = 3 ** 9
 
 
+def check_query_count(n: int, dim: int) -> None:
+    """Refuse a construction of `n` queries in dimension `dim` (1 or 2) past
+    its cap, by the cap's name."""
+    cap = MAX_QUERIES_D2 if dim == 2 else MAX_QUERIES_D1
+    if n > cap:
+        raise ValueError(f"d = {dim} takes at most MAX_QUERIES_D{dim} = {cap} queries, got {n}")
+
+
 def f_bar(x: np.ndarray) -> np.ndarray:
     """The first function of each pair, f_bar(x) = x1: its median under the
     uniform law is 1/2."""
@@ -90,8 +98,7 @@ def build_adversary_d2(query_points: np.ndarray) -> Adversary:
     """
     q = _queries(query_points, 2)
     n, m = q.shape[0], 3
-    if n > MAX_QUERIES_D2:
-        raise ValueError(f"d = 2 takes at most MAX_QUERIES_D2 = {MAX_QUERIES_D2} queries, got {n}")
+    check_query_count(n, 2)
     while m < 3 * n:
         m *= 3
     mid = (m - 1) // 2  # the column of cells straddling x1 = 1/2
@@ -116,8 +123,7 @@ def build_adversary_d1(query_points: np.ndarray) -> Adversary:
     """
     q = _queries(query_points, 1)
     n, rho, x = len(q), RHO_D1, q[:, 0]
-    if n > MAX_QUERIES_D1:
-        raise ValueError(f"d = 1 takes at most MAX_QUERIES_D1 = {MAX_QUERIES_D1} queries, got {n}")
+    check_query_count(n, 1)
     regions = [((0.5 * (1 - rho ** (j - 1)), 0.5 * (1 - rho ** j)),
                 (0.5 * (1 + rho ** j), 0.5 * (1 + rho ** (j - 1)))) for j in range(1, n + 1)]
     regions.append(((0.5 * (1 - rho ** n), 0.5 * (1 + rho ** n)),))

@@ -23,15 +23,10 @@ class ProblemConstants:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
-                and self.dim >= 1):
-            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
-        for name in ("lipschitz", "level_set"):
-            value = getattr(self, name)
-            if not (finite_real(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha!r}")
+        check_integer("dim", self.dim, 1)
+        check_positive("lipschitz", self.lipschitz)
+        check_positive("level_set", self.level_set)
+        check_alpha(self.alpha)
 
 
 def finite_real(x) -> bool:
@@ -39,6 +34,26 @@ def finite_real(x) -> bool:
     The comparison is exact, so an int past the float range fails it where
     `math.isfinite` would raise an OverflowError."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def check_alpha(alpha) -> None:
+    """Refuse an alpha that is not a real number in (0, 1), also once read
+    as a float: the engine reads it as one."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0 and 0.0 < float(alpha) < 1.0):
+        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+
+
+def check_positive(name: str, x) -> None:
+    """Refuse an `x` that is not a finite real number > 0, by its `name`."""
+    if not (finite_real(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
+def check_integer(name: str, x, least: int) -> None:
+    """Refuse an `x` that is not an integer >= `least`, by its `name`; a
+    bool is not one."""
+    if not (isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
 
 
 def _whole(x, least: float) -> bool:

@@ -14,15 +14,16 @@ import argparse
 import csv
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import build_adversary_d1, build_adversary_d2, verify_separation
-from .bounds import ProblemConstants, finite_real, known_bound, unknown_bound
+from .adversary import (build_adversary_d1, build_adversary_d2, check_query_count,
+                        verify_separation)
+from .bounds import (ProblemConstants, check_alpha, check_integer, check_positive, known_bound,
+                     unknown_bound)
 from .known import check_limits, run_known
 from .problems import (
     BUILTIN_PROBLEMS,
@@ -67,17 +68,13 @@ class ExperimentConfig:
                               f"choose from {sorted(BUILTIN_PROBLEMS)}")
         if self.algo not in LEAST_BUDGET:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if self.alpha is not None and not (isinstance(self.alpha, numbers.Real)
-                                           and 0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
-        for name in ("lipschitz", "level_set"):
-            value = getattr(self, name)
-            if value is not None and not (finite_real(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        try:
+        try:  # the library's rules, each refusal a ConfigError
+            if self.alpha is not None:
+                check_alpha(self.alpha)
+            for name in ("lipschitz", "level_set"):
+                if getattr(self, name) is not None:
+                    check_positive(name, getattr(self, name))
+            check_integer("seed", self.seed, 0)
             check_resolution(self.resolution)
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -256,16 +253,17 @@ def adversary_report(dim: int, n_values: Sequence[int], seed: int = 0, stream=No
     """Pass/fail table of the optimality constructions, printed to `stream`
     (by default the `sys.stdout` of the call); True if all pass."""
     stream = sys.stdout if stream is None else stream
-    rng = np.random.default_rng(seed)
-    build = build_adversary_d2 if dim == 2 else build_adversary_d1
-    try:  # every construction, so that a refused one stops the report before any is verified
-        advs = [build(rng.random((n, dim))) for n in n_values]
+    try:  # every count, before any query set is drawn
+        for n in n_values:
+            check_query_count(n, dim)
     except ValueError as exc:
         raise ConfigError(f"--n: {exc}") from None
+    rng = np.random.default_rng(seed)
+    build = build_adversary_d2 if dim == 2 else build_adversary_d1
     all_pass = True
     print("n,claimed_gap,measured_gap,agreement_residual,status", file=stream)
-    for n, adv in zip(n_values, advs):
-        rep = verify_separation(adv)
+    for n in n_values:
+        rep = verify_separation(build(rng.random((n, dim))))
         all_pass &= rep.passed
         print(
             f"{n},{rep.claimed_gap!r},{rep.measured_gap!r},"

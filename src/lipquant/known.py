@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bracket_halfwidth, check_limits, finite_real
+from .bounds import bracket_halfwidth, check_alpha, check_limits, check_positive
 from .grid import half_radius
 from .measure import ProductMeasure
 from . import wquantile
@@ -139,8 +138,9 @@ class Frontier:
     each side and its value nearest the estimates.  Merged on values, a
     frozen cell is so eligible iff it is in a retired band's set (as DIRECT
     leaves a box that no constant selects).  A level's estimate is the sup
-    form of `wquantile.level_quantiles` over its rows, `frozen` and `sides`,
-    which reads each side as one row where that gives the same answer.  Its
+    form of `wquantile.level_quantiles` over its rows, `frozen` and `sides`:
+    one loop that reads each side as one summary row, then, where that table
+    cannot give the full table's pair, every row.  Its
     pair alone tells a sup/inf mismatch, as sup < inf (the lemma in the
     `wquantile` docstring), so only `_freeze` reads a frozen row.  If
     no live band keeps a row, the frontier is empty and the run stops as
@@ -165,8 +165,7 @@ class Frontier:
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
         if not isinstance(measure, ProductMeasure):
             raise ValueError(f"measure must be a ProductMeasure, got {measure!r}")
-        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0 and 0.0 < float(alpha) < 1.0):
-            raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+        check_alpha(alpha)
         d = measure.dim
         # read as a float once: a Fraction would make every comparison of the
         # quantile tables go through object arrays, and may round to 0 or 1
@@ -376,8 +375,7 @@ def run_known(
     pure.  The returned `Run` holds the per-level history and the bracket of
     the deepest fully affordable level.  Refinement stops at level K_MAX.
     """
-    if not (finite_real(lipschitz) and lipschitz > 0):
-        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
+    check_positive("lipschitz", lipschitz)
     check_limits(budget, 1, max_level)
     # the one band retires when the budget cannot pay for the next level
     return Frontier(f, measure, alpha, [lipschitz], [budget]).run(budget, max_level, lipschitz)

@@ -7,13 +7,12 @@ assumed atomless, so cell boundaries carry no mass.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import finite_real
+from .bounds import check_integer, finite_real
 
 CdfFn = Callable[[np.ndarray], np.ndarray]
 
@@ -201,6 +200,5 @@ def product_measure(marginals: Sequence[Marginal]) -> ProductMeasure:
 
 
 def uniform_cube(dim: int) -> ProductMeasure:
-    if not (isinstance(dim, numbers.Integral) and not isinstance(dim, bool) and dim >= 1):
-        raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
+    check_integer("dim", dim, 1)
     return product_measure([uniform_marginal() for _ in range(dim)])

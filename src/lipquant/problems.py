@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .bounds import check_integer
 from .measure import ProductMeasure, product_measure, truncated_normal_marginal, uniform_cube
 
 
@@ -92,9 +92,8 @@ _N_BINS = 4096
 def check_resolution(resolution: int | None) -> None:
     """Refuse a grid oracle's `resolution` unless it is None (the default) or
     an integer >= `MIN_RESOLUTION`; a bool is not one."""
-    if not (resolution is None or isinstance(resolution, numbers.Integral)
-            and not isinstance(resolution, bool) and resolution >= MIN_RESOLUTION):
-        raise ValueError(f"resolution must be an integer >= {MIN_RESOLUTION}, got {resolution!r}")
+    if resolution is not None:
+        check_integer("resolution", resolution, MIN_RESOLUTION)
 
 
 def _resolution(resolution: int | None, dim: int) -> int:

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bounds import finite_real
+from .bounds import check_positive
 # center_child_digits is unused here; the benchmark's tests patch it at this path
 from .grid import center_child_digits, half_radius  # noqa: F401
 from .known import Frontier, Run, check_limits
@@ -75,8 +75,7 @@ def best_candidate(lipschitz_true: float) -> int:
     """Smallest j whose `candidate_constant(j)` is at least the true
     constant, which must be finite and positive: 647, whose constant is
     `inf`, for a constant above 3.0 ** 646."""
-    if not (finite_real(lipschitz_true) and lipschitz_true > 0):
-        raise ValueError(f"lipschitz_true must be finite and positive, got {lipschitz_true!r}")
+    check_positive("lipschitz_true", lipschitz_true)
     j = 0
     while candidate_constant(j) < lipschitz_true:
         j += 1

@@ -36,10 +36,13 @@ mass: the head after u is alpha if t > u, and above alpha if t = u.
 A group's mass is the exact sum of its rows' masses, so "positive mass" is
 "a row of mass > 0", over every real row of the table.
 
-The engine files the ineligible frozen rows by side: each row below is at
-most `greatest`, each row above at least `least`.  A level is first read
-from a summary table, in which the rows below are one ineligible row of
-their mass at `greatest` and the rows above one at `least`.  A value v in
+`level_quantiles` reads a level in one loop over the tables it may try,
+each with the span of values where its heads are the full table's: a
+summary table under (greatest, least], then every row, which always
+answers.  The engine files the ineligible frozen rows by side: each row
+below is at most `greatest`, each row above at least `least`.  In the
+summary table the rows below are one ineligible row of their mass at
+`greatest` and the rows above one at `least`.  A value v in
 the span (greatest, least] has every row below under it and none of the
 rows above, so its head is the one over the full table, and so is its float
 head, a float sum of the same rows.  Let u be the summary's last group with
@@ -51,10 +54,12 @@ head < alpha is at u and its first head > alpha at w too.  The sup form is the g
 eligible value below w, else the least eligible one, and the inf form the
 least eligible value at or past u, else the greatest; the summary rows are
 ineligible, so both tables have the same eligible values and the same
-(sup, inf).  Where u or w lies outside the span, the level is read from
-every row.  The tolerance and the exact pass count and read every real row,
-never the summary rows, so they decide each head in the span as the full
-table would.
+(sup, inf).  Where u or w lies outside the span, the summary declines and
+the loop reads every row.  The tolerance and the exact pass count and read
+every real row, never the summary rows, so they decide each head in the
+span as the full table would.  On a level of `WINDOW_FLOOR` rows or more,
+each table is first read from a window of its rows near the crossings,
+which declines where it cannot give that table's pair.
 """
 
 from __future__ import annotations
@@ -66,23 +71,14 @@ import numpy as np
 
 
 class ValueMassTable:
-    """Immutable table of mass points, sorted by value and merged on ties."""
+    """The reader's table: rows sorted by value and merged on ties.  The
+    reader builds it from 1-D columns of one length, never empty, whose
+    values and masses the engine checked where they entered
+    (`Frontier._evaluate`, `measure._steps`): finite values, masses >= 0."""
 
-    def __init__(self, values, masses, eligible):
-        values = np.asarray(values, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        eligible = np.asarray(eligible, dtype=bool)
-        if not (values.ndim == 1 and values.shape == masses.shape == eligible.shape):
-            raise ValueError(f"values, masses and eligible must be 1-D of one length, got "
-                             f"shapes {values.shape}, {masses.shape} and {eligible.shape}")
-        if masses.size == 0:
-            raise ValueError("empty table")
-        if not masses.min() >= 0:  # so that NaN fails too
-            raise ValueError(f"masses must be >= 0, got {masses[~(masses >= 0)][0]}")
+    def __init__(self, values: np.ndarray, masses: np.ndarray, eligible: np.ndarray):
         order = values.argsort()
         ordered = values.take(order)
-        if math.isnan(ordered[-1]):  # sorted last
-            raise ValueError("values must not be NaN")
         # merge ties: mass sums, eligibility is or-ed
         keep = np.empty(values.size, dtype=bool)
         keep[0] = True
@@ -118,49 +114,36 @@ def level_quantiles(frozen: tuple[np.ndarray, ...], values: np.ndarray, masses: 
     `sides` = ((below, greatest), (above, least), chunks) holds more frozen
     rows, all ineligible, in (values, masses) `chunks`: each row is at most
     `greatest` or at least `least`, and `below` and `above` are float sums
-    of the masses of the two kinds.  They are read as two summary rows
-    (`_summarized`) where that gives the full table's answer, else as they
-    are.  A level of `WINDOW_FLOOR` rows or more is read from the rows near
-    its crossings (`_windowed`) where they hold both answers, any other from
-    the whole table, with the same result."""
-    parts = [frozen]
+    of the masses of the two kinds.  The level is read first with them as
+    two summary rows under the span (greatest, least], which answers where
+    that gives the full table's pair, then with every frozen row, which
+    always answers.  Each read of a level of `WINDOW_FLOOR` rows or more
+    tries the rows near its crossings (`_windowed`) before its whole table;
+    every read counts and settles every real row, never a summary row."""
+    chunks, spans = ((values, masses), frozen[:2]), [None]
     if sides and sides[2]:
-        both = _summarized(frozen, values, masses, alpha, sides)
+        (below, greatest), (above, least), side_chunks = sides
+        ends = [(x, m) for x, m in ((greatest, below), (least, above)) if math.isfinite(x)]
+        summary = (np.array([x for x, _ in ends]), np.array([m for _, m in ends]),
+                   np.zeros(len(ends), dtype=bool))
+        chunks, spans = chunks + tuple(side_chunks), [(greatest, least), None]
+    for span in spans:
+        # the side chunks as parts only where the summary declines: a deep
+        # level has one for each level before it
+        parts = [frozen, summary] if span else \
+            [frozen, *((v, m, np.broadcast_to(False, len(v))) for v, m in chunks[2:])]
+        both = None
+        if len(values) >= WINDOW_FLOOR:
+            both = _windowed(parts, values, masses, alpha, chunks, span)
+        if both is None:
+            fv, fm, fe = zip(*parts)
+            table = ValueMassTable(np.concatenate((values, *fv)), np.concatenate((masses, *fm)),
+                                   np.concatenate((np.ones(len(values), dtype=bool), *fe)))
+            if not table.eligible.any():
+                raise ValueError("table has no eligible point")
+            both = _read(table, alpha, chunks, span=span)
         if both is not None:
             return both
-        parts += [(v, m, np.broadcast_to(False, len(v))) for v, m in sides[2]]
-    return _level(parts, values, masses, alpha)
-
-
-def _summarized(frozen: tuple[np.ndarray, ...], values: np.ndarray, masses: np.ndarray,
-                alpha: float, sides) -> tuple[float, float] | None:
-    """`level_quantiles` from the summary table of `sides`, or None where a
-    crossing lies outside the span (greatest, least]."""
-    (below, greatest), (above, least), chunks = sides
-    ends = [(x, m) for x, m in ((greatest, below), (least, above)) if math.isfinite(x)]
-    summary = (np.array([x for x, _ in ends]), np.array([m for _, m in ends]),
-               np.zeros(len(ends), dtype=bool))
-    return _level([frozen, summary], values, masses, alpha,
-                  ((values, masses), frozen[:2], *chunks), (greatest, least))
-
-
-def _level(parts, values: np.ndarray, masses: np.ndarray, alpha: float, chunks=None,
-           span: tuple[float, float] | None = None) -> tuple[float, float] | None:
-    """(sup, inf) of the level's rows with the frozen rows of `parts`, each
-    a (values, masses, eligible) chunk, from a window where it answers, else
-    from the whole table; `chunks` are the real rows, by default all of
-    those, and `span` is as `_read` takes it."""
-    chunks = chunks or ((values, masses), *(part[:2] for part in parts))
-    if len(values) >= WINDOW_FLOOR:
-        both = _windowed(parts, values, masses, alpha, chunks, span)
-        if both is not None:
-            return both
-    fv, fm, fe = zip(*parts)
-    table = ValueMassTable(np.concatenate((values, *fv)), np.concatenate((masses, *fm)),
-                           np.concatenate((np.ones(len(values), dtype=bool), *fe)))
-    if not table.eligible.any():
-        raise ValueError("table has no eligible point")
-    return _read(table, alpha, chunks, span=span)
 
 
 def _read(table: ValueMassTable, alpha: float, chunks,
@@ -245,12 +228,13 @@ def _bin(x: np.ndarray, lo: float, scale: float, out: np.ndarray, tmp: np.ndarra
     out[...] = np.minimum(tmp, N_BINS - 1, out=tmp)  # truncates toward 0
 
 
-def _windowed(parts, values: np.ndarray, masses: np.ndarray, alpha: float, chunks=None,
-              span: tuple[float, float] | None = None) -> tuple[float, float] | None:
-    """`level_quantiles` from the rows of the value bins around the
-    crossings, or None where they do not hold both answers or the level's
-    range cannot be binned; `parts`, `chunks` and `span` are as `_level`
-    takes them.  The level is binned one `CHUNK` of rows at a time into its
+def _windowed(parts, values: np.ndarray, masses: np.ndarray, alpha: float, chunks,
+              span: tuple[float, float] | None) -> tuple[float, float] | None:
+    """(sup, inf) of the level's rows with the frozen rows of `parts`, each
+    a (values, masses, eligible) chunk, from the rows of the value bins
+    around the crossings, or None where they do not hold both answers or
+    the level's range cannot be binned; `chunks` are the real rows, and
+    `span` is as `_read` takes it.  The level is binned one `CHUNK` of rows at a time into its
     int16 column, and the frozen rows in place."""
     lo, hi = float(values.min()), float(values.max())
     scale = N_BINS / (hi - lo) if hi > lo else math.inf
@@ -285,5 +269,4 @@ def _windowed(parts, values: np.ndarray, masses: np.ndarray, alpha: float, chunk
     window = ValueMassTable(np.concatenate((values[rows], *fv)),
                             np.concatenate((masses[rows], *fm)),
                             np.concatenate((np.ones(len(rows), dtype=bool), *fe)))
-    return _read(window, alpha, chunks or ((values, masses), *(part[:2] for part in parts)),
-                 (head[b0], head[N_BINS] + above), span)
+    return _read(window, alpha, chunks, (head[b0], head[N_BINS] + above), span)

@@ -78,13 +78,24 @@ def windowed_answers(monkeypatch):
 @pytest.fixture
 def summarized_answers(monkeypatch):
     """Whether each summary read of `wquantile.level_quantiles` answered, in
-    call order: one call per level with ineligible frozen rows."""
-    summarized, answered = wquantile._summarized, []
+    call order: one per level with ineligible frozen rows.  A summary read
+    is a `_read` with a `span`, of a window, which the whole summary table
+    follows where it declines, or of that table, which ends it."""
+    read, answered = wquantile._read, []
 
-    def counted(*args):
-        out = summarized(*args)
-        answered.append(out is not None)
+    def counted(table, alpha, chunks, window=None, span=None):
+        out = read(table, alpha, chunks, window, span)
+        if span is not None and (out is not None or window is None):
+            answered.append(out is not None)
         return out
 
-    monkeypatch.setattr(wquantile, "_summarized", counted)
+    monkeypatch.setattr(wquantile, "_read", counted)
     return answered
+
+
+def summary_off(monkeypatch):
+    """Make every summary read of `wquantile.level_quantiles` decline, so
+    that each level is read with every frozen row."""
+    read = wquantile._read
+    monkeypatch.setattr(wquantile, "_read", lambda table, alpha, chunks, window=None, span=None:
+                        None if span else read(table, alpha, chunks, window))

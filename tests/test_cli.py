@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -373,3 +374,14 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
+
+    def test_a_count_above_the_cap_is_refused_before_any_draw(self, capsys):
+        # N = 10^7 in d = 2 drew its 160 MB of queries before the refusal
+        tracemalloc.start()
+        try:
+            assert main(["adversary", "--dim", "2", "--n", "10000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert "MAX_QUERIES_D2" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from lipquant.known import K_MAX, Frontier, run_known
 from lipquant.unknown import run_unknown
 from lipquant.wquantile import ValueMassTable
 
-from conftest import random_lipschitz_problem
+from conftest import random_lipschitz_problem, summary_off
 from oracles import (
     canonical_center_key,
     candidate_budget,
@@ -387,7 +387,7 @@ def test_summarized_levels_match_the_full_read_on_paper_d2(algo, budget, levels,
 
     summarized = outcome(run)
     assert summarized_answers == [True] * levels
-    monkeypatch.setattr(wquantile, "_summarized", lambda *args: None)
+    summary_off(monkeypatch)
     assert outcome(run) == summarized
 
 
@@ -406,7 +406,7 @@ def test_summarized_levels_match_the_full_read_on_random_problems(seed, summariz
     runs.append(lambda: run_unknown(f, m, alpha, budget))
     summarized = [outcome(run) for run in runs]
     assert summarized_answers and any(summarized_answers)
-    monkeypatch.setattr(wquantile, "_summarized", lambda *args: None)
+    summary_off(monkeypatch)
     assert [outcome(run) for run in runs] == summarized
 
 
@@ -539,10 +539,10 @@ def never(x):
     (lambda: run_known(never, 2.0, lq.uniform_cube(2), 0.5, True), "budget must be a whole number"),
     (lambda: run_known(never, 2.0, lq.uniform_cube(2), 0.5, 100, max_level=True), "max_level must"),
     (lambda: run_unknown(never, lq.uniform_cube(2), 0.5, 100, max_level=True), "max_level must"),
-    (lambda: lq.uniform_cube(True), "dim must be a whole number"),
-    (lambda: lq.ProblemConstants(True, 1.0, 1.0, 0.5), "dim must be >= 1"),
+    (lambda: lq.uniform_cube(True), "dim must be an integer >= 1"),
+    (lambda: lq.ProblemConstants(True, 1.0, 1.0, 0.5), "dim must be an integer >= 1"),
     (lambda: lq.ProblemConstants(2, True, 1.0, 0.5), "lipschitz must be finite"),
-    (lambda: ExperimentConfig(problem="paper_d2", seed=True), "seed must be >= 0"),
+    (lambda: ExperimentConfig(problem="paper_d2", seed=True), "seed must be an integer >= 0"),
     (lambda: ExperimentConfig(problem="paper_d2", budgets=[True, 5]), "budget True: budget must"),
     (lambda: ExperimentConfig(problem="paper_d2", lipschitz=True), "lipschitz must be finite"),
 ], ids=["lipschitz", "budget", "max_level", "unknown-max_level", "uniform_cube", "constants-dim",
