@@ -17,7 +17,6 @@ retirement (the budget running out) ends the run.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,24 +126,18 @@ class Frontier:
     candidates.
 
     A row that no live band keeps leaves the frontier once, with its mass,
-    and `frozen_mass` sums those masses.  At a level where bands retire,
-    every row is in the top one's set, so every row is frozen as an eligible
-    point into one unsorted chunk `frozen` = (values, masses, eligible), a
-    kept one with mass 0, since its center child carries its value and mass
-    on.  At any other level the rows that leave are ineligible: they are
-    filed in `sides` = ((below, greatest), (above, least), chunks) by their
-    side of the estimate they left at, each level's rows as one (values,
-    masses) chunk that is never joined to another, with the float mass of
-    each side and its value nearest the estimates.  Merged on values, a
-    frozen cell is so eligible iff it is in a retired band's set (as DIRECT
-    leaves a box that no constant selects).  A level's estimate is the sup
-    form of `wquantile.level_quantiles` over its rows, `frozen` and `sides`:
-    one loop that reads each side as one summary row, then, where that table
-    cannot give the full table's pair, every row.  Its
-    pair alone tells a sup/inf mismatch, as sup < inf (the lemma in the
-    `wquantile` docstring), so only `_freeze` reads a frozen row.  If
-    no live band keeps a row, the frontier is empty and the run stops as
-    `settled`: with no row to refine, no later level could differ.
+    into `frozen`, the store of frozen rows that the `wquantile` docstring
+    describes.  At a level where bands retire, every row is in the top one's
+    set, so every row is frozen as an eligible point, a kept one with mass 0,
+    since its center child carries its value and mass on; at any other level
+    the rows that leave are ineligible.  Merged on values, a frozen cell is
+    so eligible iff it is in a retired band's set (as DIRECT leaves a box
+    that no constant selects).  A level's estimate is the sup form of
+    `wquantile.level_quantiles` over its rows and `frozen`, whose pair alone
+    tells a sup/inf mismatch, as sup < inf (the lemma in the `wquantile`
+    docstring).  If no live band keeps a row, the frontier is empty and the
+    run stops as `settled`: with no row to refine, no later level could
+    differ.
 
     Every level lists the children of the rows kept at the level before, in
     parent order and each row's in `itertools.product` order: row r is the
@@ -153,9 +146,9 @@ class Frontier:
     0), and `digits` derives the digits once per level for the kept rows.
     Masses come from `ProductMeasure.child_probabilities` on the kept rows,
     written into the level's column one chunk of parents at a time.  Each
-    level costs a fixed number of whole-array NumPy calls, but for the passes
-    over `wquantile.CHUNK`-row chunks: the masses, and a one-band prune, with
-    no int64 column.
+    level costs a fixed number of whole-array NumPy calls, but for the
+    masses, written over chunks of `wquantile.CHUNK` rows; a one-band prune
+    makes no int64 column.
 
     The live bands keeping a row, as their sets are nested, are the j >= its
     lowest band, kept per parent in `lowest` and read through a
@@ -181,9 +174,7 @@ class Frontier:
         self.live_bands = tuple(range(len(self.lipschitz)))  # where ledgers <= slices
         self.ledgers = np.ones(len(self.lipschitz), dtype=np.int64)
         self.retired: dict[int, int] = {}
-        self.frozen = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
-        self.sides = ((0.0, -math.inf), (0.0, math.inf), [])
-        self.frozen_mass = 0.0
+        self.frozen = wquantile.FrozenRows()
         self.values = self._evaluate(np.full((1, d), 0.5))
         self.masses = measure.cell_probabilities(0, self.block)
         self._estimate()
@@ -202,10 +193,8 @@ class Frontier:
                              f"{points[bad].tolist()}")
         return values
 
-    def digits(self, kept: np.ndarray | None = None) -> np.ndarray:
-        """The (n, d) digits of the frontier rows where the mask `kept` is
-        True, of every row by default."""
-        kept = np.ones(len(self.values), dtype=bool) if kept is None else kept
+    def digits(self, kept: np.ndarray) -> np.ndarray:
+        """The (n, d) digits of the frontier rows where the mask `kept` is True."""
         parent, kid = kept.reshape(-1, self.fan).nonzero()
         # take gathers rows of a 2-D array several times faster than fancy
         # indexing does
@@ -218,7 +207,7 @@ class Frontier:
         # every frontier cell is a genuinely evaluated center (a center child
         # shares its parent's), so the whole frontier is eligible
         self.estimate, est_inf = wquantile.level_quantiles(self.frozen, self.values, self.masses,
-                                                           self.alpha, self.sides)
+                                                           self.alpha)
         # sup < inf iff the table holds positive mass strictly between them,
         # where the crossing fell on an ineligible point (the lemma in the
         # `wquantile` docstring); a flat CDF gives inf <= sup
@@ -235,7 +224,7 @@ class Frontier:
         while True:
             history.append(LevelRecord(self.level, self.estimate, self.evaluations,
                                        len(self.values), float(self.masses.sum()),
-                                       self.frozen_mass, self.live_bands))
+                                       self.frozen.mass, self.live_bands))
             if max_level is not None and self.level >= max_level:
                 stop = "max_level"
             elif self.level >= K_MAX:
@@ -259,10 +248,8 @@ class Frontier:
 
         `_refine` keeps only the rows whose first band is at most the top
         live band, so a row's lowest band is never above the top live band,
-        and it is 0 while band 0 alone is live.  Such a level's `first` (and
-        so the next level's `lowest`) is the bool column |v_i - estimate| >
-        bands[0], compared over chunks of `wquantile.CHUNK` rows, so that no
-        level-sized temporary is made.
+        and it is 0 while band 0 alone is live: there `first`, and so the
+        next level's `lowest`, is the bool column |v_i - estimate| > bands[0].
         """
         n, fan, top = len(self.values), self.fan, self.live_bands[-1]
         # band j keeps row i iff j >= lowest[i] and |v_i - estimate| <= bands[j],
@@ -270,17 +257,12 @@ class Frontier:
         # a width past the float range is inf, which keeps every row
         with np.errstate(over="ignore"):
             bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
+        gap = np.subtract(self.values, self.estimate)
+        np.abs(gap, out=gap)
         if top == 0:  # one comparison per row beats a binary search
-            chunk = wquantile.CHUNK
-            first, gap = np.empty(n, dtype=bool), np.empty(min(n, chunk))
-            for i in range(0, n, chunk):
-                g = gap[:min(n - i, chunk)]
-                np.abs(np.subtract(self.values[i:i + len(g)], self.estimate, out=g), out=g)
-                np.greater(g, bands[0], out=first[i:i + len(g)])
+            first = gap > bands[0]
             kept_by = n - np.count_nonzero(first)  # band 0's kept rows
         else:
-            gap = np.subtract(self.values, self.estimate)
-            np.abs(gap, out=gap)
             first = bands.searchsorted(gap)
             np.maximum(first.reshape(-1, fan), self.lowest[:, None], out=first.reshape(-1, fan))
             # band j keeps the rows whose first band is at most j, and pays for
@@ -313,7 +295,7 @@ class Frontier:
         kept = first <= self.live_bands[-1]  # a band that goes on keeps the row
         level, (n_kids, d), c = self.level + 1, self.offsets.shape, len(self.offsets) // 2
         block, lowest, centers = self.digits(kept), first[kept], self.values[kept]
-        self._freeze(kept, retiring)
+        self.frozen.freeze(self.values, self.masses, kept, self.estimate, retiring)
         del kept
         self.values = self.masses = None  # the old level's, before the next one's
         # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every term
@@ -336,29 +318,6 @@ class Frontier:
         self.block, self.fan = block, n_kids
         self.values, self.masses = values.reshape(-1), masses.reshape(-1)
         self.lowest, self.level = lowest, level
-
-    def _freeze(self, kept: np.ndarray, retiring: bool) -> None:
-        """Freeze this level's rows: if bands are `retiring`, every row into
-        `frozen` as an eligible point, with mass 0 where `kept`, else the rows
-        that leave into `sides`, as one chunk, by their side of the estimate.
-        `frozen_mass` gains the leaving rows' masses, summed over those rows
-        alone: zeros between them could move the bits of the pairwise sum."""
-        leaving = ~kept
-        masses = self.masses[leaving]
-        self.frozen_mass += float(masses.sum())
-        if retiring:
-            rows = (self.values, np.where(kept, 0.0, self.masses), np.ones(len(kept), dtype=bool))
-            self.frozen = tuple(map(np.concatenate, zip(self.frozen, rows)))
-        elif len(masses):
-            values = self.values[leaving]
-            (below, greatest), (above, least), chunks = self.sides
-            low = values < self.estimate
-            below += float(masses.sum(where=low))
-            greatest = max(greatest, float(values.max(where=low, initial=-math.inf)))
-            above += float(masses.sum(where=~low))
-            least = min(least, float(values.min(where=~low, initial=math.inf)))
-            chunks.append((values, masses))
-            self.sides = ((below, greatest), (above, least), chunks)
 
 
 def run_known(

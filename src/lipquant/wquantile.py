@@ -36,30 +36,38 @@ mass: the head after u is alpha if t > u, and above alpha if t = u.
 A group's mass is the exact sum of its rows' masses, so "positive mass" is
 "a row of mass > 0", over every real row of the table.
 
+The frozen rows, the rows that left the frontier, have one owner,
+`FrozenRows`: the engine files them through its `freeze`, `level_quantiles`
+reads them, and no other module reads or writes one.  `rows` is one (values,
+masses, eligible) chunk in any order.  The ineligible rows are filed by
+their side of the estimate they left at: `chunks` holds each level's as one
+(values, masses) chunk, never joined to another, `below` and `above` are
+the float masses of the two sides and `greatest` and `least` their
+extremes.  The invariant: each row below is at most `greatest`, each row
+above at least `least`.  `mass` is the float mass of every row that left.
+
 `level_quantiles` reads a level in one loop over the tables it may try,
 each with the span of values where its heads are the full table's: a
 summary table under (greatest, least], then every row, which always
-answers.  The engine files the ineligible frozen rows by side: each row
-below is at most `greatest`, each row above at least `least`.  In the
-summary table the rows below are one ineligible row of their mass at
-`greatest` and the rows above one at `least`.  A value v in
-the span (greatest, least] has every row below under it and none of the
-rows above, so its head is the one over the full table, and so is its float
-head, a float sum of the same rows.  Let u be the summary's last group with
-head < alpha and w its first with head > alpha (the end of the table if
-none).  If both lie in the span, so does every group between them, and the
-full table has the same groups from u to w, with the same heads, as its
-other rows lie below u or at or past w.  As heads grow with v, its last
-head < alpha is at u and its first head > alpha at w too.  The sup form is the greatest
-eligible value below w, else the least eligible one, and the inf form the
-least eligible value at or past u, else the greatest; the summary rows are
-ineligible, so both tables have the same eligible values and the same
-(sup, inf).  Where u or w lies outside the span, the summary declines and
-the loop reads every row.  The tolerance and the exact pass count and read
-every real row, never the summary rows, so they decide each head in the
-span as the full table would.  On a level of `WINDOW_FLOOR` rows or more,
-each table is first read from a window of its rows near the crossings,
-which declines where it cannot give that table's pair.
+answers.  In the summary table each side is one ineligible row, of its mass
+at its extreme.  By the invariant, a value v in the span (greatest, least]
+has every row below under it and none above, so its head is the one over the
+full table, and so is its float head, a float sum of the same rows.  Let u
+be the summary's last group with head < alpha and w its first with head >
+alpha (the end of the table if none).  If both lie in the span, so does
+every group between them, and the full table has the same groups from u to
+w, with the same heads, as its other rows lie below u or at or past w.  As
+heads grow with v, its last head < alpha is at u and its first head > alpha
+at w too.  The sup form is the greatest eligible value below w, else the
+least eligible one, and the inf form the least eligible value at or past u,
+else the greatest; the summary rows are ineligible, so both tables have the
+same eligible values and the same (sup, inf).  Where u or w lies outside
+the span, the summary declines and the loop reads every row.  The tolerance
+and the exact pass count and read every real row, never the summary rows,
+so they decide each head in the span as the full table would.  On a level
+of `WINDOW_FLOOR` rows or more, each table is first read from a window of
+its rows near the crossings, which declines where it cannot give that
+table's pair.
 """
 
 from __future__ import annotations
@@ -101,37 +109,58 @@ class ValueMassTable:
 WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
 N_BINS = 1024  # value bins over a level's range
 #: Rows per chunk of the passes over a level that would otherwise make a
-#: temporary of its size: the engine's one-band prune and masses, and the bins.
+#: temporary of its size: the engine's masses, and the bins.
 CHUNK = 1 << 16
 
 
-def level_quantiles(frozen: tuple[np.ndarray, ...], values: np.ndarray, masses: np.ndarray,
-                    alpha: float, sides=None) -> tuple[float, float]:
-    """The (sup, inf) quantiles of the rows (`values`, `masses`), all
-    eligible, with the frozen rows `frozen`, a (values, masses, eligible)
-    chunk in any order, and those of `sides`, if given.
+class FrozenRows:
+    """The frozen rows of one run, kept as the module docstring describes."""
 
-    `sides` = ((below, greatest), (above, least), chunks) holds more frozen
-    rows, all ineligible, in (values, masses) `chunks`: each row is at most
-    `greatest` or at least `least`, and `below` and `above` are float sums
-    of the masses of the two kinds.  The level is read first with them as
-    two summary rows under the span (greatest, least], which answers where
-    that gives the full table's pair, then with every frozen row, which
-    always answers.  Each read of a level of `WINDOW_FLOOR` rows or more
-    tries the rows near its crossings (`_windowed`) before its whole table;
-    every read counts and settles every real row, never a summary row."""
-    chunks, spans = ((values, masses), frozen[:2]), [None]
-    if sides and sides[2]:
-        (below, greatest), (above, least), side_chunks = sides
-        ends = [(x, m) for x, m in ((greatest, below), (least, above)) if math.isfinite(x)]
-        summary = (np.array([x for x, _ in ends]), np.array([m for _, m in ends]),
-                   np.zeros(len(ends), dtype=bool))
-        chunks, spans = chunks + tuple(side_chunks), [(greatest, least), None]
+    def __init__(self):
+        self.rows = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        self.below, self.greatest, self.above, self.least = 0.0, -math.inf, 0.0, math.inf
+        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.mass = 0.0
+
+    def freeze(self, values, masses, kept, estimate: float, retiring: bool) -> None:
+        """Freeze a level's rows (`values`, `masses`): if bands are
+        `retiring`, every row into `rows` as an eligible point, with mass 0
+        where `kept`, else the rows that leave into `chunks`, as one chunk,
+        by their side of `estimate`.  `mass` gains the leaving rows' masses,
+        summed over those rows alone: zeros between them could move the bits
+        of the pairwise sum."""
+        leaving = ~kept
+        gone = masses[leaving]
+        self.mass += float(gone.sum())
+        if retiring:
+            rows = (values, np.where(kept, 0.0, masses), np.ones(len(kept), dtype=bool))
+            self.rows = tuple(map(np.concatenate, zip(self.rows, rows)))
+        elif len(gone):
+            values = values[leaving]
+            low = values < estimate
+            self.below += float(gone.sum(where=low))
+            self.greatest = max(self.greatest, float(values.max(where=low, initial=-math.inf)))
+            self.above += float(gone.sum(where=~low))
+            self.least = min(self.least, float(values.min(where=~low, initial=math.inf)))
+            self.chunks.append((values, gone))
+
+
+def level_quantiles(frozen: FrozenRows, values: np.ndarray, masses: np.ndarray,
+                    alpha: float) -> tuple[float, float]:
+    """The (sup, inf) quantiles of the rows (`values`, `masses`), all
+    eligible, with the rows of `frozen`, read as the module docstring
+    describes: first from the summary, where `frozen` has side chunks, then
+    from every row.  Each read of a level of `WINDOW_FLOOR` rows or more
+    tries the rows near its crossings (`_windowed`) before its whole table."""
+    chunks = ((values, masses), frozen.rows[:2], *frozen.chunks)
+    spans = [(frozen.greatest, frozen.least), None] if frozen.chunks else [None]
     for span in spans:
-        # the side chunks as parts only where the summary declines: a deep
-        # level has one for each level before it
-        parts = [frozen, summary] if span else \
-            [frozen, *((v, m, np.broadcast_to(False, len(v))) for v, m in chunks[2:])]
+        if span:  # each side that holds a row is one row of its mass at its extreme
+            real = np.isfinite(ends := np.array(span))
+            parts = [frozen.rows, (ends[real], np.array([frozen.below, frozen.above])[real],
+                                   np.zeros(real.sum(), dtype=bool))]
+        else:  # the side chunks as parts only here: a deep level has one per level before it
+            parts = [frozen.rows, *((v, m, np.broadcast_to(False, len(v))) for v, m in frozen.chunks)]
         both = None
         if len(values) >= WINDOW_FLOOR:
             both = _windowed(parts, values, masses, alpha, chunks, span)

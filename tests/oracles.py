@@ -9,10 +9,11 @@ arrays; the tests compare it against these helpers, and `frontier_sets`
 reads its cells level by level.  `weighted_quantiles` reads both forms of
 the weighted quantile of a table's rows, with their masses summed exactly as
 integers, and `weighted_quantile_sup` and `weighted_quantile_inf` one each:
-the reference for `lipquant.wquantile.level_quantiles`.  `candidate_budget`
-is the scalar slice formula of the unknown-constant schedule.
-`refined_quantile_d1` is a near-machine-precision quantile oracle for smooth
-d = 1 problems.
+the reference for `lipquant.wquantile.level_quantiles`, and `frozen_store`
+and `frozen_parts` build and read the frozen rows that it reads.
+`candidate_budget` is the scalar slice formula of the unknown-constant
+schedule.  `refined_quantile_d1` is a near-machine-precision quantile oracle
+for smooth d = 1 problems.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from lipquant.known import K_MAX, Frontier
 from lipquant.problems import TestProblem
+from lipquant.wquantile import FrozenRows
 
 
 @dataclass(frozen=True)
@@ -194,9 +196,27 @@ def frontier_sets(f, lipschitz: float, measure, alpha: float, budget: int,
     fr = Frontier(f, measure, alpha, [lipschitz], [budget])
     sets = []
     while True:
-        sets.append(list(map(tuple, fr.digits().tolist())))
+        sets.append(list(map(tuple, fr.digits(np.ones(len(fr.values), dtype=bool)).tolist())))
         if fr.level >= max_level or not fr.step():
             return sets
+
+
+def frozen_store(rows, sides=None) -> FrozenRows:
+    """A `FrozenRows` of the (values, masses, eligible) chunk `rows` and, if
+    given, of `sides` = ((below, greatest), (above, least), chunks): more
+    rows, all ineligible, in (values, masses) chunks, each at most
+    `greatest` or at least `least`, of the float masses `below` and `above`."""
+    store = FrozenRows()
+    store.rows = rows
+    if sides:
+        (store.below, store.greatest), (store.above, store.least), store.chunks = sides
+    return store
+
+
+def frozen_parts(store: FrozenRows) -> list[tuple[np.ndarray, ...]]:
+    """Every row of `store` as (values, masses, eligible) chunks: its
+    `rows`, then each of its side chunks, whose rows are ineligible."""
+    return [store.rows, *((v, m, np.zeros(len(v), dtype=bool)) for v, m in store.chunks)]
 
 
 def candidate_budget(j: int, budget: int) -> int:

@@ -28,6 +28,7 @@ from oracles import (
     center_point,
     child_digits,
     frontier_sets,
+    frozen_parts,
     funded_candidates,
     weighted_quantile_sup,
 )
@@ -57,17 +58,11 @@ def joined(parts):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def ineligible(chunk):
-    values, masses = chunk
-    return values, masses, np.zeros(len(values), dtype=bool)
-
-
 def every_row(fr):
     """Every row of the frontier `fr`'s table as one (values, masses,
-    eligible) chunk: its level's, all eligible, the eligible frozen ones of
-    `frozen`, then the ineligible ones of the chunks of `sides`."""
+    eligible) chunk: its level's, all eligible, then its frozen rows."""
     level = fr.values, fr.masses, np.ones(len(fr.values), dtype=bool)
-    return joined([level, fr.frozen, *map(ineligible, fr.sides[2])])
+    return joined([level, *frozen_parts(fr.frozen)])
 
 
 def measure_for(dim):
@@ -243,9 +238,9 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
     bands = funded_candidates(budget)
     fr = Frontier(f, m, 0.8, [3.0 ** j for j in bands], [candidate_budget(j, budget) for j in bands])
     settled = 0  # levels with eligible frozen points
-    parts = [fr.frozen]  # the frozen rows in the order they were frozen, as the oracle's
+    parts = frozen_parts(fr.frozen)  # the frozen rows in the order they were frozen, as the oracle's
     for cells, ref in zip(frontiers, tables):
-        assert list(map(tuple, fr.digits().tolist())) == cells
+        assert list(map(tuple, fr.digits(np.ones(len(fr.values), dtype=bool)).tolist())) == cells
         fv, fm, fe = joined(parts)
         got = ValueMassTable(np.concatenate((fr.values, fv)), np.concatenate((fr.masses, fm)),
                              np.concatenate((np.ones(len(fr.values), dtype=bool), fe)))
@@ -254,12 +249,14 @@ def test_frontier_and_frozen_points_match_the_oracle(dim, budget):
         settled += bool(fe.any())
         if fr.level == len(frontiers) - 1:
             break
-        n_eligible, n_chunks = len(fr.frozen[0]), len(fr.sides[2])
+        eligible, *sides = frozen_parts(fr.frozen)
+        n_eligible, n_sides = len(eligible[0]), len(sides)
         assert fr.step()
-        # a step freezes the rows that leave into one chunk of `sides`, or
-        # every row of a retirement level into `frozen`
-        parts += [ineligible(c) for c in fr.sides[2][n_chunks:]]
-        parts.append(tuple(column[n_eligible:] for column in fr.frozen))
+        # a step freezes the rows that leave into one side chunk, or every
+        # row of a retirement level into the eligible chunk
+        eligible, *sides = frozen_parts(fr.frozen)
+        parts += sides[n_sides:]
+        parts.append(tuple(column[n_eligible:] for column in eligible))
         # the invariant that lets a one-band level skip the lowest bands
         assert fr.lowest.max(initial=0) <= fr.live_bands[-1]
     assert fr.level == len(frontiers) - 1
@@ -609,9 +606,9 @@ def test_a_fraction_alpha_is_read_as_a_float(paper_d2, monkeypatch):
 
     read = wquantile.level_quantiles
 
-    def spy(frozen, values, masses, alpha, sides):
+    def spy(frozen, values, masses, alpha):
         seen.append(type(alpha))
-        return read(frozen, values, masses, alpha, sides)
+        return read(frozen, values, masses, alpha)
 
     want = run_known(p.f, p.lipschitz, p.measure, 0.5, 10 ** 5)
     monkeypatch.setattr(wquantile, "level_quantiles", spy)

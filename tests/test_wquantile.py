@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lipquant import wquantile
 from lipquant.wquantile import WINDOW_FLOOR, ValueMassTable, level_quantiles
 
-from oracles import weighted_quantile_inf, weighted_quantile_sup, weighted_quantiles
+from oracles import frozen_store, weighted_quantile_inf, weighted_quantile_sup, weighted_quantiles
 
 NO_ROWS = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
@@ -79,7 +79,7 @@ def quantiles(points, alpha):
     frozen rows and the eligible ones as the level's rows."""
     level = chunk([p for p in points if p[2]])
     want = exact_pair(chunk([p for p in points if not p[2]]), *level[:2], alpha)
-    got = level_quantiles(chunk([p for p in points if not p[2]]), *level[:2], alpha)
+    got = level_quantiles(frozen_store(chunk([p for p in points if not p[2]])), *level[:2], alpha)
     assert hexes(got) == hexes(want)
     return want
 
@@ -118,7 +118,7 @@ class TestSup:
         with pytest.raises(ValueError):
             weighted_quantile_sup(*frozen, 0.5)
         with pytest.raises(ValueError, match="table has no eligible point"):
-            level_quantiles(frozen, np.empty(0), np.empty(0), 0.5)
+            level_quantiles(frozen_store(frozen), np.empty(0), np.empty(0), 0.5)
 
 
 class TestInf:
@@ -271,7 +271,7 @@ class TestLevelQuantiles:
         rng = np.random.default_rng(seed)
         values, masses = level(rng, n, distinct, total)
         frozen = frozen_rows(rng, values, n_frozen, eligible)
-        got = level_quantiles(frozen, values, masses, alpha)
+        got = level_quantiles(frozen_store(frozen), values, masses, alpha)
         assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
 
     @given(
@@ -300,7 +300,7 @@ class TestLevelQuantiles:
         if not 0.0 < alpha < 1.0:
             return
         frozen = values[n:], masses[n:], rng.random(n_frozen) < 0.5
-        got = level_quantiles(frozen, values[:n], masses[:n], alpha)
+        got = level_quantiles(frozen_store(frozen), values[:n], masses[:n], alpha)
         assert hexes(got) == hexes(exact_pair(frozen, values[:n], masses[:n], alpha))
         # nudge 0 puts alpha on a float head, where the forms can differ
         assert_mass_between_iff_sup_below_inf(got, (values, masses))
@@ -308,8 +308,8 @@ class TestLevelQuantiles:
         # of them into chunks joined in any order would give
         rows, frows = rng.permutation(n), rng.permutation(n_frozen)
         frozen = tuple(c[frows] for c in frozen)
-        assert hexes(level_quantiles(frozen, values[:n][rows], masses[:n][rows], alpha)) == \
-            hexes(got)
+        got_again = level_quantiles(frozen_store(frozen), values[:n][rows], masses[:n][rows], alpha)
+        assert hexes(got_again) == hexes(got)
 
     def test_no_eligible_point_at_or_past_a_crossing(self, windowed_answers):
         # ineligible frozen mass 0.9 below the level holds both crossings of
@@ -320,14 +320,14 @@ class TestLevelQuantiles:
         below = np.linspace(-9.0, -8.0, 100), np.full(100, 0.009), np.zeros(100, dtype=bool)
         for frozen, alpha, want in ((below, 0.05, (values.min(), values.min())),
                                     (NO_ROWS, 0.5, (values.max(), values.max()))):
-            got = level_quantiles(frozen, values, masses, alpha)
+            got = level_quantiles(frozen_store(frozen), values, masses, alpha)
             assert got == exact_pair(frozen, values, masses, alpha) == want
         assert windowed_answers == [False, False]
 
 
 def sides_of(rng, fv, fm, cut, n_chunks):
-    """The rows (fv, fm), all ineligible, as the `sides` of
-    `level_quantiles`: the rows below `cut` and the others, their float
+    """The rows (fv, fm), all ineligible, as the `sides` that
+    `frozen_store` takes: the rows below `cut` and the others, their float
     masses and extremes, and the rows shuffled into `n_chunks` chunks."""
     low = fv < cut
     chunks = [(fv[c], fm[c]) for c in np.array_split(rng.permutation(len(fv)), n_chunks)]
@@ -336,8 +336,9 @@ def sides_of(rng, fv, fm, cut, n_chunks):
 
 
 class TestSummarized:
-    """`level_quantiles` with `sides` is the exact oracles' pair over every
-    row, bit for bit, whether the summary rows answer or not."""
+    """`level_quantiles` of frozen rows with side chunks is the exact
+    oracles' pair over every row, bit for bit, whether the summary rows
+    answer or not."""
 
     @given(
         st.integers(0, 2 ** 32 - 1),
@@ -356,7 +357,7 @@ class TestSummarized:
         frozen = frozen_rows(rng, values, n_frozen, eligible=1.0)
         fv, fm, _ = frozen_rows(rng, values, n_side, eligible=0.0)
         sides = sides_of(rng, fv, fm, float(np.quantile(values, split)), n_chunks)
-        got = level_quantiles(frozen, values, masses, alpha, sides)
+        got = level_quantiles(frozen_store(frozen, sides), values, masses, alpha)
         everything = tuple(map(np.concatenate, zip(frozen, (fv, fm, np.zeros(len(fv), dtype=bool)))))
         assert hexes(got) == hexes(exact_pair(everything, values, masses, alpha))
         assert_mass_between_iff_sup_below_inf(got, (values, masses), everything[:2])
@@ -373,7 +374,7 @@ class TestSummarized:
         everything = fv, fm, np.zeros(6, dtype=bool)
         # the level's own values are answers, as no frozen row is eligible
         for alpha in (0.5, 0.1, 0.9):
-            got = level_quantiles(NO_ROWS, values, masses, alpha, sides)
+            got = level_quantiles(frozen_store(NO_ROWS, sides), values, masses, alpha)
             assert hexes(got) == hexes(exact_pair(everything, values, masses, alpha))
         assert summarized_answers == [True, False, False]
 
@@ -387,7 +388,7 @@ class TestSummarized:
         values, masses = np.array([0.5, 1.0, 2.0]), np.array([1 / 8, 0.0, 1 / 8])
         fv, fm = np.array([0.0, 1.0, 3.0]), np.array([1 / 8, 1 / 8, 1 / 2])
         sides = ((1 / 8, 0.0), (5 / 8, 1.0), [(fv, fm)])
-        got = level_quantiles(NO_ROWS, values, masses, 3 / 8, sides)
+        got = level_quantiles(frozen_store(NO_ROWS, sides), values, masses, 3 / 8)
         assert got == exact_pair((fv, fm, np.zeros(3, dtype=bool)), values, masses, 3 / 8) == (2.0, 1.0)
         assert summarized_answers == [False]
 
@@ -423,7 +424,7 @@ class TestWindowed:
         # frozen rows inside the level's range, so that it holds both crossings
         frozen = rng.uniform(-1.0, 1.0, 50), np.full(50, 0.002), rng.random(50) < 0.5
         for alpha in (0.01, 0.3, 0.999):
-            got = level_quantiles(frozen, values, masses, alpha)
+            got = level_quantiles(frozen_store(frozen), values, masses, alpha)
             assert got == exact_pair(frozen, values, masses, alpha)
         assert windowed_answers == [True] * 3
 
@@ -438,7 +439,7 @@ class TestWindowed:
         frozen = (*map(np.concatenate, zip(*parts)), rng.random(60_000) < 0.5)
         alphas = np.linspace(0.2, 0.8, 7)  # past the frozen mass outside the level's range
         for alpha in alphas:
-            got = level_quantiles(frozen, values, masses, alpha)
+            got = level_quantiles(frozen_store(frozen), values, masses, alpha)
             assert hexes(got) == hexes(exact_pair(frozen, values, masses, alpha))
         assert windowed_answers == [True] * len(alphas)
 
@@ -477,19 +478,19 @@ class TestWindowed:
         values, masses = np.arange(4096.0), np.full(4096, 2.0 ** -13)
         frozen = np.array([-1.0, 5000.0]), np.array([0.25, 0.25]), np.zeros(2, dtype=bool)
         for alpha in (0.75 - 1e-13, 0.75, 0.75 + 1e-13):
-            got = level_quantiles(frozen, values, masses, alpha)
+            got = level_quantiles(frozen_store(frozen), values, masses, alpha)
             assert got == exact_pair(frozen, values, masses, alpha) == (4095.0, 4095.0)
         assert windowed_answers == [True, False, False]
 
     def test_none_below_the_floor_and_on_a_range_it_cannot_bin(self, windowed_answers):
         values, masses = np.arange(4095.0), np.full(4095, 1 / 4095)
-        assert level_quantiles(NO_ROWS, values, masses, 0.5) == \
+        assert level_quantiles(frozen_store(NO_ROWS), values, masses, 0.5) == \
             exact_pair(NO_ROWS, values, masses, 0.5)
         assert windowed_answers == []  # below the floor, no window is tried
         masses = np.full(5000, 2e-4)
         # one value, and a width past the float range or below it; none may warn
         for values in (np.ones(5000), np.repeat([-1e308, 1e308], 2500),
                        np.repeat([0.0, 5e-324], 2500)):
-            assert level_quantiles(NO_ROWS, values, masses, 0.5) == \
+            assert level_quantiles(frozen_store(NO_ROWS), values, masses, 0.5) == \
                 exact_pair(NO_ROWS, values, masses, 0.5)
         assert windowed_answers == [False] * 3
