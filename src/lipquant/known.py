@@ -139,20 +139,22 @@ class Frontier:
     run stops as `settled`: with no row to refine, no later level could
     differ.
 
-    Every level lists the children of the rows kept at the level before, in
-    parent order and each row's in `itertools.product` order: row r is the
-    child 3*block[r // fan] + offsets[r % fan] of the parent digits `block`,
-    with `fan` = 3^d rows per parent (1 at the root, whose parent digits are
-    0), and `digits` derives the digits once per level for the kept rows.
-    Masses come from `ProductMeasure.child_probabilities` on the kept rows,
-    written into the level's column one chunk of parents at a time.  Each
-    level costs a fixed number of whole-array NumPy calls, but for the
-    masses, written over chunks of `wquantile.CHUNK` rows; a one-band prune
-    makes no int64 column.
+    Every level lists the children of the rows kept at the level before
+    child-major: with n kept parents, whose digits are `block`, row o*n + r
+    is the child 3*block[r] + offsets[o] of parent r, the offsets in
+    `itertools.product` order and `fan` = 3^d of them (1 at the root, whose
+    parent digits are 0).  Each offset's rows are one contiguous block, so
+    a level's centers, values and masses are built in long contiguous NumPy
+    passes: the masses are the (3^d, n) product of
+    `ProductMeasure.child_probabilities` as it comes.  `digits` derives the
+    digits once per level for the kept rows.  Each level costs a fixed
+    number of whole-array NumPy calls, but for the one-band prune, which
+    compares one chunk of `wquantile.CHUNK` rows at a time and makes no
+    float or int64 column of the level's size.
 
     The live bands keeping a row, as their sets are nested, are the j >= its
     lowest band, kept per parent in `lowest` and read through a
-    (len(block), fan) view; it is never above the top live band.
+    (fan, len(block)) view; it is never above the top live band.
     """
 
     def __init__(self, f, measure: ProductMeasure, alpha: float, lipschitz, slices):
@@ -195,7 +197,7 @@ class Frontier:
 
     def digits(self, kept: np.ndarray) -> np.ndarray:
         """The (n, d) digits of the frontier rows where the mask `kept` is True."""
-        parent, kid = kept.reshape(-1, self.fan).nonzero()
+        kid, parent = kept.reshape(self.fan, -1).nonzero()
         # take gathers rows of a 2-D array several times faster than fancy
         # indexing does
         digits = self.block.take(parent, axis=0)
@@ -257,14 +259,17 @@ class Frontier:
         # a width past the float range is inf, which keeps every row
         with np.errstate(over="ignore"):
             bands = 2.0 * self.lipschitz[:top + 1] * half_radius(self.level, self.measure.dim)
-        gap = np.subtract(self.values, self.estimate)
-        np.abs(gap, out=gap)
         if top == 0:  # one comparison per row beats a binary search
-            first = gap > bands[0]
+            first, gap = np.empty(n, dtype=bool), np.empty(min(n, wquantile.CHUNK))
+            for i in range(0, n, wquantile.CHUNK):
+                j = min(i + wquantile.CHUNK, n)
+                np.subtract(self.values[i:j], self.estimate, out=gap[:j - i])
+                np.greater(np.abs(gap[:j - i], out=gap[:j - i]), bands[0], out=first[i:j])
             kept_by = n - np.count_nonzero(first)  # band 0's kept rows
         else:
-            first = bands.searchsorted(gap)
-            np.maximum(first.reshape(-1, fan), self.lowest[:, None], out=first.reshape(-1, fan))
+            gap = np.subtract(self.values, self.estimate)
+            first = bands.searchsorted(np.abs(gap, out=gap))
+            np.maximum(first.reshape(fan, -1), self.lowest, out=first.reshape(fan, -1))
             # band j keeps the rows whose first band is at most j, and pays for
             # the 3^d - 1 new centers of each
             kept_by = np.bincount(first, minlength=top + 1)[:top + 1].cumsum()
@@ -290,7 +295,7 @@ class Frontier:
         The rows that leave are frozen, and the old level's columns are
         released, before the next level's are built.  Those are built one
         step at a time, each step's temporaries released before the next
-        step allocates, and its masses one chunk of parents at a time.
+        step allocates.
         """
         kept = first <= self.live_bands[-1]  # a band that goes on keeps the row
         level, (n_kids, d), c = self.level + 1, self.offsets.shape, len(self.offsets) // 2
@@ -298,25 +303,24 @@ class Frontier:
         self.frozen.freeze(self.values, self.masses, kept, self.estimate, retiring)
         del kept
         self.values = self.masses = None  # the old level's, before the next one's
-        # centers (2*(3b+o)+1)/(2*3^k) of the non-center children: every term
-        # is an integer below 2^53, so only the division rounds
-        points = (6.0 * block).repeat(n_kids - 1, axis=0).reshape(-1, n_kids - 1, d)
-        points += self.odd
+        # centers (2*(3b+o)+1)/(2*3^k) of the non-center children, one block
+        # per offset o: every term is an integer below 2^53, so only the
+        # division rounds
+        points = np.empty((n_kids - 1, len(block), d))
+        for a in range(d):
+            np.add.outer(self.odd[:, a], 6.0 * block[:, a], out=points[..., a])
         points /= 2 * 3 ** level
-        # f runs on the new centers, if any
+        # f runs on the new centers, if any, as one C-contiguous (m, d) array
         fresh = self._evaluate(points.reshape(-1, d)) if len(block) else np.empty(0)
-        fresh = fresh.reshape(-1, n_kids - 1)
         del points  # before the next level's values are allocated
-        values = np.empty((len(block), n_kids))
-        values[:, c] = centers  # the center child's is its parent's
-        values[:, :c], values[:, c + 1:] = fresh[:, :c], fresh[:, c:]
+        values = np.empty((n_kids, len(block)))
+        values[c] = centers  # the center child's is its parent's
+        fresh = fresh.reshape(n_kids - 1, -1)
+        values[:c], values[c + 1:] = fresh[:c], fresh[c:]
         del fresh, centers
-        # row-major: each parent's children in `itertools.product` order
-        masses, step = np.empty((len(block), n_kids)), max(1, wquantile.CHUNK // n_kids)
-        for i in range(0, len(block), step):
-            masses[i:i + step] = self.measure.child_probabilities(level, block[i:i + step])
         self.block, self.fan = block, n_kids
-        self.values, self.masses = values.reshape(-1), masses.reshape(-1)
+        self.values = values.reshape(-1)
+        self.masses = self.measure.child_probabilities(level, block).reshape(-1)
         self.lowest, self.level = lowest, level
 
 
@@ -330,9 +334,10 @@ def run_known(
 ) -> Run:
     """Run the known-constant algorithm with at most `budget` calls to f.
 
-    f maps an (n, d) array of points to an (n,) array of values and must be
-    pure.  The returned `Run` holds the per-level history and the bracket of
-    the deepest fully affordable level.  Refinement stops at level K_MAX.
+    f maps a C-contiguous float64 (n, d) array of points to an (n,) array
+    of values and must be pure.  The returned `Run` holds the per-level
+    history and the bracket of the deepest fully affordable level.
+    Refinement stops at level K_MAX.
     """
     check_positive("lipschitz", lipschitz)
     check_limits(budget, 1, max_level)

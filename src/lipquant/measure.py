@@ -155,10 +155,12 @@ class ProductMeasure:
         return out
 
     def child_probabilities(self, level: int, parents: np.ndarray) -> np.ndarray:
-        """The (n, 3^d) masses of the level-`level` children of each parent.
+        """The (3^d, n) masses of the level-`level` children of each parent.
 
         `parents` is an (n, d) integer array of level-(`level` - 1) digits;
-        children are in `itertools.product` order, as `3 * parents + offset`.
+        row o holds child `3 * parents + offset` of each parent, for the o-th
+        offset in `itertools.product` order, so the flattened array lists the
+        children offset by offset, as `Frontier` stores a level.
         Equal, bit for bit, to `cell_probabilities` of the children: on each
         axis the 4 edges (3b + t)/3^k, t = 0..3, bound a parent's 3 children,
         and the axis product runs in the same order.
@@ -169,7 +171,7 @@ class ProductMeasure:
         for axis, (col, m) in enumerate(zip(parents.T, self.marginals)):
             steps = _steps(m, (3 * col + self._EDGE_OFFSETS) / den, axis)  # (3, n)
             out = steps if out is None else out[..., None, :] * steps
-        return out.reshape(3 ** self.dim, -1).T
+        return out.reshape(3 ** self.dim, -1)
 
     def marginal_quantile(self, axis: int, u: np.ndarray) -> np.ndarray:
         """Inverse CDF by 40 halvings of [0,1] (vectorized), to a bracket

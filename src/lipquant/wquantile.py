@@ -109,7 +109,7 @@ class ValueMassTable:
 WINDOW_FLOOR = 4096  # fewer rows cost less to sort than the window's NumPy calls
 N_BINS = 1024  # value bins over a level's range
 #: Rows per chunk of the passes over a level that would otherwise make a
-#: temporary of its size: the engine's masses, and the bins.
+#: temporary of its size: the engine's one-band prune, and the bins.
 CHUNK = 1 << 16
 
 

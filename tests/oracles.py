@@ -5,12 +5,13 @@ Cells of the level-k ternary partition are addressed by digit tuples in
 partition identities can be checked exactly; floats only appear in
 `center`, `center_point`, `cell_bounds` and the scalar cell mass.  The
 engine (`lipquant.known.Frontier`) holds the same cells as int64 digit
-arrays; the tests compare it against these helpers, and `frontier_sets`
-reads its cells level by level.  `weighted_quantiles` reads both forms of
-the weighted quantile of a table's rows, with their masses summed exactly as
-integers, and `weighted_quantile_sup` and `weighted_quantile_inf` one each:
-the reference for `lipquant.wquantile.level_quantiles`, and `frozen_store`
-and `frozen_parts` build and read the frozen rows that it reads.
+arrays, child-major (`children_by_offset`); the tests compare it against
+these helpers, and `frontier_sets` reads its cells level by level.
+`weighted_quantiles` reads both forms of the weighted quantile of a table's
+rows, with their masses summed exactly as integers, and
+`weighted_quantile_sup` and `weighted_quantile_inf` one each: the reference
+for `lipquant.wquantile.level_quantiles`, and `frozen_store` and
+`frozen_parts` build and read the frozen rows that it reads.
 `candidate_budget` is the scalar slice formula of the unknown-constant
 schedule.  `refined_quantile_d1` is a near-machine-precision quantile oracle
 for smooth d = 1 problems.
@@ -86,6 +87,13 @@ def child_digits(digits: tuple[int, ...]) -> list[tuple[int, ...]]:
         tuple(b + o for b, o in zip(base, off))
         for off in itertools.product((0, 1, 2), repeat=len(digits))
     ]
+
+
+def children_by_offset(cells) -> list[tuple[int, ...]]:
+    """The children of `cells` child-major, as the engine lists a level: each
+    cell's child of the first offset (in `itertools.product` order), in the
+    order of `cells`, then each one's of the second, and so on."""
+    return [kid for kids in zip(*(child_digits(tuple(c)) for c in cells)) for kid in kids]
 
 
 def parent_l(idx: MultiIndex, steps: int) -> MultiIndex:

@@ -1,9 +1,13 @@
 """A panel of 957 runs of both algorithms, each hashed to one SHA-256.
 
-Each line it prints is `key sha256`: the run's key, and a digest over every
-`LevelRecord` field (floats as `float.hex`), the ledgers, the retirement
-levels and the stop reason, or over the type and message of the exception
-the run raised.  A change meant to keep outputs identical keeps every line.
+Each line it prints is `key full quantile`: the run's key and two SHA-256
+digests.  `full` covers every `LevelRecord` field (floats as `float.hex`),
+the ledgers, the retirement levels and the stop reason, or the type and
+message of the exception the run raised.  `quantile` covers the same but
+for the mass diagnostics `active_mass` and `frozen_mass`, float sums in row
+order: a change that reorders a level's rows may move their last bits and
+no other output.  A change meant to keep outputs identical keeps every line;
+one that reorders rows keeps every `quantile` digest.
 
 The panel:
   - the builtins paper_d1, paper_d2 and linear_d1 at 5 alpha and N in
@@ -22,8 +26,9 @@ call erfc and cos, whose last bits depend on the host.
     PYTHONPATH=src python tests/parity_panel.py > digests.txt
     PYTHONPATH=src python tests/parity_panel.py --check digests.txt
 
-`--check FILE` runs the runs FILE lists, prints the key of each run whose
-digest moved or that the panel no longer has, and exits 1 if there is one.
+`--check FILE` runs the runs FILE lists and prints the key of each run that
+moved, with which digests moved (`full`, `quantile`), or that the panel no
+longer has (`gone`); it exits 1 if a run moved.
 `parity_uniform.txt` holds the digests of the `uniform/` runs, recorded with
     PYTHONPATH=src python tests/parity_panel.py | grep '^uniform/' > tests/parity_uniform.txt
 """
@@ -114,8 +119,12 @@ def panel():
     return runs
 
 
-def digest(thunk) -> str:
-    """The SHA-256 of the outputs of one run, or of the exception it raised."""
+MASS_FIELDS = ("active_mass", "frozen_mass")
+
+
+def digests(thunk) -> tuple[str, str]:
+    """The (full, quantile) SHA-256 digests of the outputs of one run, or of
+    the exception it raised; `quantile` leaves out `MASS_FIELDS`."""
     try:
         f, lipschitz, measure, alpha, budget = thunk()
         if lipschitz is None:
@@ -124,13 +133,16 @@ def digest(thunk) -> str:
             run = lq.run_known(f, lipschitz, measure, alpha, budget)
     except Exception as e:  # a raised exception is an output too
         text = repr(("raised", type(e).__name__, str(e)))
-    else:
+        return (hashlib.sha256(text.encode()).hexdigest(),) * 2
+    tail = (sorted(run.ledgers.items()), sorted(run.retirement_level.items()), run.stop_reason)
+    out = []
+    for skip in ((), MASS_FIELDS):
         records = [[float.hex(v) if isinstance(v, float) else v
-                    for v in (getattr(r, field.name) for field in dataclasses.fields(r))]
+                    for v in (getattr(r, field.name) for field in dataclasses.fields(r)
+                              if field.name not in skip)]
                    for r in run.history]
-        text = repr((records, sorted(run.ledgers.items()), sorted(run.retirement_level.items()),
-                     run.stop_reason))
-    return hashlib.sha256(text.encode()).hexdigest()
+        out.append(hashlib.sha256(repr((records, *tail)).encode()).hexdigest())
+    return tuple(out)
 
 
 def main(argv=None) -> int:
@@ -142,14 +154,20 @@ def main(argv=None) -> int:
         raise AssertionError("two runs share a key")
     if not args.check:
         for key, thunk in runs:
-            print(key, digest(thunk), flush=True)
+            print(key, *digests(thunk), flush=True)
         return 0
-    want = dict(line.split() for line in Path(args.check).read_text().splitlines() if line)
+    lines = Path(args.check).read_text().splitlines()
+    want = {key: tuple(rest) for key, *rest in (line.split() for line in lines if line)}
     thunks = dict(runs)
-    moved = [k for k, d in want.items() if k not in thunks or digest(thunks[k]) != d]
-    for key in moved:
-        print("moved:", key)
-    print(f"{len(want) - len(moved)} of {len(want)} runs unchanged")
+    moved = 0
+    for key, old in want.items():
+        new = digests(thunks[key]) if key in thunks else None
+        which = ["gone"] if new is None else [name for name, a, b in zip(("full", "quantile"), old, new)
+                                              if a != b]
+        if which:
+            moved += 1
+            print("moved:", key, *which)
+    print(f"{len(want) - moved} of {len(want)} runs unchanged")
     return 1 if moved else 0
 
 

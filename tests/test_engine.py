@@ -1,6 +1,6 @@
 """The array subdivision engine against per-cell oracles built from oracles.py.
 
-The oracles redo each level with exact digit tuples: `child_digits` for
+The oracles redo each level with exact digit tuples: `children_by_offset` for
 children, `center_point` for centers and, for the unknown-constant
 algorithm, a per-cell loop with a center memo (`canonical_center_key`)
 that walks the cells in the engine's order.
@@ -27,6 +27,7 @@ from oracles import (
     candidate_budget,
     center_point,
     child_digits,
+    children_by_offset,
     frontier_sets,
     frozen_parts,
     funded_candidates,
@@ -75,7 +76,7 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     """run_unknown as a per-cell loop over tuple cells with a center memo.
 
     `cells` is the frontier in the engine's order: the children of every cell
-    that a live band keeps, in parent and `itertools.product` order.  A cell
+    that a live band keeps, child-major (`children_by_offset`).  A cell
     that no live band keeps leaves it with its own mass, as an eligible
     frozen point if a retired band holds it.  With `walk` such a held cell
     instead goes on as its center child (which shares its center), after the
@@ -125,14 +126,14 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
                 live.remove(j)
                 retired[j] = k
             else:
-                nxt[j] = [kid for c in kept for kid in child_digits(c)]
+                nxt[j] = children_by_offset(kept)
                 full.update(kept)
         for j in sets:
             nxt.setdefault(j, [center_child_digits(c) for c in sets[j] if walk or c in full])
         if not live:
             break
         held = set().union(*(sets[j] for j in retired))
-        next_cells = [kid for c in cells if c in full for kid in child_digits(c)]
+        next_cells = children_by_offset([c for c in cells if c in full])
         next_cells += [center_child_digits(c) for c in cells if walk and c not in full and c in held]
         next_union = set(next_cells)
         assert len(next_union) == len(next_cells)
@@ -156,16 +157,20 @@ def reference_unknown(f, measure, alpha, budget, max_level, walk=False):
     return levels, ledgers, retired, len(cache), frontiers, tables
 
 
-# a one-band level is pruned in chunks of rows, and its masses are written in
-# chunks of parents; chunks of 7 rows, not a multiple of 3^d, split the
-# children of some parents across the prune's chunk edges
+# a one-band level is pruned in chunks of rows, and a level of at least
+# `WINDOW_FLOOR` rows is binned by `_windowed` in chunks of rows: chunks of 7
+# rows, not a multiple of 3^d, split the children of some parents across the
+# chunk edges, and with the floor lowered to 28 rows the window reads each
+# level of 28 rows or more, which five of the six runs reach
 CHUNKS = [wquantile.CHUNK, 7]
+WINDOW_FLOORS = {wquantile.CHUNK: wquantile.WINDOW_FLOOR, 7: 28}
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
     monkeypatch.setattr(wquantile, "CHUNK", chunk)
+    monkeypatch.setattr(wquantile, "WINDOW_FLOOR", WINDOW_FLOORS[chunk])
     f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -174,11 +179,23 @@ def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
     assert len(run.history) >= 3
     sets = frontier_sets(f, lip, m, 0.8, budget)
     assert len(sets) == len(run.history)
-    for rec, cells, nxt in zip(run.history, sets, sets[1:]):
+    frozen = ([], [])  # the values and masses of the cells that left, all ineligible
+    for rec, cells, nxt in zip(run.history, sets, sets[1:] + [None]):
         values = f(np.array([center_point(rec.level, c) for c in cells]))
+        masses = m.cell_probabilities(rec.level, cells)
+        eligible = [True] * len(cells) + [False] * len(frozen[0])
+        assert rec.estimate == weighted_quantile_sup([*values, *frozen[0]], [*masses, *frozen[1]],
+                                                     eligible, 0.8)
+        if nxt is None:
+            break
         band = 2.0 * lip * half_radius(rec.level, dim)
         survivors = [c for c, v in zip(cells, values) if abs(v - rec.estimate) <= band]
-        assert nxt == [kid for c in survivors for kid in child_digits(c)]
+        assert nxt == children_by_offset(survivors)
+        kept = set(survivors)
+        for v, mass, c in zip(values, masses, cells):
+            if c not in kept:
+                frozen[0].append(v)
+                frozen[1].append(mass)
     assert len(calls) == len(run.history)  # one call per level
     assert assert_distinct_points(calls) == run.bracket.evaluations
 
@@ -186,9 +203,10 @@ def test_known_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim,budget", CASES)
 def test_unknown_frontier_matches_oracle(dim, budget, chunk, monkeypatch):
-    # the last levels of each run have one live band, so they take the
-    # chunked prune
+    # the last levels of each run have one live band, so they are pruned in
+    # chunks of rows, and the levels past the floor are read through the window
     monkeypatch.setattr(wquantile, "CHUNK", chunk)
+    monkeypatch.setattr(wquantile, "WINDOW_FLOOR", WINDOW_FLOORS[chunk])
     f, _ = random_lipschitz_problem(np.random.default_rng(10 + dim), dim)
     g, calls = recorded(f)
     m = measure_for(dim)
@@ -722,3 +740,24 @@ def test_f_gets_fresh_arrays_it_may_overwrite(dim, budget):
     unknown = [run_unknown(g, m, 0.8, budget, max_level=12 // dim) for g in (f, scribbling)]
     assert unknown[0] == unknown[1]
     assert sum(map(len, seen)) == unknown[0].evaluations
+
+
+@pytest.mark.parametrize("dim,budget", [*CASES, (2, 10 ** 6)])
+def test_f_gets_c_contiguous_float64_points(dim, budget):
+    # under both algorithms every call of f gets a C-contiguous float64
+    # (m, d) array, under the uniform law, so with NumPy alone.  The layout
+    # is part of the outputs: handed the same points in an F-ordered buffer,
+    # the f of the random problems, cos(x @ w + p), moved the estimates of 79
+    # of the 957 parity-panel runs, as BLAS rounds x @ w by memory layout
+    f, lip = random_lipschitz_problem(np.random.default_rng(dim), dim)
+    m = lq.uniform_cube(dim)
+
+    def checked(x):
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        assert x.ndim == 2 and x.shape[1] == dim and x.flags.c_contiguous
+        return f(x)
+
+    run = run_known(checked, lip, m, 0.8, budget)
+    run_unknown(checked, m, 0.8, budget)
+    if budget == 10 ** 6:  # a level of several chunks of rows
+        assert run.history[-1].active_cells > 3 * wquantile.CHUNK

@@ -17,7 +17,7 @@ from lipquant.measure import (
     user_marginal,
 )
 
-from oracles import MultiIndex, cell_probability, child_digits
+from oracles import MultiIndex, cell_probability, child_digits, children_by_offset
 
 
 def scipy_truncnorm_cdf(x, mu, sigma):
@@ -228,7 +228,8 @@ def _edge_parents(level, median):
 
 
 class TestChildProbabilities:
-    """child_probabilities(k, P) is cell_probabilities(k, children of P), bit for bit."""
+    """child_probabilities(k, P) is cell_probabilities(k, children of P), bit
+    for bit, in a (3^d, len(P)) array: the children offset by offset."""
 
     @pytest.mark.parametrize("kind", sorted(MARGINALS))
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -239,11 +240,11 @@ class TestChildProbabilities:
         median = float(m.marginal_quantile(0, np.array(0.5)))
         axis = _edge_parents(level - 1, median)
         parents = np.array(list(itertools.product(axis, repeat=dim)), dtype=np.int64)
-        kids = [child_digits(tuple(b)) for b in parents.tolist()]
+        kids = children_by_offset(parents.tolist())
         want = m.cell_probabilities(level, np.array(kids).reshape(-1, dim))
         got = m.child_probabilities(level, parents)
-        assert got.shape == (len(parents), 3 ** dim)
-        assert np.array_equal(got, want.reshape(len(parents), 3 ** dim))
+        assert got.shape == (3 ** dim, len(parents))
+        assert np.array_equal(got, want.reshape(3 ** dim, len(parents)))
         if kind == "truncated_normal" and level > 1:
             # children on both sides of cdf = 1/2: both branches of the steps
             lower_edges = marginal.cdf(np.array(kids).ravel() / 3 ** level)
@@ -254,13 +255,13 @@ class TestChildProbabilities:
                              user_marginal(_square_cdf)])
         rng = np.random.default_rng(3)
         parents = rng.integers(0, 3 ** 7, (50, 3))
-        kids = np.array([child_digits(tuple(b)) for b in parents.tolist()]).reshape(-1, 3)
-        want = m.cell_probabilities(8, kids).reshape(50, 27)
+        kids = np.array(children_by_offset(parents.tolist()))
+        want = m.cell_probabilities(8, kids).reshape(27, 50)
         assert np.array_equal(m.child_probabilities(8, parents), want)
 
     def test_no_parents(self):
         m = uniform_cube(2)
-        assert m.child_probabilities(3, np.zeros((0, 2), dtype=np.int64)).shape == (0, 9)
+        assert m.child_probabilities(3, np.zeros((0, 2), dtype=np.int64)).shape == (9, 0)
 
 
 class TestInverseAndSampling:
